@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import distill, metrics, student, tree as tree_mod
-from .errors import ConfigError, KdsmError
+from .errors import ConfigError, KdsmError, document_errors
 from .seeds import derive_seed
 
 TWO_MODEL_FORMAT = "two-model/v1"
@@ -269,8 +269,7 @@ def _dataset_paths(cfg: RunConfig) -> dict[str, str]:
 def _load_schema(path: str) -> data_mod.FeatureSchema:
     if not os.path.exists(path):
         raise ConfigError(f"schema file {path} not found; run `kdsm synth` or place one there")
-    with open(path, encoding="utf-8") as fh:
-        return data_mod.FeatureSchema.from_jsonable(json.load(fh))
+    return data_mod.load_document(path, data_mod.FeatureSchema.from_jsonable)
 
 
 def _load_split(cfg: RunConfig) -> tuple[data_mod.Dataset, data_mod.Dataset, data_mod.Dataset]:
@@ -366,8 +365,11 @@ def _save_predictor(obj, path: str) -> None:
 def load_predictor(path: str):
     """Load any predictor artifact (tree, student model, or two-model pair);
     returns (kind, predict_uplift_batch callable, schema)."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    return data_mod.load_document(path, _predictor_from_jsonable)
+
+
+@document_errors("predictor document")
+def _predictor_from_jsonable(obj: dict):
     fmt = obj.get("format")
     if fmt == tree_mod.TREE_FORMAT:
         t = tree_mod.tree_from_jsonable(obj)
@@ -383,7 +385,7 @@ def load_predictor(path: str):
             student.student_from_jsonable(obj["control"]),
         )
         return "two-model", pair.predict_uplift_batch, pair.treated_model.schema
-    raise ConfigError(f"{path}: unknown predictor format {fmt!r}")
+    raise ConfigError(f"unknown predictor format {fmt!r}")
 
 
 def _train_one(method, train, valid, tree, student_cfg, hyper, drop_leftovers):

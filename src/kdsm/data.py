@@ -9,11 +9,13 @@ Missing values are not supported anywhere; ingestion rejects them.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ParseError, SchemaError
+from .errors import DomainError, KdsmError, ParseError, SchemaError, document_errors
 from .seeds import derive_seed
 
 NUMERIC = "numeric"
@@ -92,15 +94,20 @@ class FeatureSchema:
     def names(self) -> list[str]:
         return [c.name for c in self.columns]
 
-    @property
-    def numeric_indices(self) -> np.ndarray:
-        return np.array([i for i, c in enumerate(self.columns) if c.kind == NUMERIC], dtype=np.int64)
+    def _indices_of(self, kind: str) -> np.ndarray:
+        idx = np.array([i for i, c in enumerate(self.columns) if c.kind == kind], dtype=np.int64)
+        idx.flags.writeable = False
+        return idx
 
-    @property
+    # Computed once per schema and shared by every caller, hence read-only.
+    # Equality and hashing stay on `columns`: cached values are not fields.
+    @cached_property
+    def numeric_indices(self) -> np.ndarray:
+        return self._indices_of(NUMERIC)
+
+    @cached_property
     def categorical_indices(self) -> np.ndarray:
-        return np.array(
-            [i for i, c in enumerate(self.columns) if c.kind == CATEGORICAL], dtype=np.int64
-        )
+        return self._indices_of(CATEGORICAL)
 
     def to_jsonable(self) -> list[dict]:
         out = []
@@ -112,6 +119,7 @@ class FeatureSchema:
         return out
 
     @classmethod
+    @document_errors("schema")
     def from_jsonable(cls, obj: list[dict]) -> "FeatureSchema":
         return cls(
             tuple(
@@ -124,6 +132,20 @@ class FeatureSchema:
                 for d in obj
             )
         )
+
+
+def load_document(path: str, parse):
+    """Read the JSON file at `path` and build an object from it with
+    `parse`; every error, malformed JSON included, names the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as e:
+            raise ParseError(f"{path}: {e}") from None
+    try:
+        return parse(obj)
+    except KdsmError as e:
+        raise type(e)(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)

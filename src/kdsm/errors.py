@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class KdsmError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,3 +37,15 @@ class MetricError(KdsmError):
 
 class UndefinedMetricError(MetricError):
     """The metric is undefined for this input (e.g. non-positive curve endpoint)."""
+
+
+@contextmanager
+def document_errors(what: str):
+    """Report a missing key or a value of the wrong type met while building
+    an object from parsed JSON as a ParseError naming `what`."""
+    try:
+        yield
+    except KeyError as e:
+        raise ParseError(f"{what} is missing key {e.args[0]!r}") from None
+    except (AttributeError, TypeError, ValueError) as e:
+        raise ParseError(f"{what} has a malformed value ({e})") from None

@@ -24,12 +24,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema
-from .errors import DomainError, ParseError, SchemaError, TrainingError
+from .data import Dataset, FeatureSchema, load_document
+from .errors import DomainError, ParseError, SchemaError, TrainingError, document_errors
 
 MODEL_FORMAT = "student-model/v1"
 LOGIT_CLAMP = 30.0
 PROB_EPS = 1e-7
+#: Rows per block of the inference routine; fixes its working memory at a
+#: few MB whatever the number of rows scored.
+SCORE_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -150,8 +153,9 @@ class LossBatch:
     Each of the P passes is a (row, treatment-bit) pair with an outcome and
     a BCE weight (0 for counterfactual passes that only feed a soft term).
     `kd_pairs` holds (treated-pass, control-pass) index pairs whose predicted
-    difference is pulled toward `kd_targets` with weight `lam`; it must be
-    empty when lam == 0. `n_units` is the mean-reduction denominator.
+    difference is pulled toward `kd_targets` with weight `lam`; no pass
+    appears in two pairs, and it must be empty when lam == 0. `n_units` is
+    the mean-reduction denominator.
     """
 
     X: np.ndarray
@@ -225,31 +229,41 @@ def init_student(
     )
 
 
-def _assemble_input(model: StudentModel, X: np.ndarray, T: np.ndarray):
-    """Build the input layer; returns (h0, codes per categorical column)."""
+def _checked_features(model: StudentModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(model.schema.columns):
         raise SchemaError(
             f"feature matrix has shape {X.shape}, schema expects "
             f"(*, {len(model.schema.columns)})"
         )
-    parts = []
+    return X
+
+
+def _assemble_input(model: StudentModel, X: np.ndarray, T: np.ndarray | None = None):
+    """Build the input layer: standardized numerics, one embedding block per
+    categorical column, then the treatment bit unless T is None. Returns
+    (h0, codes per categorical column)."""
     num_idx = model.schema.numeric_indices
     cat_idx = model.schema.categorical_indices
-    if num_idx.size:
-        parts.append((X[:, num_idx] - model.num_mean) / model.num_std)
-    codes = None
-    if cat_idx.size:
-        codes = X[:, cat_idx].astype(np.int64)
-        for j in range(cat_idx.size):
-            parts.append(model.embeddings[j][codes[:, j]])
-    parts.append(np.asarray(T, dtype=np.float64).reshape(-1, 1))
-    return np.concatenate(parts, axis=1), codes
+    num_n = num_idx.size
+    emb_dim = model.config.embedding_dim
+    d_cov = num_n + cat_idx.size * emb_dim
+    h0 = np.empty((X.shape[0], d_cov + (T is not None)))
+    h0[:, :num_n] = (X[:, num_idx] - model.num_mean) / model.num_std
+    codes = X[:, cat_idx].astype(np.int64)
+    for j in range(cat_idx.size):
+        off = num_n + j * emb_dim
+        h0[:, off : off + emb_dim] = model.embeddings[j][codes[:, j]]
+    if T is not None:
+        h0[:, d_cov] = T
+    return h0, codes
 
 
 def _forward_cached(model: StudentModel, X: np.ndarray, T: np.ndarray):
-    """Raw output logits plus the activations needed by backprop."""
-    h0, codes = _assemble_input(model, X, T)
+    """Raw output logits plus the activations needed by backprop (the
+    training path; inference goes through `_score_logits`)."""
+    X = _checked_features(model, X)
+    h0, codes = _assemble_input(model, X, np.asarray(T, dtype=np.float64).ravel())
     hs = [h0]
     ss = []
     h = h0
@@ -263,19 +277,71 @@ def _forward_cached(model: StudentModel, X: np.ndarray, T: np.ndarray):
     return z_raw, hs, ss, codes
 
 
+def _score_logits(model: StudentModel, X: np.ndarray, arms: tuple) -> np.ndarray:
+    """Raw output logits of every row of a checked X under each treatment
+    input in `arms` (a scalar, or one value per row); shape (len(arms), n).
+
+    Rows go through in blocks of SCORE_BLOCK_ROWS, so memory stays bounded
+    whatever n is; a 1-row tail joins the block before it. Per block the
+    treatment-free part of the first layer is computed once and shared by
+    all arms, which are then stacked and run through the remaining layers
+    in one pass.
+    """
+    n = X.shape[0]
+    out = np.empty((len(arms), n))
+    w_cov = model.weights[0][:-1]
+    w_t = model.weights[0][-1]
+    relu = model.config.activation == "relu"
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= SCORE_BLOCK_ROWS + 1 else lo + SCORE_BLOCK_ROWS
+        m = hi - lo
+        base = _assemble_input(model, X[lo:hi])[0] @ w_cov
+        h = np.empty((len(arms) * m, base.shape[1]))
+        for a, t in enumerate(arms):
+            t = t if np.ndim(t) == 0 else t[lo:hi, None]
+            np.add(base, t * w_t, out=h[a * m : (a + 1) * m])
+        h += model.biases[0]
+        for w, b in zip(model.weights[1:], model.biases[1:]):
+            if relu:
+                np.maximum(h, 0.0, out=h)
+            else:
+                np.tanh(h, out=h)
+            h = h @ w
+            h += b
+        out[:, lo:hi] = h.reshape(len(arms), m)
+        lo = hi
+    return out
+
+
+def _checked_inputs(model: StudentModel, X: np.ndarray) -> np.ndarray:
+    X = _checked_features(model, X)
+    if not np.isfinite(X).all():
+        raise DomainError("non-finite feature value")
+    return X
+
+
+def _require_binary(model: StudentModel, fn: str) -> None:
+    if model.head != "binary":
+        raise DomainError(f"{fn} needs a binary-head model")
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _probability(z_raw: np.ndarray) -> np.ndarray:
+    return _sigmoid(np.clip(z_raw, -LOGIT_CLAMP, LOGIT_CLAMP))
+
+
 def forward_batch(model: StudentModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Predicted outcome probability per row (binary head)."""
-    if model.head != "binary":
-        raise DomainError("forward_batch needs a binary-head model")
-    X = np.asarray(X, dtype=np.float64)
-    if not np.isfinite(X).all():
-        raise DomainError("non-finite feature value")
-    z_raw, _, _, _ = _forward_cached(model, X, T)
-    return _sigmoid(np.clip(z_raw, -LOGIT_CLAMP, LOGIT_CLAMP))
+    _require_binary(model, "forward_batch")
+    X = _checked_inputs(model, X)
+    T = np.asarray(T, dtype=np.float64).ravel()
+    if T.size != X.shape[0]:
+        raise SchemaError(f"{T.size} treatment values for {X.shape[0]} feature rows")
+    return _probability(_score_logits(model, X, (T,))[0])
 
 
 def forward(model: StudentModel, x: np.ndarray, t: int) -> float:
@@ -285,18 +351,14 @@ def forward(model: StudentModel, x: np.ndarray, t: int) -> float:
 
 def raw_output_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
     """Unclamped linear output per row (regression head; treatment input 0)."""
-    X = np.asarray(X, dtype=np.float64)
-    if not np.isfinite(X).all():
-        raise DomainError("non-finite feature value")
-    z_raw, _, _, _ = _forward_cached(model, X, np.zeros(X.shape[0]))
-    return z_raw
+    return _score_logits(model, _checked_inputs(model, X), (0.0,))[0]
 
 
 def predict_uplift_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
-    """forward(x, 1) - forward(x, 0) per row."""
-    X = np.asarray(X, dtype=np.float64)
-    ones = np.ones(X.shape[0])
-    return forward_batch(model, X, ones) - forward_batch(model, X, 1.0 - ones)
+    """forward(x, 1) - forward(x, 0) per row, both arms in one pass."""
+    _require_binary(model, "predict_uplift_batch")
+    p = _probability(_score_logits(model, _checked_inputs(model, X), (1.0, 0.0)))
+    return p[0] - p[1]
 
 
 def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
@@ -319,7 +381,7 @@ def _bce_vec(y: np.ndarray, p: np.ndarray) -> np.ndarray:
 def batch_loss(model: StudentModel, batch: LossBatch) -> LossParts:
     """Loss of a batch without gradients; same reduction as `backward`."""
     z_raw, _, _, _ = _forward_cached(model, batch.X, batch.T)
-    p = _sigmoid(np.clip(z_raw, -LOGIT_CLAMP, LOGIT_CLAMP))
+    p = _probability(z_raw)
     hard = float(np.sum(batch.bce_weight * _bce_vec(batch.y, p)))
     if batch.lam != 0.0 and batch.kd_pairs.shape[0]:
         gaps = batch.kd_targets - (p[batch.kd_pairs[:, 0]] - p[batch.kd_pairs[:, 1]])
@@ -357,8 +419,9 @@ def backward(
         soft = float(np.sum(gaps**2))
         g = 2.0 * batch.lam * (diff - batch.kd_targets)
         sig_grad = p * (1.0 - p)
-        np.add.at(dz, it, g * sig_grad[it])
-        np.add.at(dz, ic, -g * sig_grad[ic])
+        # a pass sits in at most one pair, so plain fancy-index adds suffice
+        dz[it] += g * sig_grad[it]
+        dz[ic] += -g * sig_grad[ic]
     dz = dz * (np.abs(z_raw) < LOGIT_CLAMP)
     dz /= batch.n_units
 
@@ -400,7 +463,7 @@ def backward_mse(
 def _backprop(model: StudentModel, hs, ss, codes, dz: np.ndarray) -> GradientBuffer:
     """Propagate per-pass output gradients dz through the stack."""
     grads = GradientBuffer(
-        embeddings=[np.zeros_like(e) for e in model.embeddings],
+        embeddings=[None] * len(model.embeddings),
         weights=[None] * len(model.weights),
         biases=[None] * len(model.biases),
     )
@@ -414,12 +477,17 @@ def _backprop(model: StudentModel, hs, ss, codes, dz: np.ndarray) -> GradientBuf
                 g = g * (ss[l - 1] > 0.0)
             else:
                 g = g * (1.0 - hs[l] ** 2)
-    # g now holds the gradient at the input layer; route embedding blocks
+    # g now holds the gradient at the input layer; route embedding blocks.
+    # bincount sums each cell's contributions in row order from 0, exactly
+    # as an unbuffered scatter-add would.
     num_n = model.schema.numeric_indices.size
     emb_dim = model.config.embedding_dim
-    for j in range(len(model.embeddings)):
+    cols = np.arange(emb_dim)
+    for j, emb in enumerate(model.embeddings):
         block = g[:, num_n + j * emb_dim : num_n + (j + 1) * emb_dim]
-        np.add.at(grads.embeddings[j], codes[:, j], block)
+        cells = (codes[:, j, None] * emb_dim + cols).ravel()
+        sums = np.bincount(cells, weights=block.ravel(), minlength=emb.size)
+        grads.embeddings[j] = sums.reshape(emb.shape)
     return grads
 
 
@@ -505,6 +573,7 @@ def student_to_jsonable(model: StudentModel) -> dict:
     }
 
 
+@document_errors("student model document")
 def student_from_jsonable(obj: dict) -> StudentModel:
     if obj.get("format") != MODEL_FORMAT:
         raise ParseError(f"not a student model document (format {obj.get('format')!r})")
@@ -543,9 +612,4 @@ def save_student(model: StudentModel, path: str) -> None:
 
 
 def load_student(path: str) -> StudentModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from None
-    return student_from_jsonable(obj)
+    return load_document(path, student_from_jsonable)

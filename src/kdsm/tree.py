@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, FeatureSchema
-from .errors import DomainError, FitError, ParseError, SchemaError
+from .data import CATEGORICAL, NUMERIC, Dataset, FeatureSchema, load_document
+from .errors import DomainError, FitError, ParseError, SchemaError, document_errors
 
 TREE_FORMAT = "uplift-tree/v1"
 
@@ -403,7 +404,10 @@ def tree_to_jsonable(tree: UpliftTree) -> dict:
     }
 
 
+@document_errors("tree document")
 def tree_from_jsonable(obj: dict) -> UpliftTree:
+    """Rebuild a tree, rejecting any document whose nodes do not form the
+    preorder tree `fit_tree` writes (see `_check_topology`)."""
     if obj.get("format") != TREE_FORMAT:
         raise ParseError(f"not a tree document (format {obj.get('format')!r})")
     schema = FeatureSchema.from_jsonable(obj["schema"])
@@ -442,7 +446,46 @@ def tree_from_jsonable(obj: dict) -> UpliftTree:
                 leaf_id=nd["leaf_id"],
             )
         )
+    _check_topology(nodes, schema)
     return UpliftTree(schema=schema, params=params, nodes=nodes)
+
+
+def _check_topology(nodes: list[TreeNode], schema: FeatureSchema) -> None:
+    """Raise a ParseError naming the node unless every child id lies after
+    its parent's, every node but the root has exactly one parent, leaf ids
+    are 0..n_leaves-1, and every rule tests an existing column of its kind
+    (numeric thresholds finite). Children after parents rule out cycles,
+    which would make routing loop forever."""
+    if not nodes:
+        raise ParseError("tree document has no nodes")
+    parents = [0] * len(nodes)
+    leaf_ids = []
+    for i, nd in enumerate(nodes):
+        if nd.rule is None:
+            if not _is_int(nd.leaf_id):
+                raise ParseError(f"tree node {i}: leaf without an integer leaf_id")
+            leaf_ids.append(nd.leaf_id)
+            continue
+        for side, child in (("left", nd.left), ("right", nd.right)):
+            if not (_is_int(child) and i < child < len(nodes)):
+                raise ParseError(
+                    f"tree node {i}: {side} child {child!r} is not a node id in ({i}, {len(nodes)})"
+                )
+            parents[child] += 1
+        f = nd.rule.feature
+        if not 0 <= f < len(schema.columns) or schema.columns[f].kind != nd.rule.kind:
+            raise ParseError(f"tree node {i}: rule feature {f} is not a {nd.rule.kind} column")
+        if nd.rule.kind == NUMERIC and not math.isfinite(nd.rule.threshold):
+            raise ParseError(f"tree node {i}: threshold {nd.rule.threshold} is not finite")
+    for i in range(1, len(nodes)):
+        if parents[i] != 1:
+            raise ParseError(f"tree node {i} is referenced by {parents[i]} parents, expected 1")
+    if sorted(leaf_ids) != list(range(len(leaf_ids))):
+        raise ParseError(f"tree leaf ids {sorted(leaf_ids)} are not 0..{len(leaf_ids) - 1}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def save_tree(tree: UpliftTree, path: str) -> None:
@@ -453,12 +496,7 @@ def save_tree(tree: UpliftTree, path: str) -> None:
 
 
 def load_tree(path: str) -> UpliftTree:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: {e}") from None
-    return tree_from_jsonable(obj)
+    return load_document(path, tree_from_jsonable)
 
 
 def leaf_summary(tree: UpliftTree) -> str:

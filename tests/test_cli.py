@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import kdsm
 from kdsm.cli import load_predictor, main
 from kdsm.data import load_csv
 from kdsm.metrics import read_curve_csv
@@ -216,3 +219,41 @@ def test_compare_report_rows_and_sorted_medians(tmp_path, capsys):
     assert qinis == sorted(qinis, reverse=True)
     # per-cell artifacts land under cells/
     assert os.path.exists(os.path.join(out, "cells", "kdsm_seed1", "summary.json"))
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ("{bad", "Expecting property name"),
+        ('{"format": "student-model/v1", "head": "binary"}', "missing key 'config'"),
+        ('{"format": "two-model/v1"}', "missing key 'treated'"),
+        ("[1, 2]", "malformed"),
+    ],
+)
+def test_evaluate_reports_malformed_model_file(pipeline, tmp_path, capsys, doc, named):
+    cfg, _ = pipeline
+    path = tmp_path / "broken.json"
+    path.write_text(doc, encoding="utf-8")
+    assert main(["evaluate", "--config", cfg, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and named in err
+
+
+def test_evaluate_rejects_cyclic_tree_without_hanging(pipeline, tmp_path):
+    cfg, out = pipeline
+    with open(os.path.join(out, "tree.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["nodes"][0]["left"] = 0  # the root lists itself as a child
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    # a separate process, so that a routing loop fails the test instead of hanging the run
+    src = os.path.dirname(os.path.dirname(kdsm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kdsm.cli", "evaluate", "--config", cfg, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {path}: tree node 0")

@@ -50,6 +50,23 @@ def test_schema_rejects_duplicate_names():
         FeatureSchema(columns=(Column("a", "numeric"), Column("a", "numeric")))
 
 
+def test_schema_index_arrays_are_cached_read_only_and_outside_equality():
+    cols = (Column("x", "numeric"), Column("c", "categorical", cardinality=3), Column("y", "numeric"))
+    schema = FeatureSchema(cols)
+    assert schema.numeric_indices is schema.numeric_indices
+    assert schema.numeric_indices.tolist() == [0, 2]
+    assert schema.categorical_indices.tolist() == [1]
+    with pytest.raises(ValueError):
+        schema.numeric_indices[0] = 1
+    fresh = FeatureSchema(cols)
+    assert fresh == schema and hash(fresh) == hash(schema)
+
+
+def test_schema_document_missing_key_is_a_parse_error():
+    with pytest.raises(ParseError, match="'kind'"):
+        FeatureSchema.from_jsonable([{"name": "x"}])
+
+
 def test_schema_rejects_bad_cardinality():
     with pytest.raises(SchemaError):
         Column("c", "categorical", cardinality=1)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kdsm.data import Column, Dataset, FeatureSchema, SyntheticConfig, gen_synthetic
-from kdsm.errors import DomainError
+from kdsm.errors import DomainError, ParseError, SchemaError
 from kdsm.student import (
+    SCORE_BLOCK_ROWS,
     GradientBuffer,
     LossBatch,
     StudentConfig,
@@ -21,10 +22,12 @@ from kdsm.student import (
     load_student,
     predict_uplift_batch,
     predict_uplift_student,
+    raw_output_batch,
     save_student,
     student_from_jsonable,
     student_to_jsonable,
 )
+from kdsm.student import _forward_cached
 
 
 def tiny_dataset(n=40, d_numeric=2, d_categorical=0, seed=0):
@@ -325,6 +328,65 @@ def test_loss_descends_under_full_batch_sgd():
     assert descents >= 48
 
 
+# --- blocked scoring ---
+
+# Scoring sums the first layer in another order than the training forward
+# (the treatment bit is added after the covariate product), so the two agree
+# to rounding, not bitwise.
+SCORE_TOL = 1e-15
+B = SCORE_BLOCK_ROWS
+
+
+def oracle_logits(model, X, T):
+    """Unblocked logits: the training forward over the whole input."""
+    return _forward_cached(model, X, T)[0]
+
+
+def oracle_prob(model, X, T):
+    return 1.0 / (1.0 + np.exp(-np.clip(oracle_logits(model, X, T), -30.0, 30.0)))
+
+
+@pytest.fixture(scope="module")
+def scoring_rows():
+    return tiny_dataset(n=2 * B + 3, d_categorical=2, seed=21)
+
+
+@pytest.mark.parametrize("hidden", [(64, 32), ()])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_blocked_scoring_matches_unblocked_oracle(scoring_rows, activation, hidden):
+    ds = scoring_rows
+    cfg = StudentConfig(hidden_sizes=hidden, embedding_dim=3, activation=activation, init_seed=22)
+    model = init_student(cfg, ds)
+    reg = init_student(cfg, ds, head="regression", final_bias=0.0)
+    T = np.random.default_rng(23).integers(0, 2, ds.n).astype(np.float64)
+    for n in (1, 2, B - 1, B, B + 1, 2 * B + 3):
+        X = ds.features[:n]
+        ones, zeros = np.ones(n), np.zeros(n)
+        want = oracle_prob(model, X, ones) - oracle_prob(model, X, zeros)
+        assert np.max(np.abs(predict_uplift_batch(model, X) - want)) <= SCORE_TOL, n
+        got = forward_batch(model, X, T[:n])
+        assert np.max(np.abs(got - oracle_prob(model, X, T[:n]))) <= SCORE_TOL, n
+        got = raw_output_batch(reg, X)
+        assert np.max(np.abs(got - oracle_logits(reg, X, zeros))) <= SCORE_TOL, n
+
+
+def test_single_row_score_equals_batch_row(scoring_rows):
+    ds = scoring_rows
+    model = init_student(StudentConfig(hidden_sizes=(16, 8), embedding_dim=3, init_seed=24), ds)
+    batch = predict_uplift_batch(model, ds.features[: B + 1])
+    for i in (0, 1, B - 1, B):
+        assert abs(predict_uplift_student(model, ds.features[i]) - batch[i]) <= SCORE_TOL
+
+
+def test_scoring_rejects_misshaped_input():
+    ds = tiny_dataset()
+    model = init_student(StudentConfig(init_seed=2), ds)
+    with pytest.raises(SchemaError):
+        predict_uplift_batch(model, ds.features[:, :1])
+    with pytest.raises(SchemaError):
+        forward_batch(model, ds.features[:3], np.ones(2))
+
+
 # --- serialization ---
 
 
@@ -342,6 +404,11 @@ def test_student_round_trip_bit_exact(tmp_path):
     X = ds.features[rng.integers(0, ds.n, 30)]
     assert np.array_equal(predict_uplift_batch(model, X), predict_uplift_batch(back, X))
     assert student_to_jsonable(model) == student_to_jsonable(back)
+
+
+def test_student_document_missing_key_is_a_parse_error():
+    with pytest.raises(ParseError, match="missing key 'config'"):
+        student_from_jsonable({"format": "student-model/v1", "head": "binary"})
 
 
 def test_student_config_validation():

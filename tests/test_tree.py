@@ -332,6 +332,44 @@ def test_tree_load_rejects_schema_tamper():
         tree_from_jsonable(obj)
 
 
+def _set(path, value):
+    """Edit of a tree document: nodes[i][key] (or nodes[i]["rule"][key])."""
+
+    def edit(obj):
+        target = obj["nodes"][path[0]]
+        for key in path[1:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        pytest.param(_set((0, "left"), 0), "node 0", id="root-is-own-child"),
+        pytest.param(_set((1, "right"), 0), "node 1", id="child-before-parent"),
+        pytest.param(_set((0, "right"), 99), "node 0", id="child-out-of-range"),
+        pytest.param(_set((0, "right"), 1), "node 1", id="two-parents"),
+        pytest.param(_set((1, "right"), 6), "node 5", id="orphan"),
+        pytest.param(_set((3, "leaf_id"), 1), "leaf ids", id="leaf-ids-not-dense"),
+        pytest.param(_set((0, "rule", "feature"), 2), "node 0", id="no-such-column"),
+        pytest.param(_set((0, "rule", "threshold"), float("nan")), "node 0", id="nan-threshold"),
+        pytest.param(
+            _set((0, "rule"), {"feature": 0, "kind": "numeric"}), "'threshold'", id="missing-key"
+        ),
+    ],
+)
+def test_tree_load_rejects_malformed_topology(edit, named):
+    _, tree = fitted_example(n=2_000)
+    assert [nd.left for nd in tree.nodes[:2]] == [1, 2]  # the layout the edits assume
+    assert tree.nodes[1].right == 5 and tree.nodes[3].leaf_id == 0
+    obj = tree_to_jsonable(tree)
+    edit(obj)
+    with pytest.raises(ParseError, match=named):
+        tree_from_jsonable(obj)
+
+
 def test_leaf_summary_lists_every_leaf():
     _, tree = fitted_example()
     text = leaf_summary(tree)
