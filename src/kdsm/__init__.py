@@ -1,145 +1,8 @@
 """Uplift modeling toolkit: an interpretable tree teacher distilled into a
 gradient-trained response model via within-leaf counterfactual matching,
-plus two-model and transformed-outcome baselines and ranking metrics."""
+plus two-model and transformed-outcome baselines and ranking metrics.
 
-from .data import (
-    Column,
-    Dataset,
-    DatasetSplit,
-    FeatureSchema,
-    SplitRatios,
-    SyntheticConfig,
-    gen_synthetic,
-    load_csv,
-    save_csv,
-    split_dataset,
-    subsample_per_arm,
-)
-from .distill import (
-    EpochPlan,
-    KdsmHyper,
-    SamplePair,
-    TrainReport,
-    TwoModelResult,
-    match_pairs,
-    pair_loss,
-    train_kdsm,
-    train_kdss,
-    train_mom,
-    train_plain,
-    train_two_model,
-    transformed_outcome,
-    write_train_report,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    FitError,
-    KdsmError,
-    MetricError,
-    ParseError,
-    SchemaError,
-    TrainingError,
-    UndefinedMetricError,
-)
-from .metrics import (
-    Curve,
-    RankingEval,
-    auuc,
-    brute_force_curves,
-    evaluate_predictions,
-    qini_coefficient,
-    qini_curve,
-    rank_eval,
-    uplift_curve,
-)
-from .seeds import derive_seed
-from .student import (
-    StudentConfig,
-    StudentModel,
-    forward,
-    forward_batch,
-    init_student,
-    load_student,
-    predict_uplift_batch,
-    predict_uplift_student,
-    save_student,
-)
-from .tree import (
-    TreeParams,
-    UpliftTree,
-    fit_tree,
-    leaf_of,
-    leaf_summary,
-    load_tree,
-    predict_uplift_tree,
-    predict_uplift_tree_batch,
-    save_tree,
-)
+Import what you need from the submodules: `kdsm.data`, `kdsm.tree`,
+`kdsm.student`, `kdsm.distill`, `kdsm.metrics`, `kdsm.cli`."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Column",
-    "ConfigError",
-    "Curve",
-    "Dataset",
-    "DatasetSplit",
-    "DomainError",
-    "EpochPlan",
-    "FeatureSchema",
-    "FitError",
-    "KdsmError",
-    "KdsmHyper",
-    "MetricError",
-    "ParseError",
-    "RankingEval",
-    "SamplePair",
-    "SchemaError",
-    "SplitRatios",
-    "StudentConfig",
-    "StudentModel",
-    "SyntheticConfig",
-    "TrainReport",
-    "TrainingError",
-    "TreeParams",
-    "TwoModelResult",
-    "UndefinedMetricError",
-    "UpliftTree",
-    "auuc",
-    "brute_force_curves",
-    "derive_seed",
-    "evaluate_predictions",
-    "fit_tree",
-    "forward",
-    "forward_batch",
-    "gen_synthetic",
-    "init_student",
-    "leaf_of",
-    "leaf_summary",
-    "load_csv",
-    "load_student",
-    "load_tree",
-    "match_pairs",
-    "pair_loss",
-    "predict_uplift_batch",
-    "predict_uplift_student",
-    "predict_uplift_tree",
-    "predict_uplift_tree_batch",
-    "qini_coefficient",
-    "qini_curve",
-    "rank_eval",
-    "save_csv",
-    "save_student",
-    "save_tree",
-    "split_dataset",
-    "subsample_per_arm",
-    "train_kdsm",
-    "train_kdss",
-    "train_mom",
-    "train_plain",
-    "train_two_model",
-    "transformed_outcome",
-    "uplift_curve",
-    "write_train_report",
-]

@@ -364,28 +364,31 @@ def _save_predictor(obj, path: str) -> None:
 
 def load_predictor(path: str):
     """Load any predictor artifact (tree, student model, or two-model pair);
-    returns (kind, predict_uplift_batch callable, schema)."""
+    returns (kind, its predict_uplift, schema)."""
     return data_mod.load_document(path, _predictor_from_jsonable)
+
+
+# a student's kind in evaluate's output, by its head
+STUDENT_KINDS = {"binary": "student", "regression": "mom"}
 
 
 @document_errors("predictor document")
 def _predictor_from_jsonable(obj: dict):
     fmt = obj.get("format")
     if fmt == tree_mod.TREE_FORMAT:
-        t = tree_mod.tree_from_jsonable(obj)
-        return "tree", (lambda X: tree_mod.predict_uplift_tree_batch(t, X)), t.schema
-    if fmt == student.MODEL_FORMAT:
-        m = student.student_from_jsonable(obj)
-        if m.head == "regression":
-            return "mom", (lambda X: student.raw_output_batch(m, X)), m.schema
-        return "student", (lambda X: student.predict_uplift_batch(m, X)), m.schema
-    if fmt == TWO_MODEL_FORMAT:
-        pair = distill.TwoModelResult(
+        kind, predictor = "tree", tree_mod.tree_from_jsonable(obj)
+    elif fmt == student.MODEL_FORMAT:
+        predictor = student.student_from_jsonable(obj)
+        kind = STUDENT_KINDS[predictor.head]
+    elif fmt == TWO_MODEL_FORMAT:
+        kind = "two-model"
+        predictor = distill.TwoModelResult(
             student.student_from_jsonable(obj["treated"]),
             student.student_from_jsonable(obj["control"]),
         )
-        return "two-model", pair.predict_uplift_batch, pair.treated_model.schema
-    raise ConfigError(f"unknown predictor format {fmt!r}")
+    else:
+        raise ConfigError(f"unknown predictor format {fmt!r}")
+    return kind, predictor.predict_uplift, predictor.schema
 
 
 def _train_one(method, train, valid, tree, student_cfg, hyper, drop_leftovers):
@@ -445,14 +448,8 @@ def cmd_evaluate(args) -> int:
         kind, predict, schema = load_predictor(path)
         if tree_mod.schema_hash(schema) != tree_mod.schema_hash(test.schema):
             raise ConfigError(f"{path}: predictor schema does not match the test data schema")
-        preds = predict(test.features)
-        ev = metrics.rank_eval(preds, test.treatment, test.outcome, tie_seed)
-        summary = {
-            "auuc": metrics.auuc(ev),
-            "qini": metrics.qini_coefficient(ev),
-            "n": ev.n,
-            "tie_seed": tie_seed,
-        }
+        ev = metrics.rank_eval(predict(test.features), test.treatment, test.outcome, tie_seed)
+        summary = metrics.summary(ev)
         stem = os.path.splitext(os.path.basename(path))[0]
         eval_dir = os.path.join(cfg.out_dir, f"eval_{stem}")
         os.makedirs(eval_dir, exist_ok=True)
@@ -523,33 +520,20 @@ def run_comparison(
                 model, report = _train_one(
                     method, split.train, split.valid, teacher, student_cfg, hyper, drop
                 )
-                if method == "tm":
-                    preds = model.predict_uplift_batch(split.test.features)
-                elif method == "mom":
-                    preds = student.raw_output_batch(model, split.test.features)
-                else:
-                    preds = student.predict_uplift_batch(model, split.test.features)
-                ev = metrics.rank_eval(preds, split.test.treatment, split.test.outcome, tie_seed)
-                row.auuc = metrics.auuc(ev)
-                row.qini = metrics.qini_coefficient(ev)
+                summary = metrics.evaluate_predictions(
+                    model.predict_uplift(split.test.features),
+                    split.test.treatment,
+                    split.test.outcome,
+                    tie_seed,
+                )
+                row.auuc = summary["auuc"]
+                row.qini = summary["qini"]
                 if out_dir is not None:
                     cell_dir = os.path.join(out_dir, "cells", f"{method}_seed{seed}")
                     os.makedirs(cell_dir, exist_ok=True)
                     _save_predictor(model, os.path.join(cell_dir, "model.json"))
                     distill.write_train_report(report, os.path.join(cell_dir, "train_report.txt"))
-                    _write_text(
-                        os.path.join(cell_dir, "summary.json"),
-                        json.dumps(
-                            {
-                                "auuc": row.auuc,
-                                "qini": row.qini,
-                                "n": ev.n,
-                                "tie_seed": tie_seed,
-                            },
-                            indent=1,
-                        )
-                        + "\n",
-                    )
+                    _write_text(os.path.join(cell_dir, "summary.json"), json.dumps(summary, indent=1) + "\n")
             except KdsmError as e:
                 row.failed = True
                 row.error = str(e)

@@ -109,6 +109,13 @@ class FeatureSchema:
     def categorical_indices(self) -> np.ndarray:
         return self._indices_of(CATEGORICAL)
 
+    @cached_property
+    def cardinalities(self) -> np.ndarray:
+        """Cardinality of each categorical column, in column order."""
+        card = np.array([self.columns[i].cardinality for i in self.categorical_indices], dtype=np.int64)
+        card.flags.writeable = False
+        return card
+
     def to_jsonable(self) -> list[dict]:
         out = []
         for c in self.columns:
@@ -132,6 +139,24 @@ class FeatureSchema:
                 for d in obj
             )
         )
+
+
+def categorical_codes(schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
+    """The categorical columns of the finite feature matrix X as int64 codes,
+    one column each. Raises DomainError naming the column and row of the
+    first cell that is not an integer code in [0, cardinality)."""
+    vals = X[:, schema.categorical_indices]
+    codes = vals.astype(np.int64)
+    # viewed as unsigned, a negative code exceeds every cardinality
+    bad = (codes != vals) | (codes.view(np.uint64) >= schema.cardinalities)
+    if np.count_nonzero(bad):
+        i, j = map(int, np.argwhere(bad)[0])
+        col = schema.columns[schema.categorical_indices[j]]
+        raise DomainError(
+            f"code {vals[i, j]!r} in categorical column {col.name!r} at row {i} is not "
+            f"an integer in [0, {col.cardinality})"
+        )
+    return codes
 
 
 def load_document(path: str, parse):
@@ -204,19 +229,7 @@ class Dataset:
             raise DomainError(
                 f"non-finite value in column {self.schema.columns[j].name!r} at row {i}"
             )
-        for j in map(int, self.schema.categorical_indices):
-            col = self.schema.columns[j]
-            vals = self.features[:, j]
-            codes = vals.astype(np.int64)
-            if (codes != vals).any():
-                i = int(np.flatnonzero(codes != vals)[0])
-                raise DomainError(
-                    f"non-integer code {vals[i]!r} in categorical column {col.name!r} at row {i}"
-                )
-            if codes.size and (codes.min() < 0 or codes.max() >= col.cardinality):
-                raise DomainError(
-                    f"code out of range [0, {col.cardinality}) in column {col.name!r}"
-                )
+        categorical_codes(self.schema, self.features)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New dataset containing `rows` (indices) in the given order."""
@@ -377,6 +390,12 @@ def load_csv(
         if header is None:
             raise ParseError(f"{path}: empty file")
         required = schema.names + [treatment_col, outcome_col]
+        dupes = sorted({c for c in header if header.count(c) > 1})
+        if dupes:
+            raise SchemaError(f"{path}: column {dupes[0]!r} appears more than once in the header")
+        for c in (treatment_col, outcome_col):
+            if required.count(c) > 1:
+                raise SchemaError(f"{path}: column {c!r} cannot be both a feature and the treatment or outcome")
         missing = [c for c in required if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing column(s) {missing}")

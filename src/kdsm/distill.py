@@ -32,37 +32,20 @@ from .metrics import auuc, rank_eval
 from .seeds import derive_seed
 from .student import (
     LossBatch,
-    LossParts,
     OptimizerState,
     StudentConfig,
     StudentModel,
     apply_update,
     backward,
     backward_mse,
-    bce,
     clone_params,
-    forward,
     forward_batch,
     init_optimizer,
     init_student,
-    predict_uplift_batch,
-    raw_output_batch,
-    restore_params,
 )
 from .tree import UpliftTree, leaf_of_batch
 
 PAIR, SINGLE, KD_SINGLE = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class SamplePair:
-    """A within-leaf match: row indices into the training set, the leaf both
-    rows fell in, and that leaf's effect estimate."""
-
-    treated_row: int
-    control_row: int
-    leaf_id: int
-    teacher_uplift: float
 
 
 @dataclass
@@ -84,12 +67,6 @@ class EpochPlan:
     @property
     def n_pairs(self) -> int:
         return self.treated.shape[0]
-
-    def pairs(self) -> list[SamplePair]:
-        return [
-            SamplePair(int(t), int(c), int(l), float(u))
-            for t, c, l, u in zip(self.treated, self.control, self.leaf_ids, self.teacher_uplift)
-        ]
 
 
 @dataclass(frozen=True)
@@ -180,21 +157,6 @@ def match_pairs(train: Dataset, tree: UpliftTree, epoch_seed: int) -> EpochPlan:
     )
 
 
-def pair_loss(model: StudentModel, ds: Dataset, pair: SamplePair, kd_weight: float) -> LossParts:
-    """Loss of one matched pair: hard = both factual BCE terms, soft = the
-    squared gap between the teacher estimate and the predicted uplift.
-    total = hard + kd_weight * soft, with the soft term skipped entirely
-    (not multiplied by zero) when kd_weight == 0."""
-    x_t = ds.features[pair.treated_row]
-    x_c = ds.features[pair.control_row]
-    p_t = forward(model, x_t, 1)
-    p_c = forward(model, x_c, 0)
-    hard = bce(ds.outcome[pair.treated_row], p_t) + bce(ds.outcome[pair.control_row], p_c)
-    soft = (pair.teacher_uplift - (p_t - p_c)) ** 2
-    total = hard if kd_weight == 0.0 else hard + kd_weight * soft
-    return LossParts(total, hard, soft)
-
-
 @dataclass
 class _Units:
     """One epoch's shuffled unit stream in parallel arrays.
@@ -241,7 +203,9 @@ def _pair_stream_builder(train, tree, drop_leftovers, with_teacher):
     return build
 
 
-def _single_stream_builder(train, teacher_uplift_per_row=None):
+def _single_stream_builder(train, teacher_uplift_per_row=None, tags: tuple[str, ...] = ()):
+    """Every row of `train` as one unit, reshuffled each epoch by a stream
+    seeded from (epoch_seed, "stream", *tags)."""
     n = train.n
 
     def build(epoch_seed: int) -> _Units:
@@ -252,7 +216,7 @@ def _single_stream_builder(train, teacher_uplift_per_row=None):
             kind = np.full(n, KD_SINGLE, np.int8)
             u = teacher_uplift_per_row
         units = _Units(kind, np.arange(n, dtype=np.int64), np.full(n, -1, np.int64), u)
-        return _shuffled(units, np.random.default_rng(derive_seed(epoch_seed, "stream")))
+        return _shuffled(units, np.random.default_rng(derive_seed(epoch_seed, "stream", *tags)))
 
     return build
 
@@ -364,12 +328,13 @@ def _train_loop(
     tracks: list[_Track],
     valid: Dataset,
     hyper: KdsmHyper,
-    predict_valid,
+    predictor,
     method: str,
     kd_weight: float,
 ) -> TrainReport:
-    """Shared training loop: epochs over every track, validation ranking,
-    early stopping with best-epoch restore, lr decay on stagnation."""
+    """Shared training loop: epochs over every track, validation ranking of
+    `predictor.predict_uplift`, early stopping with best-epoch restore, lr
+    decay on stagnation."""
     report = TrainReport(method=method, kd_weight=kd_weight)
     tie_seed = derive_seed(hyper.master_seed, "valid-ties")
     best_snapshots = None
@@ -386,7 +351,7 @@ def _train_loop(
             total_units += nu
         val = None
         try:
-            preds = predict_valid()
+            preds = predictor.predict_uplift(valid.features)
             val = auuc(rank_eval(preds, valid.treatment, valid.outcome, tie_seed))
         except UndefinedMetricError:
             report.warnings.append(f"epoch {epoch}: validation AUUC undefined")
@@ -422,7 +387,7 @@ def _train_loop(
             break
     if best_snapshots is not None:
         for t, snap in zip(tracks, best_snapshots):
-            restore_params(t.model, snap)
+            t.model.params[...] = snap
     else:
         report.warnings.append("no epoch produced a defined validation AUUC; keeping final parameters")
     return report
@@ -464,7 +429,7 @@ def train_kdsm(
         [track],
         valid,
         hyper,
-        predict_valid=lambda: predict_uplift_batch(model, valid.features),
+        predictor=model,
         method="kdsm",
         kd_weight=hyper.kd_weight,
     )
@@ -488,11 +453,7 @@ def train_kdss(
         raise SchemaError("tree and training data have different schemas")
     model = init_student(student_cfg, train)
     per_row = tree.leaf_tau()[leaf_of_batch(tree, train.features)]
-    builder = (
-        _single_stream_builder(train, per_row)
-        if hyper.kd_weight > 0.0
-        else _single_stream_builder(train, None)
-    )
+    builder = _single_stream_builder(train, per_row if hyper.kd_weight > 0.0 else None)
     track = _Track(
         model=model,
         opt=init_optimizer(student_cfg, model),
@@ -504,7 +465,7 @@ def train_kdss(
         [track],
         valid,
         hyper,
-        predict_valid=lambda: predict_uplift_batch(model, valid.features),
+        predictor=model,
         method="kdss",
         kd_weight=hyper.kd_weight,
     )
@@ -544,7 +505,7 @@ def train_plain(
         [track],
         valid,
         hyper,
-        predict_valid=lambda: predict_uplift_batch(model, valid.features),
+        predictor=model,
         method="plain",
         kd_weight=0.0,
     )
@@ -559,7 +520,15 @@ class TwoModelResult:
     treated_model: StudentModel
     control_model: StudentModel
 
-    def predict_uplift_batch(self, X: np.ndarray) -> np.ndarray:
+    def __post_init__(self):
+        if self.treated_model.schema != self.control_model.schema:
+            raise SchemaError("the treated and control models have different schemas")
+
+    @property
+    def schema(self):
+        return self.treated_model.schema
+
+    def predict_uplift(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return forward_batch(self.treated_model, X, np.ones(X.shape[0])) - forward_batch(
             self.control_model, X, np.zeros(X.shape[0])
@@ -583,31 +552,16 @@ def train_two_model(
     cfg_c = replace(student_cfg, init_seed=derive_seed(student_cfg.init_seed, "control"))
     m_t = init_student(cfg_t, tr_t)
     m_c = init_student(cfg_c, tr_c)
-
-    def arm_builder(ds: Dataset, tag: str):
-        n = ds.n
-
-        def build(epoch_seed: int) -> _Units:
-            units = _Units(
-                np.full(n, SINGLE, np.int8),
-                np.arange(n, dtype=np.int64),
-                np.full(n, -1, np.int64),
-                np.full(n, np.nan),
-            )
-            return _shuffled(units, np.random.default_rng(derive_seed(epoch_seed, "stream", tag)))
-
-        return build
-
     tracks = [
-        _Track(m_t, init_optimizer(cfg_t, m_t), tr_t, arm_builder(tr_t, "treated"), 0.0),
-        _Track(m_c, init_optimizer(cfg_c, m_c), tr_c, arm_builder(tr_c, "control"), 0.0),
+        _Track(m_t, init_optimizer(cfg_t, m_t), tr_t, _single_stream_builder(tr_t, tags=("treated",)), 0.0),
+        _Track(m_c, init_optimizer(cfg_c, m_c), tr_c, _single_stream_builder(tr_c, tags=("control",)), 0.0),
     ]
     result = TwoModelResult(m_t, m_c)
     report = _train_loop(
         tracks,
         valid,
         hyper,
-        predict_valid=lambda: result.predict_uplift_batch(valid.features),
+        predictor=result,
         method="tm",
         kd_weight=0.0,
     )
@@ -652,7 +606,7 @@ def train_mom(
         [track],
         valid,
         hyper,
-        predict_valid=lambda: raw_output_batch(model, valid.features),
+        predictor=model,
         method="mom",
         kd_weight=0.0,
     )

@@ -132,46 +132,21 @@ def qini_coefficient(ev: RankingEval) -> float:
     return float(np.sum(values - (ks / n) * values[-1]) / (n * n))
 
 
-def brute_force_curves(predictions, treatment, outcome, tie_seed: int = 0) -> tuple[Curve, Curve]:
-    """Reference implementation: recompute both curves at every k by
-    re-scanning the full prefix from scratch (O(n^2)). Same tie-break rule
-    and seed as `rank_eval`; used to cross-check the streaming path."""
-    predictions, treatment, outcome = _check_eval_inputs(predictions, treatment, outcome)
-    perm = np.random.default_rng(tie_seed).permutation(predictions.shape[0])
-    order = perm[np.argsort(-predictions[perm], kind="stable")]
-    n = order.shape[0]
-    uplift_vals = np.zeros(n, dtype=np.float64)
-    qini_vals = np.zeros(n, dtype=np.float64)
-    for k in range(1, n + 1):
-        prefix = order[:k]
-        t_p = treatment[prefix]
-        y_p = outcome[prefix]
-        n_t = int(np.sum(t_p))
-        n_c = k - n_t
-        r_t = int(np.sum(y_p[t_p == 1]))
-        r_c = int(np.sum(y_p[t_p == 0]))
-        if n_t > 0 and n_c > 0:
-            uplift_vals[k - 1] = (r_t / n_t - r_c / n_c) * (n_t + n_c)
-        else:
-            uplift_vals[k - 1] = 0.0
-        if n_c > 0:
-            qini_vals[k - 1] = r_t - r_c * (n_t / n_c)
-        else:
-            qini_vals[k - 1] = float(r_t)
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    return Curve(k=ks, values=uplift_vals), Curve(k=ks, values=qini_vals)
-
-
-def evaluate_predictions(predictions, treatment, outcome, tie_seed: int = 0) -> dict:
-    """AUUC and Qini coefficient in one call; the summary record written by
-    the CLI. Raises UndefinedMetricError when AUUC is undefined."""
-    ev = rank_eval(predictions, treatment, outcome, tie_seed)
+def summary(ev: RankingEval) -> dict:
+    """The summary record the CLI writes for one ranking: AUUC, Qini
+    coefficient, n and tie seed. Raises UndefinedMetricError when AUUC is
+    undefined."""
     return {
         "auuc": auuc(ev),
         "qini": qini_coefficient(ev),
         "n": ev.n,
-        "tie_seed": tie_seed,
+        "tie_seed": ev.tie_seed,
     }
+
+
+def evaluate_predictions(predictions, treatment, outcome, tie_seed: int = 0) -> dict:
+    """Rank the predictions and return their `summary` record."""
+    return summary(rank_eval(predictions, treatment, outcome, tie_seed))
 
 
 def write_curve_csv(curve: Curve, path: str) -> None:
@@ -180,17 +155,3 @@ def write_curve_csv(curve: Curve, path: str) -> None:
         fh.write("k,value\n")
         for k, v in zip(curve.k, curve.values):
             fh.write(f"{int(k)},{repr(float(v))}\n")
-
-
-def read_curve_csv(path: str) -> Curve:
-    ks: list[int] = []
-    vals: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "k,value":
-            raise MetricError(f"{path}: not a curve file (header {header!r})")
-        for line in fh:
-            k_str, v_str = line.strip().split(",")
-            ks.append(int(k_str))
-            vals.append(float(v_str))
-    return Curve(k=np.array(ks, dtype=np.int64), values=np.array(vals, dtype=np.float64))

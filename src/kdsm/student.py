@@ -20,11 +20,12 @@ outcome baseline.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, load_document
+from .data import Dataset, FeatureSchema, categorical_codes, load_document
 from .errors import DomainError, ParseError, SchemaError, TrainingError, document_errors
 
 MODEL_FORMAT = "student-model/v1"
@@ -71,58 +72,66 @@ class StudentConfig:
             raise DomainError(f"lr_decay_patience={self.lr_decay_patience} must be >= 1")
 
 
+def _param_shapes(cfg: StudentConfig, schema: FeatureSchema):
+    """Shapes of the parameter arrays in storage order, as three lists: one
+    embedding table per categorical column, the layer weights, the layer
+    biases."""
+    dims = [
+        schema.numeric_indices.size + schema.categorical_indices.size * cfg.embedding_dim + 1,
+        *cfg.hidden_sizes,
+        1,
+    ]
+    embeddings = [(card, cfg.embedding_dim) for card in schema.cardinalities.tolist()]
+    return embeddings, list(zip(dims[:-1], dims[1:])), [(d,) for d in dims[1:]]
+
+
+def param_views(cfg: StudentConfig, schema: FeatureSchema, vec: np.ndarray):
+    """(embeddings, weights, biases): lists of views into the flat vector
+    `vec`, laid out as `_param_shapes` gives them. Serves the parameters and
+    their gradients alike."""
+    groups = []
+    off = 0
+    for shapes in _param_shapes(cfg, schema):
+        views = []
+        for shape in shapes:
+            views.append(vec[off : off + math.prod(shape)].reshape(shape))
+            off += math.prod(shape)
+        groups.append(views)
+    return tuple(groups)
+
+
+def _n_params(cfg: StudentConfig, schema: FeatureSchema) -> int:
+    return sum(math.prod(shape) for shapes in _param_shapes(cfg, schema) for shape in shapes)
+
+
 @dataclass
 class StudentModel:
-    """Parameters plus the data statistics baked in at init time."""
+    """Parameters plus the data statistics baked in at init time.
+
+    All parameters live in one contiguous float64 vector, `params`;
+    `embeddings`, `weights` and `biases` are views into it, built once, so
+    writing either side changes both.
+    """
 
     config: StudentConfig
     schema: FeatureSchema
     head: str  # "binary" | "regression"
     num_mean: np.ndarray
     num_std: np.ndarray
-    embeddings: list[np.ndarray]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
+    embeddings: list[np.ndarray] = field(init=False, repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
-    def param_items(self):
-        """(name, array) pairs in a fixed order shared with GradientBuffer."""
-        for j, e in enumerate(self.embeddings):
-            yield f"embedding[{j}]", e
-        for l, w in enumerate(self.weights):
-            yield f"weights[{l}]", w
-        for l, b in enumerate(self.biases):
-            yield f"biases[{l}]", b
+    def __post_init__(self):
+        self.embeddings, self.weights, self.biases = param_views(self.config, self.schema, self.params)
 
-    def param_arrays(self) -> list[np.ndarray]:
-        return [a for _, a in self.param_items()]
-
-
-@dataclass
-class GradientBuffer:
-    """Gradient arrays mirroring StudentModel's parameters."""
-
-    embeddings: list[np.ndarray]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, model: StudentModel) -> "GradientBuffer":
-        return cls(
-            embeddings=[np.zeros_like(e) for e in model.embeddings],
-            weights=[np.zeros_like(w) for w in model.weights],
-            biases=[np.zeros_like(b) for b in model.biases],
-        )
-
-    def param_items(self):
-        for j, e in enumerate(self.embeddings):
-            yield f"embedding[{j}]", e
-        for l, w in enumerate(self.weights):
-            yield f"weights[{l}]", w
-        for l, b in enumerate(self.biases):
-            yield f"biases[{l}]", b
-
-    def param_arrays(self) -> list[np.ndarray]:
-        return [a for _, a in self.param_items()]
+    def predict_uplift(self, X: np.ndarray) -> np.ndarray:
+        """Uplift per row: p(x, 1) - p(x, 0) for a binary head, the raw
+        output for a regression head (trained on the transformed outcome)."""
+        if self.head == "regression":
+            return raw_output_batch(self, X)
+        return predict_uplift_batch(self, X)
 
 
 class LossParts(tuple):
@@ -188,7 +197,6 @@ def init_student(
         raise DomainError(f"head must be 'binary' or 'regression', got {head!r}")
     schema = train.schema
     num_idx = schema.numeric_indices
-    cat_idx = schema.categorical_indices
     if num_idx.size:
         num_mean = train.features[:, num_idx].mean(axis=0)
         num_std = train.features[:, num_idx].std(axis=0)
@@ -197,36 +205,28 @@ def init_student(
         num_mean = np.zeros(0)
         num_std = np.ones(0)
 
+    model = StudentModel(
+        config=cfg,
+        schema=schema,
+        head=head,
+        num_mean=num_mean,
+        num_std=num_std,
+        params=np.zeros(_n_params(cfg, schema)),
+    )
     rng = np.random.default_rng(cfg.init_seed)
-    embeddings = []
-    for ci in map(int, cat_idx):
-        card = schema.columns[ci].cardinality
-        embeddings.append(rng.uniform(-0.05, 0.05, size=(card, cfg.embedding_dim)))
-    d_in = int(num_idx.size + cat_idx.size * cfg.embedding_dim + 1)
-    dims = [d_in] + list(cfg.hidden_sizes) + [1]
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        lim = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-lim, lim, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+    for e in model.embeddings:
+        e[...] = rng.uniform(-0.05, 0.05, size=e.shape)
+    for w in model.weights:
+        lim = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+        w[...] = rng.uniform(-lim, lim, size=w.shape)
     if final_bias is None:
         if head == "binary":
             pos = float(np.clip(train.outcome.mean(), 1e-6, 1.0 - 1e-6))
             final_bias = float(np.log(pos / (1.0 - pos)))
         else:
             final_bias = 0.0
-    biases[-1][0] = final_bias
-    return StudentModel(
-        config=cfg,
-        schema=schema,
-        head=head,
-        num_mean=num_mean,
-        num_std=num_std,
-        embeddings=embeddings,
-        weights=weights,
-        biases=biases,
-    )
+    model.biases[-1][0] = final_bias
+    return model
 
 
 def _checked_features(model: StudentModel, X: np.ndarray) -> np.ndarray:
@@ -239,31 +239,30 @@ def _checked_features(model: StudentModel, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _assemble_input(model: StudentModel, X: np.ndarray, T: np.ndarray | None = None):
-    """Build the input layer: standardized numerics, one embedding block per
-    categorical column, then the treatment bit unless T is None. Returns
-    (h0, codes per categorical column)."""
+def _assemble_input(model: StudentModel, X: np.ndarray, codes: np.ndarray, T: np.ndarray | None = None):
+    """Build the input layer from X and its `categorical_codes`:
+    standardized numerics, one embedding block per categorical column, then
+    the treatment bit unless T is None."""
     num_idx = model.schema.numeric_indices
-    cat_idx = model.schema.categorical_indices
     num_n = num_idx.size
     emb_dim = model.config.embedding_dim
-    d_cov = num_n + cat_idx.size * emb_dim
+    d_cov = num_n + codes.shape[1] * emb_dim
     h0 = np.empty((X.shape[0], d_cov + (T is not None)))
     h0[:, :num_n] = (X[:, num_idx] - model.num_mean) / model.num_std
-    codes = X[:, cat_idx].astype(np.int64)
-    for j in range(cat_idx.size):
+    for j in range(codes.shape[1]):
         off = num_n + j * emb_dim
         h0[:, off : off + emb_dim] = model.embeddings[j][codes[:, j]]
     if T is not None:
         h0[:, d_cov] = T
-    return h0, codes
+    return h0
 
 
 def _forward_cached(model: StudentModel, X: np.ndarray, T: np.ndarray):
     """Raw output logits plus the activations needed by backprop (the
     training path; inference goes through `_score_logits`)."""
     X = _checked_features(model, X)
-    h0, codes = _assemble_input(model, X, np.asarray(T, dtype=np.float64).ravel())
+    codes = categorical_codes(model.schema, X)
+    h0 = _assemble_input(model, X, codes, np.asarray(T, dtype=np.float64).ravel())
     hs = [h0]
     ss = []
     h = h0
@@ -277,9 +276,10 @@ def _forward_cached(model: StudentModel, X: np.ndarray, T: np.ndarray):
     return z_raw, hs, ss, codes
 
 
-def _score_logits(model: StudentModel, X: np.ndarray, arms: tuple) -> np.ndarray:
-    """Raw output logits of every row of a checked X under each treatment
-    input in `arms` (a scalar, or one value per row); shape (len(arms), n).
+def _score_logits(model: StudentModel, X: np.ndarray, codes: np.ndarray, arms: tuple) -> np.ndarray:
+    """Raw output logits of every row of a checked X, with its categorical
+    codes, under each treatment input in `arms` (a scalar, or one value per
+    row); shape (len(arms), n).
 
     Rows go through in blocks of SCORE_BLOCK_ROWS, so memory stays bounded
     whatever n is; a 1-row tail joins the block before it. Per block the
@@ -296,7 +296,7 @@ def _score_logits(model: StudentModel, X: np.ndarray, arms: tuple) -> np.ndarray
     while lo < n:
         hi = n if n - lo <= SCORE_BLOCK_ROWS + 1 else lo + SCORE_BLOCK_ROWS
         m = hi - lo
-        base = _assemble_input(model, X[lo:hi])[0] @ w_cov
+        base = _assemble_input(model, X[lo:hi], codes[lo:hi]) @ w_cov
         h = np.empty((len(arms) * m, base.shape[1]))
         for a, t in enumerate(arms):
             t = t if np.ndim(t) == 0 else t[lo:hi, None]
@@ -314,11 +314,13 @@ def _score_logits(model: StudentModel, X: np.ndarray, arms: tuple) -> np.ndarray
     return out
 
 
-def _checked_inputs(model: StudentModel, X: np.ndarray) -> np.ndarray:
+def _checked_inputs(model: StudentModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X as float64 plus its categorical codes, after checking its shape,
+    finiteness and codes."""
     X = _checked_features(model, X)
     if not np.isfinite(X).all():
         raise DomainError("non-finite feature value")
-    return X
+    return X, categorical_codes(model.schema, X)
 
 
 def _require_binary(model: StudentModel, fn: str) -> None:
@@ -331,33 +333,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _probability(z_raw: np.ndarray) -> np.ndarray:
-    return _sigmoid(np.clip(z_raw, -LOGIT_CLAMP, LOGIT_CLAMP))
+    # the same clamp as np.clip, at half its call cost on the few-element
+    # arrays of single-row scoring
+    return _sigmoid(np.minimum(np.maximum(z_raw, -LOGIT_CLAMP), LOGIT_CLAMP))
 
 
 def forward_batch(model: StudentModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Predicted outcome probability per row (binary head)."""
     _require_binary(model, "forward_batch")
-    X = _checked_inputs(model, X)
+    X, codes = _checked_inputs(model, X)
     T = np.asarray(T, dtype=np.float64).ravel()
     if T.size != X.shape[0]:
         raise SchemaError(f"{T.size} treatment values for {X.shape[0]} feature rows")
-    return _probability(_score_logits(model, X, (T,))[0])
-
-
-def forward(model: StudentModel, x: np.ndarray, t: int) -> float:
-    """Predicted outcome probability for one subject under treatment t."""
-    return float(forward_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1), np.array([t]))[0])
+    return _probability(_score_logits(model, X, codes, (T,))[0])
 
 
 def raw_output_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
     """Unclamped linear output per row (regression head; treatment input 0)."""
-    return _score_logits(model, _checked_inputs(model, X), (0.0,))[0]
+    return _score_logits(model, *_checked_inputs(model, X), (0.0,))[0]
 
 
 def predict_uplift_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
     """forward(x, 1) - forward(x, 0) per row, both arms in one pass."""
     _require_binary(model, "predict_uplift_batch")
-    p = _probability(_score_logits(model, _checked_inputs(model, X), (1.0, 0.0)))
+    p = _probability(_score_logits(model, *_checked_inputs(model, X), (1.0, 0.0)))
     return p[0] - p[1]
 
 
@@ -365,38 +364,16 @@ def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
     return float(predict_uplift_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
 
-def bce(y: float, y_hat: float) -> float:
-    """Binary cross-entropy with the prediction clamped to
-    [1e-7, 1 - 1e-7]."""
-    p = min(max(float(y_hat), PROB_EPS), 1.0 - PROB_EPS)
-    y = float(y)
-    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-
-
 def _bce_vec(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def batch_loss(model: StudentModel, batch: LossBatch) -> LossParts:
-    """Loss of a batch without gradients; same reduction as `backward`."""
-    z_raw, _, _, _ = _forward_cached(model, batch.X, batch.T)
-    p = _probability(z_raw)
-    hard = float(np.sum(batch.bce_weight * _bce_vec(batch.y, p)))
-    if batch.lam != 0.0 and batch.kd_pairs.shape[0]:
-        gaps = batch.kd_targets - (p[batch.kd_pairs[:, 0]] - p[batch.kd_pairs[:, 1]])
-        soft = float(np.sum(gaps**2))
-        total = (hard + batch.lam * soft) / batch.n_units
-    else:
-        soft = 0.0
-        total = hard / batch.n_units
-    return LossParts(total, hard / batch.n_units, soft / batch.n_units)
-
-
 def backward(
     model: StudentModel, batch: LossBatch, return_loss: bool = False
-) -> GradientBuffer | tuple[GradientBuffer, LossParts]:
-    """Exact analytic gradient of the batch loss for every parameter.
+) -> np.ndarray | tuple[np.ndarray, LossParts]:
+    """Exact analytic gradient of the batch loss, one entry per entry of
+    `model.params`.
 
     The gradient respects the forward path's clamps: passes whose logit sits
     outside [-30, 30], or whose probability is pinned by the BCE clamp,
@@ -426,9 +403,6 @@ def backward(
     dz /= batch.n_units
 
     grads = _backprop(model, hs, ss, codes, dz)
-    for name, arr in grads.param_items():
-        if not np.isfinite(arr).all():
-            raise TrainingError(f"non-finite gradient in {name}")
     if return_loss:
         if batch.lam != 0.0 and batch.kd_pairs.shape[0]:
             total = (hard + batch.lam * soft) / batch.n_units
@@ -451,26 +425,22 @@ def backward_mse(
     resid = z_raw - targets
     dz = 2.0 * resid / n_units
     grads = _backprop(model, hs, ss, codes, dz)
-    for name, arr in grads.param_items():
-        if not np.isfinite(arr).all():
-            raise TrainingError(f"non-finite gradient in {name}")
     if return_loss:
         loss = float(np.sum(resid**2)) / n_units
         return grads, LossParts(loss, loss, 0.0)
     return grads
 
 
-def _backprop(model: StudentModel, hs, ss, codes, dz: np.ndarray) -> GradientBuffer:
-    """Propagate per-pass output gradients dz through the stack."""
-    grads = GradientBuffer(
-        embeddings=[None] * len(model.embeddings),
-        weights=[None] * len(model.weights),
-        biases=[None] * len(model.biases),
-    )
+def _backprop(model: StudentModel, hs, ss, codes, dz: np.ndarray) -> np.ndarray:
+    """Propagate per-pass output gradients dz through the stack into one
+    flat gradient laid out like `model.params`. Raises TrainingError naming
+    the parameter if any entry is non-finite."""
+    grads = np.empty_like(model.params)
+    g_emb, g_w, g_b = param_views(model.config, model.schema, grads)
     g = dz[:, None]
     for l in range(len(model.weights) - 1, -1, -1):
-        grads.weights[l] = hs[l].T @ g
-        grads.biases[l] = g.sum(axis=0)
+        g_w[l][...] = hs[l].T @ g
+        g_b[l][...] = g.sum(axis=0)
         g = g @ model.weights[l].T
         if l > 0:
             if model.config.activation == "relu":
@@ -486,63 +456,61 @@ def _backprop(model: StudentModel, hs, ss, codes, dz: np.ndarray) -> GradientBuf
     for j, emb in enumerate(model.embeddings):
         block = g[:, num_n + j * emb_dim : num_n + (j + 1) * emb_dim]
         cells = (codes[:, j, None] * emb_dim + cols).ravel()
-        sums = np.bincount(cells, weights=block.ravel(), minlength=emb.size)
-        grads.embeddings[j] = sums.reshape(emb.shape)
+        g_emb[j][...] = np.bincount(cells, weights=block.ravel(), minlength=emb.size).reshape(emb.shape)
+    if not np.isfinite(grads).all():
+        for name, views in (("embedding", g_emb), ("weights", g_w), ("biases", g_b)):
+            for i, view in enumerate(views):
+                if not np.isfinite(view).all():
+                    raise TrainingError(f"non-finite gradient in {name}[{i}]")
     return grads
 
 
 @dataclass
 class OptimizerState:
-    """Per-parameter slot arrays plus the current learning rate."""
+    """Slot vectors laid out like `StudentModel.params` (SGD velocity in
+    `m`; Adam moments in `m` and `v`) plus the current learning rate."""
 
     kind: str
     lr: float
     step: int
-    m: list[np.ndarray]
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray
+    v: np.ndarray | None = None
 
 
 def init_optimizer(cfg: StudentConfig, model: StudentModel) -> OptimizerState:
-    params = model.param_arrays()
     return OptimizerState(
         kind=cfg.optimizer,
         lr=cfg.learning_rate,
         step=0,
-        m=[np.zeros_like(a) for a in params],
-        v=[np.zeros_like(a) for a in params] if cfg.optimizer == "adam" else [],
+        m=np.zeros_like(model.params),
+        v=np.zeros_like(model.params) if cfg.optimizer == "adam" else None,
     )
 
 
-def apply_update(model: StudentModel, grads: GradientBuffer, state: OptimizerState) -> None:
-    """One optimizer step, in place. Deterministic given (params, grads,
-    state); mutates both the model parameters and the state."""
+def apply_update(model: StudentModel, grads: np.ndarray, state: OptimizerState) -> None:
+    """One optimizer step over the whole parameter vector, in place.
+    Deterministic given (params, grads, state); mutates both the model
+    parameters and the state."""
     cfg = model.config
-    params = model.param_arrays()
-    gs = grads.param_arrays()
+    m = state.m
     if state.kind == "sgd":
-        for p, g, vel in zip(params, gs, state.m):
-            vel *= cfg.momentum
-            vel += g
-            p -= state.lr * vel
+        m *= cfg.momentum
+        m += grads
+        model.params -= state.lr * m
     else:
         state.step += 1
         bc1 = 1.0 - cfg.beta1**state.step
         bc2 = 1.0 - cfg.beta2**state.step
-        for p, g, m, v in zip(params, gs, state.m, state.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        v = state.v
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grads
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * grads * grads
+        model.params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
-def clone_params(model: StudentModel) -> list[np.ndarray]:
-    return [a.copy() for a in model.param_arrays()]
-
-
-def restore_params(model: StudentModel, snapshot: list[np.ndarray]) -> None:
-    for a, s in zip(model.param_arrays(), snapshot):
-        a[...] = s
+def clone_params(model: StudentModel) -> np.ndarray:
+    return model.params.copy()
 
 
 def student_to_jsonable(model: StudentModel) -> dict:
@@ -592,16 +560,38 @@ def student_from_jsonable(obj: dict) -> StudentModel:
         lr_decay_patience=int(c["lr_decay_patience"]),
         init_seed=int(c["init_seed"]),
     )
-    return StudentModel(
+    cfg.validate()
+    schema = FeatureSchema.from_jsonable(obj["schema"])
+    if obj["head"] not in ("binary", "regression"):
+        raise ParseError(f"head must be 'binary' or 'regression', got {obj['head']!r}")
+    n_num = (schema.numeric_indices.size,)
+    model = StudentModel(
         config=cfg,
-        schema=FeatureSchema.from_jsonable(obj["schema"]),
+        schema=schema,
         head=obj["head"],
-        num_mean=np.array(obj["num_mean"], dtype=np.float64),
-        num_std=np.array(obj["num_std"], dtype=np.float64),
-        embeddings=[np.array(e, dtype=np.float64) for e in obj["embeddings"]],
-        weights=[np.array(w, dtype=np.float64) for w in obj["weights"]],
-        biases=[np.array(b, dtype=np.float64) for b in obj["biases"]],
+        num_mean=_shaped("num_mean", obj["num_mean"], n_num),
+        num_std=_shaped("num_std", obj["num_std"], n_num),
+        params=np.zeros(_n_params(cfg, schema)),
     )
+    for key, views in (
+        ("embeddings", model.embeddings),
+        ("weights", model.weights),
+        ("biases", model.biases),
+    ):
+        if len(obj[key]) != len(views):
+            raise ParseError(f"{key} holds {len(obj[key])} arrays, expected {len(views)}")
+        for i, (value, view) in enumerate(zip(obj[key], views)):
+            view[...] = _shaped(f"{key}[{i}]", value, view.shape)
+    return model
+
+
+def _shaped(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """`value` as a float64 array, which must have the shape the config and
+    schema give it."""
+    a = np.array(value, dtype=np.float64)
+    if a.shape != shape:
+        raise ParseError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
 
 
 def save_student(model: StudentModel, path: str) -> None:

@@ -52,11 +52,6 @@ class NodeStats:
         tau = pos_t / n_t - pos_c / n_c if n_t > 0 and n_c > 0 else float("nan")
         return cls(n=n, n_t=n_t, n_c=n_c, pos_t=pos_t, pos_c=pos_c, tau_hat=tau)
 
-    @classmethod
-    def from_counts(cls, n_t: int, n_c: int, pos_t: int, pos_c: int) -> "NodeStats":
-        tau = pos_t / n_t - pos_c / n_c if n_t > 0 and n_c > 0 else float("nan")
-        return cls(n=n_t + n_c, n_t=n_t, n_c=n_c, pos_t=pos_t, pos_c=pos_c, tau_hat=tau)
-
 
 @dataclass(frozen=True)
 class SplitRule:
@@ -133,19 +128,15 @@ class UpliftTree:
                 out[nd.leaf_id] = nd.stats.tau_hat
         return out
 
+    def predict_uplift(self, X: np.ndarray) -> np.ndarray:
+        """tau_hat of the leaf each row of X lands in."""
+        return predict_uplift_tree_batch(self, X)
+
 
 def _ed(n_l, tau_l, n_r, tau_r):
     """Weighted sum of squared child effects; vectorizes over candidates."""
     n = n_l + n_r
     return (n_l / n) * tau_l**2 + (n_r / n) * tau_r**2
-
-
-def ed_value(left: NodeStats, right: NodeStats) -> float | None:
-    """Squared-effect criterion value of a candidate split; None when either
-    child is missing an arm (invalid candidate, not an error)."""
-    if min(left.n_t, left.n_c, right.n_t, right.n_c) == 0:
-        return None
-    return float(_ed(left.n, left.tau_hat, right.n, right.tau_hat))
 
 
 def _smoothed_rate(pos, n):
@@ -169,20 +160,6 @@ def _kl_gain(nt_l, nc_l, pt_l, pc_l, nt_r, nc_r, pt_r, pc_r, parent: NodeStats):
         _smoothed_rate(parent.pos_t, parent.n_t), _smoothed_rate(parent.pos_c, parent.n_c)
     )
     return (n_l / n) * kl_l + (n_r / n) * kl_r - kl_p
-
-
-def kl_value(left: NodeStats, right: NodeStats, parent: NodeStats) -> float | None:
-    """KL criterion gain of a candidate split; None when either child is
-    missing an arm."""
-    if min(left.n_t, left.n_c, right.n_t, right.n_c) == 0:
-        return None
-    return float(
-        _kl_gain(
-            left.n_t, left.n_c, left.pos_t, left.pos_c,
-            right.n_t, right.n_c, right.pos_t, right.pos_c,
-            parent,
-        )
-    )
 
 
 def _numeric_thresholds(values: np.ndarray, q: int) -> np.ndarray:
@@ -345,18 +322,9 @@ def leaf_of_batch(tree: UpliftTree, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def leaf_of(tree: UpliftTree, x: np.ndarray) -> int:
-    """Leaf id for a single feature row."""
-    return int(leaf_of_batch(tree, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
-
-
 def predict_uplift_tree_batch(tree: UpliftTree, X: np.ndarray) -> np.ndarray:
     """tau_hat of the leaf each row lands in."""
     return tree.leaf_tau()[leaf_of_batch(tree, X)]
-
-
-def predict_uplift_tree(tree: UpliftTree, x: np.ndarray) -> float:
-    return float(predict_uplift_tree_batch(tree, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
 
 
 def schema_hash(schema: FeatureSchema) -> str:

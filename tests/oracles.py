@@ -1,0 +1,173 @@
+"""Reference implementations the tests check the library against.
+
+Each one computes a quantity the simple, slow or single-row way: scalar
+losses and forward passes, the quadratic curve recount, criterion values of
+one candidate split, single-row routing, and a curve file reader.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from kdsm.data import Dataset
+from kdsm.errors import MetricError
+from kdsm.metrics import Curve, _check_eval_inputs
+from kdsm.student import (
+    PROB_EPS,
+    LossBatch,
+    LossParts,
+    StudentModel,
+    _bce_vec,
+    _forward_cached,
+    _probability,
+    forward_batch,
+)
+from kdsm.tree import NodeStats, UpliftTree, _ed, _kl_gain, leaf_of_batch, predict_uplift_tree_batch
+
+# --- student ---
+
+
+def forward(model: StudentModel, x: np.ndarray, t: int) -> float:
+    """Predicted outcome probability for one subject under treatment t."""
+    return float(forward_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1), np.array([t]))[0])
+
+
+def bce(y: float, y_hat: float) -> float:
+    """Binary cross-entropy with the prediction clamped to
+    [1e-7, 1 - 1e-7]."""
+    p = min(max(float(y_hat), PROB_EPS), 1.0 - PROB_EPS)
+    y = float(y)
+    return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+
+
+def batch_loss(model: StudentModel, batch: LossBatch) -> LossParts:
+    """Loss of a batch without gradients; same reduction as `backward`."""
+    z_raw, _, _, _ = _forward_cached(model, batch.X, batch.T)
+    p = _probability(z_raw)
+    hard = float(np.sum(batch.bce_weight * _bce_vec(batch.y, p)))
+    if batch.lam != 0.0 and batch.kd_pairs.shape[0]:
+        gaps = batch.kd_targets - (p[batch.kd_pairs[:, 0]] - p[batch.kd_pairs[:, 1]])
+        soft = float(np.sum(gaps**2))
+        total = (hard + batch.lam * soft) / batch.n_units
+    else:
+        soft = 0.0
+        total = hard / batch.n_units
+    return LossParts(total, hard / batch.n_units, soft / batch.n_units)
+
+
+# --- distillation ---
+
+
+@dataclass(frozen=True)
+class SamplePair:
+    """A within-leaf match: row indices into the training set, the leaf both
+    rows fell in, and that leaf's effect estimate."""
+
+    treated_row: int
+    control_row: int
+    leaf_id: int
+    teacher_uplift: float
+
+
+def pair_loss(model: StudentModel, ds: Dataset, pair: SamplePair, kd_weight: float) -> LossParts:
+    """Loss of one matched pair: hard = both factual BCE terms, soft = the
+    squared gap between the teacher estimate and the predicted uplift.
+    total = hard + kd_weight * soft, with the soft term skipped entirely
+    (not multiplied by zero) when kd_weight == 0."""
+    x_t = ds.features[pair.treated_row]
+    x_c = ds.features[pair.control_row]
+    p_t = forward(model, x_t, 1)
+    p_c = forward(model, x_c, 0)
+    hard = bce(ds.outcome[pair.treated_row], p_t) + bce(ds.outcome[pair.control_row], p_c)
+    soft = (pair.teacher_uplift - (p_t - p_c)) ** 2
+    total = hard if kd_weight == 0.0 else hard + kd_weight * soft
+    return LossParts(total, hard, soft)
+
+
+# --- tree ---
+
+
+def stats_from_counts(n_t: int, n_c: int, pos_t: int, pos_c: int) -> NodeStats:
+    tau = pos_t / n_t - pos_c / n_c if n_t > 0 and n_c > 0 else float("nan")
+    return NodeStats(n=n_t + n_c, n_t=n_t, n_c=n_c, pos_t=pos_t, pos_c=pos_c, tau_hat=tau)
+
+
+def ed_value(left: NodeStats, right: NodeStats) -> float | None:
+    """Squared-effect criterion value of a candidate split; None when either
+    child is missing an arm (invalid candidate, not an error)."""
+    if min(left.n_t, left.n_c, right.n_t, right.n_c) == 0:
+        return None
+    return float(_ed(left.n, left.tau_hat, right.n, right.tau_hat))
+
+
+def kl_value(left: NodeStats, right: NodeStats, parent: NodeStats) -> float | None:
+    """KL criterion gain of a candidate split; None when either child is
+    missing an arm."""
+    if min(left.n_t, left.n_c, right.n_t, right.n_c) == 0:
+        return None
+    return float(
+        _kl_gain(
+            left.n_t, left.n_c, left.pos_t, left.pos_c,
+            right.n_t, right.n_c, right.pos_t, right.pos_c,
+            parent,
+        )
+    )
+
+
+def leaf_of(tree: UpliftTree, x: np.ndarray) -> int:
+    """Leaf id for a single feature row."""
+    return int(leaf_of_batch(tree, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
+
+
+def predict_uplift_tree(tree: UpliftTree, x: np.ndarray) -> float:
+    return float(predict_uplift_tree_batch(tree, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
+
+
+# --- metrics ---
+
+
+def brute_force_curves(predictions, treatment, outcome, tie_seed: int = 0) -> tuple[Curve, Curve]:
+    """Recompute both curves at every k by re-scanning the full prefix from
+    scratch (O(n^2)). Same tie-break rule and seed as `rank_eval`; used to
+    cross-check the streaming path."""
+    predictions, treatment, outcome = _check_eval_inputs(predictions, treatment, outcome)
+    perm = np.random.default_rng(tie_seed).permutation(predictions.shape[0])
+    order = perm[np.argsort(-predictions[perm], kind="stable")]
+    n = order.shape[0]
+    uplift_vals = np.zeros(n, dtype=np.float64)
+    qini_vals = np.zeros(n, dtype=np.float64)
+    for k in range(1, n + 1):
+        prefix = order[:k]
+        t_p = treatment[prefix]
+        y_p = outcome[prefix]
+        n_t = int(np.sum(t_p))
+        n_c = k - n_t
+        r_t = int(np.sum(y_p[t_p == 1]))
+        r_c = int(np.sum(y_p[t_p == 0]))
+        if n_t > 0 and n_c > 0:
+            uplift_vals[k - 1] = (r_t / n_t - r_c / n_c) * (n_t + n_c)
+        else:
+            uplift_vals[k - 1] = 0.0
+        if n_c > 0:
+            qini_vals[k - 1] = r_t - r_c * (n_t / n_c)
+        else:
+            qini_vals[k - 1] = float(r_t)
+    ks = np.arange(1, n + 1, dtype=np.int64)
+    return Curve(k=ks, values=uplift_vals), Curve(k=ks, values=qini_vals)
+
+
+def read_curve_csv(path: str) -> Curve:
+    """Read a `k,value` curve file written by `write_curve_csv`."""
+    ks: list[int] = []
+    vals: list[float] = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "k,value":
+            raise MetricError(f"{path}: not a curve file (header {header!r})")
+        for line in fh:
+            k_str, v_str = line.strip().split(",")
+            ks.append(int(k_str))
+            vals.append(float(v_str))
+    return Curve(k=np.array(ks, dtype=np.int64), values=np.array(vals, dtype=np.float64))

@@ -17,21 +17,19 @@ import pytest
 
 from kdsm.cli import main
 from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, split_dataset
-from kdsm.distill import KdsmHyper, SamplePair, match_pairs, pair_loss, train_kdsm, train_kdss, train_plain
+from kdsm.distill import KdsmHyper, match_pairs, train_kdsm, train_kdss, train_plain
 from kdsm.metrics import auuc, qini_coefficient, qini_curve, rank_eval, uplift_curve
 from kdsm.seeds import derive_seed
 from kdsm.student import (
     LossBatch,
     StudentConfig,
     backward,
-    batch_loss,
-    bce,
-    forward,
     init_student,
     predict_uplift_batch,
     student_to_jsonable,
 )
 from kdsm.tree import TreeParams, fit_tree, leaf_of_batch, predict_uplift_tree_batch
+from oracles import SamplePair, batch_loss, bce, forward, pair_loss
 
 SEEDS = (1, 2, 3, 4, 5)
 LAMBDAS = (0.0, 0.1, 0.5)
@@ -169,14 +167,11 @@ def test_lambda_zero_trainer_is_bit_identical_to_plain_on_matched_stream():
 
 
 def flat_params(model):
-    return np.concatenate([a.ravel() for a in model.param_arrays()])
+    return model.params.copy()
 
 
 def set_flat_params(model, flat):
-    i = 0
-    for a in model.param_arrays():
-        a[...] = flat[i : i + a.size].reshape(a.shape)
-        i += a.size
+    model.params[...] = flat
 
 
 def kd_pair_batch(ds, t_rows, c_rows, targets, lam):
@@ -227,7 +222,7 @@ def test_pair_loss_gradients_match_central_finite_differences():
         targets = rng.normal(scale=0.1, size=20)
         batch = kd_pair_batch(ds, t_rows, c_rows, targets, lam=0.7)
         grads = backward(model, batch)
-        grad_flat = np.concatenate([g.ravel() for g in grads.param_arrays()])
+        grad_flat = grads
         flat = flat_params(model)
         for i in rng.choice(flat.size, size=min(50, flat.size), replace=False):
             bumped = flat.copy()

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import kdsm
-from kdsm.cli import load_predictor, main
-from kdsm.data import load_csv
-from kdsm.metrics import read_curve_csv
+from kdsm import distill
+from kdsm.cli import _save_predictor, load_predictor, main
+from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, load_csv, split_dataset
+from kdsm.distill import KdsmHyper
 from kdsm.seeds import derive_seed
-from kdsm.tree import load_tree, predict_uplift_tree_batch
+from kdsm.student import StudentConfig
+from kdsm.tree import TreeParams, fit_tree, load_tree, predict_uplift_tree_batch, save_tree
+from oracles import read_curve_csv
 
 
 BASE_CFG = """\
@@ -237,6 +240,51 @@ def test_evaluate_reports_malformed_model_file(pipeline, tmp_path, capsys, doc, 
     assert main(["evaluate", "--config", cfg, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and named in err
+
+
+def test_evaluate_reports_misshaped_model_array(pipeline, tmp_path, capsys):
+    cfg, out = pipeline
+    with open(os.path.join(out, "model_kdsm.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["weights"][0] = doc["weights"][0][:-1]  # the first layer loses its last input row
+    path = tmp_path / "model_kdsm.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["evaluate", "--config", cfg, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "weights[0] has shape" in err
+
+
+@pytest.fixture(scope="module")
+def trained_predictors():
+    """A tree plus a kdsm, a mom and a tm model, trained in memory."""
+    split = split_dataset(
+        gen_synthetic(SyntheticConfig(n=1200, d_numeric=2, d_categorical=1, base_rate=0.3, seed=5))[0],
+        SplitRatios(0.6, 0.2, 0.2),
+        6,
+    )
+    tree = fit_tree(split.train, TreeParams(max_depth=2, min_samples_per_arm=30))
+    cfg = StudentConfig(hidden_sizes=(6,), embedding_dim=2, init_seed=7)
+    hyper = KdsmHyper(batch_size=128, max_epochs=2, early_stop_patience=3, master_seed=8)
+    return split.test.features, {
+        "tree": tree,
+        "kdsm": distill.train_kdsm(split.train, split.valid, tree, cfg, hyper)[0],
+        "mom": distill.train_mom(split.train, split.valid, cfg, hyper)[0],
+        "tm": distill.train_two_model(split.train, split.valid, cfg, hyper)[0],
+    }
+
+
+@pytest.mark.parametrize("method, kind", [("tree", "tree"), ("kdsm", "student"), ("mom", "mom"), ("tm", "two-model")])
+def test_reloaded_predictor_scores_like_the_trained_one(trained_predictors, tmp_path, method, kind):
+    X, predictors = trained_predictors
+    predictor = predictors[method]
+    path = str(tmp_path / f"{method}.json")
+    if method == "tree":
+        save_tree(predictor, path)
+    else:
+        _save_predictor(predictor, path)
+    loaded_kind, predict, schema = load_predictor(path)
+    assert loaded_kind == kind and schema == predictor.schema
+    assert np.array_equal(predict(X), predictor.predict_uplift(X))
 
 
 def test_evaluate_rejects_cyclic_tree_without_hanging(pipeline, tmp_path):

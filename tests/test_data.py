@@ -320,3 +320,19 @@ def test_csv_rejects_unknown_category_overflow(tmp_path):
     schema = FeatureSchema(columns=(Column("c0", "categorical", cardinality=2),))
     with pytest.raises(DomainError):
         load_csv(str(path), schema)
+
+
+def test_csv_rejects_duplicate_header_name(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("f0,f0,treatment,outcome\n1.0,2.0,1,1\n")
+    schema = FeatureSchema(columns=(Column("f0", "numeric"),))
+    with pytest.raises(SchemaError, match="'f0'"):
+        load_csv(str(path), schema)
+
+
+def test_csv_rejects_treatment_column_named_like_a_feature(tmp_path):
+    path = tmp_path / "raw.csv"
+    path.write_text("f0,outcome\n1,1\n")
+    schema = FeatureSchema(columns=(Column("f0", "numeric"),))
+    with pytest.raises(SchemaError, match="'f0'"):
+        load_csv(str(path), schema, treatment_col="f0")

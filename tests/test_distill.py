@@ -14,11 +14,9 @@ from kdsm.data import (
 )
 from kdsm.distill import (
     KdsmHyper,
-    SamplePair,
     TwoModelResult,
     format_train_report,
     match_pairs,
-    pair_loss,
     train_kdsm,
     train_kdss,
     train_mom,
@@ -31,13 +29,13 @@ from kdsm.metrics import auuc, rank_eval
 from kdsm.seeds import derive_seed
 from kdsm.student import (
     StudentConfig,
-    forward,
     forward_batch,
     init_student,
     predict_uplift_batch,
     raw_output_batch,
 )
 from kdsm.tree import TreeParams, fit_tree, leaf_of_batch
+from oracles import SamplePair, pair_loss
 
 
 def numeric_schema(d):
@@ -207,7 +205,7 @@ def split_for_training(n, seed, effect="piecewise-on-two-features"):
 
 
 def params_equal(a, b):
-    return all(np.array_equal(pa, pb) for pa, pb in zip(a.param_arrays(), b.param_arrays()))
+    return np.array_equal(a.params, b.params)
 
 
 def test_kdss_zero_weight_matches_plain_bitwise():
@@ -314,7 +312,14 @@ def test_two_model_wiring_is_probability_difference():
     result = TwoModelResult(m_t, m_c)
     X = ds.features[:20]
     expected = forward_batch(m_t, X, np.ones(20)) - forward_batch(m_c, X, np.zeros(20))
-    assert np.array_equal(result.predict_uplift_batch(X), expected)
+    assert np.array_equal(result.predict_uplift(X), expected)
+
+
+def test_two_model_rejects_arms_with_different_schemas():
+    m_t = init_student(StudentConfig(hidden_sizes=(4,), init_seed=1), synthetic(100, seed=21))
+    other = dataset_from(np.random.default_rng(0).random((40, 2)), [1, 0] * 20, [0, 1] * 20)
+    with pytest.raises(SchemaError):
+        TwoModelResult(m_t, init_student(StudentConfig(hidden_sizes=(4,), init_seed=2), other))
 
 
 def test_two_model_constant_arms_zero_uplift():
@@ -323,14 +328,14 @@ def test_two_model_constant_arms_zero_uplift():
     model.weights[0][:] = 0.0
     model.biases[0][:] = 0.3
     result = TwoModelResult(model, model)
-    assert np.all(result.predict_uplift_batch(ds.features[:30]) == 0.0)
+    assert np.all(result.predict_uplift(ds.features[:30]) == 0.0)
 
 
 def test_two_model_trains_and_predicts():
     train, valid = split_for_training(600, seed=23)
     hyper = KdsmHyper(batch_size=64, max_epochs=3, early_stop_patience=5, master_seed=24)
     result, report = train_two_model(train, valid, FAST, hyper)
-    u = result.predict_uplift_batch(valid.features)
+    u = result.predict_uplift(valid.features)
     assert u.shape == (valid.n,)
     assert np.all(np.isfinite(u))
     assert report.method == "tm"

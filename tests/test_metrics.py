@@ -3,16 +3,15 @@ import pytest
 
 from kdsm.metrics import (
     auuc,
-    brute_force_curves,
     evaluate_predictions,
     qini_coefficient,
     qini_curve,
     rank_eval,
-    read_curve_csv,
     uplift_curve,
     write_curve_csv,
 )
 from kdsm.errors import MetricError, UndefinedMetricError
+from oracles import brute_force_curves, read_curve_csv
 
 
 def curves_for(preds, t, y, tie_seed=0):

@@ -3,23 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from kdsm.data import Column, Dataset, FeatureSchema, SyntheticConfig, gen_synthetic
-from kdsm.errors import DomainError, ParseError, SchemaError
+from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, split_dataset
+from kdsm.distill import KdsmHyper, TwoModelResult, train_kdsm
+from kdsm.errors import DomainError, ParseError, SchemaError, TrainingError
 from kdsm.student import (
     SCORE_BLOCK_ROWS,
-    GradientBuffer,
     LossBatch,
     StudentConfig,
     apply_update,
     backward,
     backward_mse,
-    batch_loss,
-    bce,
-    forward,
     forward_batch,
     init_optimizer,
     init_student,
     load_student,
+    param_views,
     predict_uplift_batch,
     predict_uplift_student,
     raw_output_batch,
@@ -28,6 +26,8 @@ from kdsm.student import (
     student_to_jsonable,
 )
 from kdsm.student import _forward_cached
+from kdsm.tree import TreeParams, fit_tree
+from oracles import batch_loss, bce, forward
 
 
 def tiny_dataset(n=40, d_numeric=2, d_categorical=0, seed=0):
@@ -155,8 +155,7 @@ def test_init_deterministic():
     ds = tiny_dataset()
     a = init_student(StudentConfig(init_seed=9), ds)
     b = init_student(StudentConfig(init_seed=9), ds)
-    for pa, pb in zip(a.param_arrays(), b.param_arrays()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(a.params, b.params)
 
 
 # --- bce ---
@@ -173,19 +172,16 @@ def test_bce_analytic_values():
 
 
 def flatten_params(model):
-    return np.concatenate([a.ravel() for a in model.param_arrays()])
+    return model.params.copy()
 
 
 def set_params(model, flat):
-    i = 0
-    for a in model.param_arrays():
-        a[...] = flat[i : i + a.size].reshape(a.shape)
-        i += a.size
+    model.params[...] = flat
 
 
 def fd_check(model, loss_fn, grads, n_probe, rng, eps=1e-5):
     flat = flatten_params(model)
-    grad_flat = np.concatenate([g.ravel() for g in grads.param_arrays()])
+    grad_flat = grads
     idxs = rng.choice(flat.size, size=min(n_probe, flat.size), replace=False)
     for i in idxs:
         bumped = flat.copy()
@@ -239,8 +235,7 @@ def test_gradient_kd_term_vanishes_at_teacher_match():
     p_c = forward(model, ds.features[c_row], 0)
     with_kd = backward(model, pair_batch(ds, t_row, c_row, u_tea=p_t - p_c, lam=0.5))
     without = backward(model, pair_batch(ds, t_row, c_row, u_tea=0.0, lam=0.0))
-    for ga, gb in zip(with_kd.param_arrays(), without.param_arrays()):
-        assert np.allclose(ga, gb, atol=1e-12)
+    assert np.allclose(with_kd, without, atol=1e-12)
 
 
 def test_gradient_mse_matches_finite_differences():
@@ -260,14 +255,20 @@ def test_gradient_mse_matches_finite_differences():
     fd_check(model, loss, grads, 25, np.random.default_rng(3))
 
 
+def test_nonfinite_gradient_names_the_parameter():
+    ds = tiny_dataset(n=10, seed=3)
+    model = init_student(StudentConfig(hidden_sizes=(4,), init_seed=2), ds, head="regression", final_bias=0.0)
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match=r"non-finite gradient in weights\[0\]"):
+        backward_mse(model, ds.features, np.full(10, np.inf), n_units=10)
+
+
 def test_backward_deterministic():
     ds = tiny_dataset(n=30, seed=1)
     model = init_student(StudentConfig(hidden_sizes=(6,), init_seed=4), ds)
     batch = singles_batch(ds)
     a = backward(model, batch)
     b = backward(model, batch)
-    for ga, gb in zip(a.param_arrays(), b.param_arrays()):
-        assert np.array_equal(ga, gb)
+    assert np.array_equal(a, b)
 
 
 # --- optimizer ---
@@ -276,11 +277,10 @@ def test_backward_deterministic():
 def test_sgd_zero_gradient_no_change():
     ds = tiny_dataset()
     model = init_student(StudentConfig(optimizer="sgd", momentum=0.0, init_seed=0), ds)
-    before = [a.copy() for a in model.param_arrays()]
+    before = model.params.copy()
     state = init_optimizer(model.config, model)
-    apply_update(model, GradientBuffer.zeros_like(model), state)
-    for a, b in zip(model.param_arrays(), before):
-        assert np.array_equal(a, b)
+    apply_update(model, np.zeros_like(model.params), state)
+    assert np.array_equal(model.params, before)
 
 
 def test_sgd_single_step_formula():
@@ -288,8 +288,8 @@ def test_sgd_single_step_formula():
     cfg = StudentConfig(optimizer="sgd", momentum=0.0, learning_rate=0.1, init_seed=0)
     model = init_student(cfg, ds)
     p_before = model.weights[0][0, 0]
-    grads = GradientBuffer.zeros_like(model)
-    grads.weights[0][0, 0] = 0.37
+    grads = np.zeros_like(model.params)
+    param_views(model.config, model.schema, grads)[1][0][0, 0] = 0.37
     apply_update(model, grads, init_optimizer(cfg, model))
     assert model.weights[0][0, 0] == pytest.approx(p_before - 0.1 * 0.37, abs=1e-15)
 
@@ -299,8 +299,8 @@ def test_adam_first_step_magnitude():
     cfg = StudentConfig(optimizer="adam", learning_rate=0.01, init_seed=0)
     model = init_student(cfg, ds)
     p_before = model.weights[0][0, 0]
-    grads = GradientBuffer.zeros_like(model)
-    grads.weights[0][0, 0] = -0.37
+    grads = np.zeros_like(model.params)
+    param_views(model.config, model.schema, grads)[1][0][0, 0] = -0.37
     apply_update(model, grads, init_optimizer(cfg, model))
     delta = model.weights[0][0, 0] - p_before
     assert 0.9 * cfg.learning_rate <= abs(delta) <= 1.0 * cfg.learning_rate
@@ -385,6 +385,24 @@ def test_scoring_rejects_misshaped_input():
         predict_uplift_batch(model, ds.features[:, :1])
     with pytest.raises(SchemaError):
         forward_batch(model, ds.features[:3], np.ones(2))
+    # categorical codes must be integers in [0, cardinality)
+    cat = tiny_dataset(d_categorical=1)
+    cfg = StudentConfig(hidden_sizes=(4,), init_seed=3)
+    binary = init_student(cfg, cat)
+    regression = init_student(cfg, cat, head="regression", final_bias=0.0)
+    pair = TwoModelResult(binary, init_student(cfg, cat))
+    j = int(cat.schema.categorical_indices[0])
+    for code in (-1, 2.5, cat.schema.columns[j].cardinality):
+        X = cat.features[:3].copy()
+        X[1, j] = code
+        for score in (
+            lambda: predict_uplift_batch(binary, X),
+            lambda: forward_batch(binary, X, np.ones(3)),
+            lambda: raw_output_batch(regression, X),
+            lambda: pair.predict_uplift(X),
+        ):
+            with pytest.raises(DomainError, match="cat_0"):
+                score()
 
 
 # --- serialization ---
@@ -398,12 +416,65 @@ def test_student_round_trip_bit_exact(tmp_path):
     path = tmp_path / "model.json"
     save_student(model, str(path))
     back = load_student(str(path))
-    for pa, pb in zip(model.param_arrays(), back.param_arrays()):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(model.params, back.params)
     rng = np.random.default_rng(4)
     X = ds.features[rng.integers(0, ds.n, 30)]
     assert np.array_equal(predict_uplift_batch(model, X), predict_uplift_batch(back, X))
     assert student_to_jsonable(model) == student_to_jsonable(back)
+
+
+def _trained_student():
+    split = split_dataset(tiny_dataset(n=1000, d_categorical=1, seed=14), SplitRatios(0.6, 0.2, 0.2), 14)
+    tree = fit_tree(split.train, TreeParams(max_depth=2, min_samples_per_arm=10))
+    hyper = KdsmHyper(batch_size=64, max_epochs=5, early_stop_patience=5, master_seed=15)
+    cfg = StudentConfig(hidden_sizes=(6,), init_seed=16)
+    model, report = train_kdsm(split.train, split.valid, tree, cfg, hyper)
+    # a later epoch was worse, so the loop restored the best epoch's parameters
+    assert 0 <= report.best_epoch < len(report.records) - 1
+    return model
+
+
+@pytest.mark.parametrize("made_by", ["init_student", "load_student", "train_kdsm"])
+def test_named_views_alias_params(tmp_path, made_by):
+    if made_by == "train_kdsm":
+        model = _trained_student()
+    else:
+        model = init_student(StudentConfig(hidden_sizes=(6, 3), init_seed=17), tiny_dataset(d_categorical=2))
+        if made_by == "load_student":
+            save_student(model, str(tmp_path / "model.json"))
+            model = load_student(str(tmp_path / "model.json"))
+    assert model.params.flags.c_contiguous and model.params.dtype == np.float64
+    for view in model.embeddings + model.weights + model.biases:
+        assert np.shares_memory(view, model.params)
+    before = model.weights[0][0, 0]
+    offset = sum(e.size for e in model.embeddings)
+    model.params[offset] += 1.0
+    assert model.weights[0][0, 0] == before + 1.0
+
+
+def test_student_document_with_misshaped_array_is_a_parse_error():
+    model = init_student(StudentConfig(hidden_sizes=(4,), init_seed=18), tiny_dataset(d_categorical=1))
+    for key, i in (("weights", 0), ("biases", 1), ("embeddings", 0)):
+        doc = student_to_jsonable(model)
+        doc[key][i] = doc[key][i][:-1]
+        with pytest.raises(ParseError, match=rf"{key}\[{i}\] has shape"):
+            student_from_jsonable(doc)
+    for key in ("num_mean", "num_std"):
+        doc = student_to_jsonable(model)
+        doc[key] = doc[key] + [0.0]
+        with pytest.raises(ParseError, match=f"{key} has shape"):
+            student_from_jsonable(doc)
+    doc = student_to_jsonable(model)
+    doc["weights"].append([[0.0]])
+    with pytest.raises(ParseError, match="weights holds 3 arrays, expected 2"):
+        student_from_jsonable(doc)
+
+
+def test_student_document_with_invalid_config_is_rejected():
+    doc = student_to_jsonable(init_student(StudentConfig(hidden_sizes=(4,), init_seed=19), tiny_dataset()))
+    doc["config"]["activation"] = "gelu"
+    with pytest.raises(DomainError, match="activation"):
+        student_from_jsonable(doc)
 
 
 def test_student_document_missing_key_is_a_parse_error():

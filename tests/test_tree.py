@@ -6,21 +6,17 @@ import pytest
 from kdsm.data import Column, Dataset, FeatureSchema, SyntheticConfig, gen_synthetic
 from kdsm.errors import DomainError, FitError, ParseError, SchemaError
 from kdsm.tree import (
-    NodeStats,
     TreeParams,
-    ed_value,
     fit_tree,
-    kl_value,
-    leaf_of,
     leaf_of_batch,
     leaf_summary,
     load_tree,
-    predict_uplift_tree,
     predict_uplift_tree_batch,
     save_tree,
     tree_from_jsonable,
     tree_to_jsonable,
 )
+from oracles import ed_value, kl_value, leaf_of, predict_uplift_tree, stats_from_counts
 
 
 def numeric_schema(d):
@@ -44,8 +40,8 @@ def dataset_from(features, treatment, outcome, schema=None):
 
 def test_ed_value_hand_checks():
     # equal halves, effects 0.2 and 0.0
-    left = NodeStats.from_counts(n_t=25, n_c=25, pos_t=10, pos_c=5)
-    right = NodeStats.from_counts(n_t=25, n_c=25, pos_t=5, pos_c=5)
+    left = stats_from_counts(n_t=25, n_c=25, pos_t=10, pos_c=5)
+    right = stats_from_counts(n_t=25, n_c=25, pos_t=5, pos_c=5)
     assert left.tau_hat == pytest.approx(0.2)
     assert right.tau_hat == pytest.approx(0.0)
     assert ed_value(left, right) == pytest.approx(0.02)
@@ -53,28 +49,28 @@ def test_ed_value_hand_checks():
 
 def test_ed_value_sign_squared_away():
     # 25 rows at -0.4 and 75 rows at +0.1
-    left = NodeStats.from_counts(n_t=10, n_c=15, pos_t=2, pos_c=9)
-    right = NodeStats.from_counts(n_t=40, n_c=35, pos_t=20, pos_c=14)
+    left = stats_from_counts(n_t=10, n_c=15, pos_t=2, pos_c=9)
+    right = stats_from_counts(n_t=40, n_c=35, pos_t=20, pos_c=14)
     assert left.tau_hat == pytest.approx(-0.4)
     assert right.tau_hat == pytest.approx(0.1)
     assert ed_value(left, right) == pytest.approx(0.0475)
 
 
 def test_ed_value_zero_when_no_effect():
-    left = NodeStats.from_counts(n_t=10, n_c=10, pos_t=3, pos_c=3)
-    right = NodeStats.from_counts(n_t=20, n_c=20, pos_t=8, pos_c=8)
+    left = stats_from_counts(n_t=10, n_c=10, pos_t=3, pos_c=3)
+    right = stats_from_counts(n_t=20, n_c=20, pos_t=8, pos_c=8)
     assert ed_value(left, right) == pytest.approx(0.0)
 
 
 def test_ed_value_rejects_empty_arm():
-    left = NodeStats.from_counts(n_t=0, n_c=10, pos_t=0, pos_c=3)
-    right = NodeStats.from_counts(n_t=20, n_c=20, pos_t=8, pos_c=8)
+    left = stats_from_counts(n_t=0, n_c=10, pos_t=0, pos_c=3)
+    right = stats_from_counts(n_t=20, n_c=20, pos_t=8, pos_c=8)
     assert ed_value(left, right) is None
 
 
 def test_ed_value_symmetric_in_children():
-    left = NodeStats.from_counts(n_t=12, n_c=9, pos_t=5, pos_c=2)
-    right = NodeStats.from_counts(n_t=30, n_c=28, pos_t=9, pos_c=11)
+    left = stats_from_counts(n_t=12, n_c=9, pos_t=5, pos_c=2)
+    right = stats_from_counts(n_t=30, n_c=28, pos_t=9, pos_c=11)
     assert ed_value(left, right) == ed_value(right, left)
 
 
@@ -85,18 +81,18 @@ def smoothed_kl(a_pos, a_n, b_pos, b_n):
 
 
 def test_kl_value_zero_when_rates_unchanged():
-    parent = NodeStats.from_counts(n_t=20, n_c=20, pos_t=10, pos_c=10)
-    left = NodeStats.from_counts(n_t=10, n_c=10, pos_t=5, pos_c=5)
-    right = NodeStats.from_counts(n_t=10, n_c=10, pos_t=5, pos_c=5)
+    parent = stats_from_counts(n_t=20, n_c=20, pos_t=10, pos_c=10)
+    left = stats_from_counts(n_t=10, n_c=10, pos_t=5, pos_c=5)
+    right = stats_from_counts(n_t=10, n_c=10, pos_t=5, pos_c=5)
     assert kl_value(left, right, parent) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_value_positive_gain_hand_eval():
     # parent arms identical (smoothed 0.5 each); children separate them to
     # smoothed 0.9 vs 0.1 and 0.1 vs 0.9
-    left = NodeStats.from_counts(n_t=8, n_c=8, pos_t=8, pos_c=0)
-    right = NodeStats.from_counts(n_t=8, n_c=8, pos_t=0, pos_c=8)
-    parent = NodeStats.from_counts(n_t=16, n_c=16, pos_t=8, pos_c=8)
+    left = stats_from_counts(n_t=8, n_c=8, pos_t=8, pos_c=0)
+    right = stats_from_counts(n_t=8, n_c=8, pos_t=0, pos_c=8)
+    parent = stats_from_counts(n_t=16, n_c=16, pos_t=8, pos_c=8)
     expected = (
         0.5 * smoothed_kl(8, 8, 0, 8)
         + 0.5 * smoothed_kl(0, 8, 8, 8)
@@ -108,9 +104,9 @@ def test_kl_value_positive_gain_hand_eval():
 
 
 def test_kl_value_symmetric_in_children():
-    parent = NodeStats.from_counts(n_t=30, n_c=25, pos_t=12, pos_c=4)
-    left = NodeStats.from_counts(n_t=14, n_c=10, pos_t=9, pos_c=1)
-    right = NodeStats.from_counts(n_t=16, n_c=15, pos_t=3, pos_c=3)
+    parent = stats_from_counts(n_t=30, n_c=25, pos_t=12, pos_c=4)
+    left = stats_from_counts(n_t=14, n_c=10, pos_t=9, pos_c=1)
+    right = stats_from_counts(n_t=16, n_c=15, pos_t=3, pos_c=3)
     assert kl_value(left, right, parent) == pytest.approx(kl_value(right, left, parent))
 
 
