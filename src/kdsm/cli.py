@@ -248,7 +248,7 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with data_mod.atomic_write(path) as fh:
         fh.write(text)
 
 
@@ -272,17 +272,15 @@ def _load_schema(path: str) -> data_mod.FeatureSchema:
     return data_mod.load_document(path, data_mod.FeatureSchema.from_jsonable)
 
 
-def _load_split(cfg: RunConfig) -> tuple[data_mod.Dataset, data_mod.Dataset, data_mod.Dataset]:
+def _load_split(cfg: RunConfig, names: tuple[str, ...]) -> tuple[data_mod.Dataset, ...]:
+    """The named split files ("train", "valid", "test"), read under the
+    data directory's schema; only those files need to exist."""
     paths = _dataset_paths(cfg)
     schema = _load_schema(paths["schema"])
-    for name in ("train", "valid", "test"):
+    for name in names:
         if not os.path.exists(paths[name]):
             raise ConfigError(f"{paths[name]} not found; run `kdsm split` first")
-    return (
-        data_mod.load_csv(paths["train"], schema),
-        data_mod.load_csv(paths["valid"], schema),
-        data_mod.load_csv(paths["test"], schema),
-    )
+    return tuple(data_mod.load_csv(paths[name], schema) for name in names)
 
 
 def cmd_synth(args) -> int:
@@ -292,9 +290,7 @@ def cmd_synth(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     out = _dataset_paths(RunConfig({"data.dir": cfg.out_dir}))
     data_mod.save_csv(ds, out["dataset"])
-    _write_text(
-        out["true_cate"], "true_cate\n" + "".join(repr(float(v)) + "\n" for v in tau)
-    )
+    _write_text(out["true_cate"], "\n".join(["true_cate", *map(repr, tau.tolist())]) + "\n")
     _write_text(out["schema"], json.dumps(ds.schema.to_jsonable(), indent=1) + "\n")
     print(f"wrote {out['dataset']} ({ds.n} rows), {out['true_cate']}, {out['schema']}")
     return 0
@@ -320,7 +316,7 @@ def cmd_split(args) -> int:
     data_mod.save_csv(split.test, out["test"])
     lines = ["# split indices v1"]
     for name in ("train", "valid", "test"):
-        lines.append(f"{name}: " + " ".join(str(int(i)) for i in split.indices[name]))
+        lines.append(f"{name}: " + " ".join(map(str, split.indices[name].tolist())))
     _write_text(out["split_indices"], "\n".join(lines) + "\n")
     # re-emit the schema with any first-appearance dictionaries pinned, so
     # every later stage codes the three files identically
@@ -334,11 +330,7 @@ def cmd_split(args) -> int:
 
 def cmd_fit_tree(args) -> int:
     cfg = _load_run_config(args)
-    paths = _dataset_paths(cfg)
-    schema = _load_schema(paths["schema"])
-    if not os.path.exists(paths["train"]):
-        raise ConfigError(f"{paths['train']} not found; run `kdsm split` first")
-    train = data_mod.load_csv(paths["train"], schema)
+    (train,) = _load_split(cfg, ("train",))
     fitted = tree_mod.fit_tree(train, cfg.tree_params(), derive_seed(cfg.seed, "tree"))
     os.makedirs(cfg.out_dir, exist_ok=True)
     tree_path = os.path.join(cfg.out_dir, "tree.json")
@@ -355,7 +347,7 @@ def _save_predictor(obj, path: str) -> None:
             "treated": student.student_to_jsonable(obj.treated_model),
             "control": student.student_to_jsonable(obj.control_model),
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with data_mod.atomic_write(path) as fh:
             json.dump(doc, fh)
             fh.write("\n")
     else:
@@ -410,7 +402,7 @@ def cmd_train(args) -> int:
     method = args.method
     if method not in METHODS:
         raise ConfigError(f"--method must be one of {METHODS}, got {method!r}")
-    train, valid, _ = _load_split(cfg)
+    train, valid = _load_split(cfg, ("train", "valid"))
     teacher = None
     if method in ("kdsm", "kdss") or (method == "plain" and args.pair_stream):
         tree_path = _dataset_paths(cfg)["tree"]
@@ -441,7 +433,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    _, _, test = _load_split(cfg)
+    (test,) = _load_split(cfg, ("test",))
     tie_seed = cfg.tie_seed(cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     for path in args.models:

@@ -9,7 +9,11 @@ Missing values are not supported anywhere; ingestion rejects them.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,6 +28,11 @@ CATEGORICAL = "categorical"
 #: Cardinality used for every categorical column emitted by the synthetic
 #: generator.
 SYNTHETIC_CARDINALITY = 4
+
+#: Rows per block when reading and writing CSV: each block is transposed and
+#: converted one column at a time, so memory grows with the block, not the
+#: file.
+CSV_BLOCK_ROWS = 8192
 
 #: Built-in treatment-effect shapes for the synthetic generator. All of them
 #: depend on at most the first two numeric features; every other column is
@@ -171,6 +180,24 @@ def load_document(path: str, parse):
         return parse(obj)
     except KdsmError as e:
         raise type(e)(f"{path}: {e}") from None
+
+
+@contextmanager
+def atomic_write(path: str, newline: str | None = None):
+    """Open a UTF-8 text file that replaces `path` only when the block
+    completes. Writes go to a temporary file beside `path`, which
+    `os.replace` moves over it on success and which is deleted on any
+    error, so a failed writer leaves the previous file untouched."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass(frozen=True)
@@ -383,6 +410,10 @@ def load_csv(
     is pinned into the returned dataset's schema. Numeric cells must parse
     as finite floats; treatment/outcome cells must be the literal integers
     0 or 1. Errors name the row and column.
+
+    Rows are read in blocks of CSV_BLOCK_ROWS and converted one column at a
+    time. A block that fails any fast check is converted again row by row,
+    which raises the error of its first bad cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -399,77 +430,46 @@ def load_csv(
         missing = [c for c in required if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing column(s) {missing}")
-        pos = {name: header.index(name) for name in required}
+        layout = _CsvLayout(
+            path=path,
+            width=len(header),
+            schema=schema,
+            pos={name: header.index(name) for name in required},
+            treatment_col=treatment_col,
+            outcome_col=outcome_col,
+            code_maps={
+                c.name: {label: i for i, label in enumerate(c.categories)}
+                for c in schema.columns
+                if c.kind == CATEGORICAL
+            },
+            pinned={c.name for c in schema.columns if c.categories},
+        )
+        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        line = 2  # file line of the first row of the block, as the row rules count it
+        while True:
+            rows: list[list[str]] = []
+            try:
+                rows.extend(itertools.islice(reader, CSV_BLOCK_ROWS))
+            except csv.Error:
+                # the reader failed mid-block: a bad cell before that record
+                # is reported first, as a row-by-row read would
+                _convert_rows(layout, rows, line)
+                raise
+            if not rows:
+                break
+            block = _convert_block(layout, rows)
+            if block is None:
+                block = _convert_rows(layout, rows, line)
+            blocks.append(block)
+            line += len(rows)
 
-        code_maps: dict[str, dict[str, int]] = {
-            c.name: {label: i for i, label in enumerate(c.categories)}
-            for c in schema.columns
-            if c.kind == CATEGORICAL
-        }
-        pinned = {c.name for c in schema.columns if c.categories}
-        feat_rows: list[list[float]] = []
-        t_list: list[int] = []
-        y_list: list[int] = []
-        for i, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"{path}: line {i} has {len(row)} cells, expected {len(header)}")
-            vals: list[float] = []
-            for col in schema.columns:
-                cell = row[pos[col.name]]
-                if cell == "":
-                    raise ParseError(
-                        f"{path}: line {i}, column {col.name!r}: missing values are not supported"
-                    )
-                if col.kind == NUMERIC:
-                    try:
-                        v = float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: line {i}, column {col.name!r}: cannot parse {cell!r} as a number"
-                        ) from None
-                    if not np.isfinite(v):
-                        raise DomainError(
-                            f"{path}: line {i}, column {col.name!r}: non-finite value {cell!r}"
-                        )
-                    vals.append(v)
-                else:
-                    codes = code_maps[col.name]
-                    code = codes.get(cell)
-                    if code is None:
-                        if col.name in pinned:
-                            raise DomainError(
-                                f"{path}: line {i}, column {col.name!r}: value {cell!r} is not "
-                                f"one of the declared categories"
-                            )
-                        code = len(codes)
-                        if code >= col.cardinality:
-                            raise DomainError(
-                                f"{path}: line {i}, column {col.name!r}: value {cell!r} exceeds "
-                                f"declared cardinality {col.cardinality}"
-                            )
-                        codes[cell] = code
-                    vals.append(float(code))
-            for col_name, sink in ((treatment_col, t_list), (outcome_col, y_list)):
-                cell = row[pos[col_name]]
-                try:
-                    v = int(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {i}, column {col_name!r}: cannot parse {cell!r} as an integer"
-                    ) from None
-                if v not in (0, 1):
-                    raise DomainError(
-                        f"{path}: line {i}, column {col_name!r}: value {cell!r} is not 0/1"
-                    )
-                sink.append(v)
-            feat_rows.append(vals)
-
-    n = len(feat_rows)
-    features = (
-        np.array(feat_rows, dtype=np.float64)
-        if n
-        else np.zeros((0, len(schema.columns)))
-    )
+    if blocks:
+        features, treatment, outcome = (np.concatenate(parts) for parts in zip(*blocks))
+    else:
+        features = np.zeros((0, len(schema.columns)))
+        treatment = np.zeros(0, dtype=np.int64)
+        outcome = np.zeros(0, dtype=np.int64)
+    code_maps, pinned = layout.code_maps, layout.pinned
     # pin discovered dictionaries so a re-save keeps labels and codes stable
     out_cols = tuple(
         c
@@ -485,11 +485,142 @@ def load_csv(
     ds = Dataset(
         schema=FeatureSchema(out_cols),
         features=features,
-        treatment=np.array(t_list, dtype=np.int64),
-        outcome=np.array(y_list, dtype=np.int64),
+        treatment=treatment,
+        outcome=outcome,
     )
     ds.validate()
     return ds
+
+
+@dataclass
+class _CsvLayout:
+    """What converting a block of CSV rows needs: where each column sits and
+    the label-to-code dictionaries discovered so far (updated in place)."""
+
+    path: str
+    width: int
+    schema: FeatureSchema
+    pos: dict[str, int]
+    treatment_col: str
+    outcome_col: str
+    code_maps: dict[str, dict[str, int]]
+    pinned: set[str]
+
+
+# the only treatment/outcome spellings the column-wise path accepts
+_BITS = {"0": 0, "1": 1}
+
+
+def _floats(cells: tuple[str, ...]) -> np.ndarray | None:
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells))
+    except ValueError:
+        return None
+
+
+def _convert_block(layout: _CsvLayout, rows: list[list[str]]):
+    """(features, treatment, outcome) of a block of rows, converted column
+    by column; None if any cell needs the row-by-row rules (a ragged row, an
+    empty cell, an unparsable or non-finite number, an unknown or
+    overflowing label, a bit other than "0"/"1"). New labels reach
+    `layout.code_maps` only when the whole block converts."""
+    k = len(rows)
+    if set(map(len, rows)) != {layout.width}:
+        return None
+    cols = list(zip(*rows))
+    features = np.empty((k, len(layout.schema.columns)))
+    staged: dict[str, dict[str, int]] = {}
+    for j, col in enumerate(layout.schema.columns):
+        cells = cols[layout.pos[col.name]]
+        if col.kind == NUMERIC:
+            vals = _floats(cells)
+            if vals is None or not np.isfinite(vals).all():
+                return None
+            features[:, j] = vals
+            continue
+        codes = layout.code_maps[col.name]
+        seen = dict.fromkeys(cells)  # distinct labels in order of first appearance
+        if "" in seen:
+            return None
+        new = [label for label in seen if label not in codes]
+        if new:
+            if col.name in layout.pinned or len(codes) + len(new) > col.cardinality:
+                return None
+            codes = {**codes, **{label: len(codes) + i for i, label in enumerate(new)}}
+            staged[col.name] = codes
+        features[:, j] = np.fromiter(map(codes.__getitem__, cells), np.float64, k)
+    bits = []
+    for name in (layout.treatment_col, layout.outcome_col):
+        try:
+            bits.append(np.fromiter(map(_BITS.__getitem__, cols[layout.pos[name]]), np.int64, k))
+        except KeyError:
+            return None
+    layout.code_maps.update(staged)
+    return features, bits[0], bits[1]
+
+
+def _convert_rows(layout: _CsvLayout, rows: list[list[str]], first_line: int):
+    """(features, treatment, outcome) of a block of rows, converted one row
+    at a time; raises for the first bad cell, naming its line and column."""
+    path, pos, code_maps = layout.path, layout.pos, layout.code_maps
+    feat_rows: list[list[float]] = []
+    t_list: list[int] = []
+    y_list: list[int] = []
+    for i, row in enumerate(rows, start=first_line):
+        if len(row) != layout.width:
+            raise ParseError(f"{path}: line {i} has {len(row)} cells, expected {layout.width}")
+        vals: list[float] = []
+        for col in layout.schema.columns:
+            cell = row[pos[col.name]]
+            if cell == "":
+                raise ParseError(
+                    f"{path}: line {i}, column {col.name!r}: missing values are not supported"
+                )
+            if col.kind == NUMERIC:
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {i}, column {col.name!r}: cannot parse {cell!r} as a number"
+                    ) from None
+                if not np.isfinite(v):
+                    raise DomainError(
+                        f"{path}: line {i}, column {col.name!r}: non-finite value {cell!r}"
+                    )
+                vals.append(v)
+            else:
+                codes = code_maps[col.name]
+                code = codes.get(cell)
+                if code is None:
+                    if col.name in layout.pinned:
+                        raise DomainError(
+                            f"{path}: line {i}, column {col.name!r}: value {cell!r} is not "
+                            f"one of the declared categories"
+                        )
+                    code = len(codes)
+                    if code >= col.cardinality:
+                        raise DomainError(
+                            f"{path}: line {i}, column {col.name!r}: value {cell!r} exceeds "
+                            f"declared cardinality {col.cardinality}"
+                        )
+                    codes[cell] = code
+                vals.append(float(code))
+        for col_name, sink in ((layout.treatment_col, t_list), (layout.outcome_col, y_list)):
+            cell = row[pos[col_name]]
+            try:
+                v = int(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: line {i}, column {col_name!r}: cannot parse {cell!r} as an integer"
+                ) from None
+            if v not in (0, 1):
+                raise DomainError(
+                    f"{path}: line {i}, column {col_name!r}: value {cell!r} is not 0/1"
+                )
+            sink.append(v)
+        feat_rows.append(vals)
+    features = np.array(feat_rows, dtype=np.float64).reshape(len(rows), len(layout.schema.columns))
+    return features, np.array(t_list, dtype=np.int64), np.array(y_list, dtype=np.int64)
 
 
 def save_csv(
@@ -503,26 +634,38 @@ def save_csv(
     Numeric cells use shortest exact float representation, so a written file
     re-reads to bit-identical values; reruns produce byte-identical files.
     Categorical cells hold the pinned label of the code when the column has
-    one, else the literal code.
+    one, else the literal code. Rows are formatted in blocks of
+    CSV_BLOCK_ROWS, one column at a time, and the file replaces `path` only
+    once it is complete.
     """
+    # each label CSV-quoted once, by the csv module itself
     labels = {
-        j: ds.schema.columns[j].categories
+        j: np.array([_csv_field(c) for c in ds.schema.columns[j].categories], dtype=object)
         for j in map(int, ds.schema.categorical_indices)
     }
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.schema.names + [treatment_col, outcome_col])
-        for i in range(ds.n):
-            row = []
-            for j, v in enumerate(ds.features[i]):
-                if j in labels:
-                    cats = labels[j]
-                    row.append(cats[int(v)] if cats else str(int(v)))
-                else:
-                    row.append(repr(float(v)))
-            row.append(str(int(ds.treatment[i])))
-            row.append(str(int(ds.outcome[i])))
-            writer.writerow(row)
+    with atomic_write(path, newline="") as fh:
+        csv.writer(fh).writerow(ds.schema.names + [treatment_col, outcome_col])
+        for a in range(0, ds.n, CSV_BLOCK_ROWS):
+            block = ds.features[a : a + CSV_BLOCK_ROWS]
+            cols = []
+            for j in range(block.shape[1]):
+                if j not in labels:
+                    cols.append(map(repr, block[:, j].tolist()))
+                    continue
+                codes = block[:, j].astype(np.int64)
+                cols.append(labels[j][codes].tolist() if labels[j].size else map(str, codes.tolist()))
+            for bits in (ds.treatment, ds.outcome):
+                cols.append(map(str, bits[a : a + CSV_BLOCK_ROWS].astype(np.int64).tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+
+
+def _csv_field(value: str) -> str:
+    """`value` as the default csv dialect writes it inside a row."""
+    buf = io.StringIO()
+    # the default dialect, whose line terminator decides what gets quoted; a
+    # second, empty field keeps the writer off its lone-empty-field quoting
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[: -len(",\r\n")]
 
 
 def _largest_remainder(total: int, fracs: tuple[float, ...]) -> list[int]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, atomic_write
 from .errors import DomainError, FitError, MetricError, SchemaError, UndefinedMetricError
 from .metrics import auuc, rank_eval
 from .seeds import derive_seed
@@ -633,5 +633,5 @@ def format_train_report(report: TrainReport) -> str:
 
 
 def write_train_report(report: TrainReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(format_train_report(report))

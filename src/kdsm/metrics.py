@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_write
 from .errors import MetricError, UndefinedMetricError
 
 
@@ -151,7 +152,7 @@ def evaluate_predictions(predictions, treatment, outcome, tie_seed: int = 0) -> 
 
 def write_curve_csv(curve: Curve, path: str) -> None:
     """Write a curve as `k,value` CSV with exact float representation."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("k,value\n")
         for k, v in zip(curve.k, curve.values):
             fh.write(f"{int(k)},{repr(float(v))}\n")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, categorical_codes, load_document
+from .data import Dataset, FeatureSchema, atomic_write, categorical_codes, load_document
 from .errors import DomainError, ParseError, SchemaError, TrainingError, document_errors
 
 MODEL_FORMAT = "student-model/v1"
@@ -596,7 +596,7 @@ def _shaped(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
 
 def save_student(model: StudentModel, path: str) -> None:
     """Serialize to versioned JSON; reloads to bit-identical predictions."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(student_to_jsonable(model), fh)
         fh.write("\n")
 

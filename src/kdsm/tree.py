@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, FeatureSchema, load_document
+from .data import CATEGORICAL, NUMERIC, Dataset, FeatureSchema, atomic_write, load_document
 from .errors import DomainError, FitError, ParseError, SchemaError, document_errors
 
 TREE_FORMAT = "uplift-tree/v1"
@@ -458,7 +458,7 @@ def _is_int(v) -> bool:
 
 def save_tree(tree: UpliftTree, path: str) -> None:
     """Serialize to a versioned JSON document; round-trips bit-exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(tree_to_jsonable(tree), fh, indent=1)
         fh.write("\n")
 

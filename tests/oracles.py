@@ -2,17 +2,19 @@
 
 Each one computes a quantity the simple, slow or single-row way: scalar
 losses and forward passes, the quadratic curve recount, criterion values of
-one candidate split, single-row routing, and a curve file reader.
+one candidate split, single-row routing, a curve file reader, and CSV
+reading and writing one row and one cell at a time.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from kdsm.data import Dataset
-from kdsm.errors import MetricError
+from kdsm.data import CATEGORICAL, NUMERIC, Column, Dataset, FeatureSchema
+from kdsm.errors import DomainError, MetricError, ParseError, SchemaError
 from kdsm.metrics import Curve, _check_eval_inputs
 from kdsm.student import (
     PROB_EPS,
@@ -171,3 +173,163 @@ def read_curve_csv(path: str) -> Curve:
             ks.append(int(k_str))
             vals.append(float(v_str))
     return Curve(k=np.array(ks, dtype=np.int64), values=np.array(vals, dtype=np.float64))
+
+
+# --- data ---
+
+
+def load_csv(
+    path: str,
+    schema: FeatureSchema,
+    treatment_col: str = "treatment",
+    outcome_col: str = "outcome",
+) -> Dataset:
+    """Read a CSV file into a Dataset under the given schema.
+
+    Categorical values may be arbitrary strings. A column with pinned
+    `categories` maps each label to its fixed code and rejects unknown
+    labels; otherwise labels are coded by first appearance (0, 1, ... in
+    the order distinct values are first seen) and the discovered dictionary
+    is pinned into the returned dataset's schema. Numeric cells must parse
+    as finite floats; treatment/outcome cells must be the literal integers
+    0 or 1. Errors name the row and column.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        required = schema.names + [treatment_col, outcome_col]
+        dupes = sorted({c for c in header if header.count(c) > 1})
+        if dupes:
+            raise SchemaError(f"{path}: column {dupes[0]!r} appears more than once in the header")
+        for c in (treatment_col, outcome_col):
+            if required.count(c) > 1:
+                raise SchemaError(f"{path}: column {c!r} cannot be both a feature and the treatment or outcome")
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing column(s) {missing}")
+        pos = {name: header.index(name) for name in required}
+
+        code_maps: dict[str, dict[str, int]] = {
+            c.name: {label: i for i, label in enumerate(c.categories)}
+            for c in schema.columns
+            if c.kind == CATEGORICAL
+        }
+        pinned = {c.name for c in schema.columns if c.categories}
+        feat_rows: list[list[float]] = []
+        t_list: list[int] = []
+        y_list: list[int] = []
+        for i, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"{path}: line {i} has {len(row)} cells, expected {len(header)}")
+            vals: list[float] = []
+            for col in schema.columns:
+                cell = row[pos[col.name]]
+                if cell == "":
+                    raise ParseError(
+                        f"{path}: line {i}, column {col.name!r}: missing values are not supported"
+                    )
+                if col.kind == NUMERIC:
+                    try:
+                        v = float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: line {i}, column {col.name!r}: cannot parse {cell!r} as a number"
+                        ) from None
+                    if not np.isfinite(v):
+                        raise DomainError(
+                            f"{path}: line {i}, column {col.name!r}: non-finite value {cell!r}"
+                        )
+                    vals.append(v)
+                else:
+                    codes = code_maps[col.name]
+                    code = codes.get(cell)
+                    if code is None:
+                        if col.name in pinned:
+                            raise DomainError(
+                                f"{path}: line {i}, column {col.name!r}: value {cell!r} is not "
+                                f"one of the declared categories"
+                            )
+                        code = len(codes)
+                        if code >= col.cardinality:
+                            raise DomainError(
+                                f"{path}: line {i}, column {col.name!r}: value {cell!r} exceeds "
+                                f"declared cardinality {col.cardinality}"
+                            )
+                        codes[cell] = code
+                    vals.append(float(code))
+            for col_name, sink in ((treatment_col, t_list), (outcome_col, y_list)):
+                cell = row[pos[col_name]]
+                try:
+                    v = int(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {i}, column {col_name!r}: cannot parse {cell!r} as an integer"
+                    ) from None
+                if v not in (0, 1):
+                    raise DomainError(
+                        f"{path}: line {i}, column {col_name!r}: value {cell!r} is not 0/1"
+                    )
+                sink.append(v)
+            feat_rows.append(vals)
+
+    n = len(feat_rows)
+    features = (
+        np.array(feat_rows, dtype=np.float64)
+        if n
+        else np.zeros((0, len(schema.columns)))
+    )
+    # pin discovered dictionaries so a re-save keeps labels and codes stable
+    out_cols = tuple(
+        c
+        if c.kind == NUMERIC or c.name in pinned or not code_maps[c.name]
+        else Column(
+            c.name,
+            c.kind,
+            c.cardinality,
+            tuple(sorted(code_maps[c.name], key=code_maps[c.name].get)),
+        )
+        for c in schema.columns
+    )
+    ds = Dataset(
+        schema=FeatureSchema(out_cols),
+        features=features,
+        treatment=np.array(t_list, dtype=np.int64),
+        outcome=np.array(y_list, dtype=np.int64),
+    )
+    ds.validate()
+    return ds
+
+
+def save_csv(
+    ds: Dataset,
+    path: str,
+    treatment_col: str = "treatment",
+    outcome_col: str = "outcome",
+) -> None:
+    """Write a dataset as CSV (features, then treatment and outcome columns).
+
+    Numeric cells use shortest exact float representation, so a written file
+    re-reads to bit-identical values; reruns produce byte-identical files.
+    Categorical cells hold the pinned label of the code when the column has
+    one, else the literal code.
+    """
+    labels = {
+        j: ds.schema.columns[j].categories
+        for j in map(int, ds.schema.categorical_indices)
+    }
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ds.schema.names + [treatment_col, outcome_col])
+        for i in range(ds.n):
+            row = []
+            for j, v in enumerate(ds.features[i]):
+                if j in labels:
+                    cats = labels[j]
+                    row.append(cats[int(v)] if cats else str(int(v)))
+                else:
+                    row.append(repr(float(v)))
+            row.append(str(int(ds.treatment[i])))
+            row.append(str(int(ds.outcome[i])))
+            writer.writerow(row)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -9,11 +10,12 @@ import pytest
 
 import kdsm
 from kdsm import distill
-from kdsm.cli import _save_predictor, load_predictor, main
-from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, load_csv, split_dataset
-from kdsm.distill import KdsmHyper
+from kdsm.cli import RunConfig, _save_predictor, _write_text, load_predictor, main, parse_config_file
+from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, load_csv, save_csv, split_dataset
+from kdsm.distill import KdsmHyper, TrainReport, write_train_report
+from kdsm.metrics import Curve, write_curve_csv
 from kdsm.seeds import derive_seed
-from kdsm.student import StudentConfig
+from kdsm.student import StudentConfig, save_student
 from kdsm.tree import TreeParams, fit_tree, load_tree, predict_uplift_tree_batch, save_tree
 from oracles import read_curve_csv
 
@@ -138,6 +140,51 @@ def test_mom_predictor_loads_as_regression(pipeline):
     preds = predict(test_ds.features)
     assert preds.shape == (test_ds.n,)
     assert np.all(np.isfinite(preds))
+
+
+def copy_data(out, names, dest):
+    os.makedirs(dest)
+    for name in names:
+        shutil.copy(os.path.join(out, name), dest)
+    return dest
+
+
+def read_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def test_evaluate_needs_only_the_test_split(pipeline, tmp_path):
+    _, out = pipeline
+    data_dir = copy_data(out, ("schema.json", "test.csv"), str(tmp_path / "data"))
+    cfg, out2 = write_cfg(str(tmp_path), extra=f"data.dir = {data_dir}\n")
+    assert main(["evaluate", "--config", cfg, os.path.join(out, "model_kdsm.json")]) == 0
+    summary = os.path.join("eval_model_kdsm", "summary.json")
+    assert read_bytes(os.path.join(out2, summary)) == read_bytes(os.path.join(out, summary))
+
+
+def test_train_needs_no_test_split(pipeline, tmp_path):
+    _, out = pipeline
+    data_dir = copy_data(out, ("schema.json", "train.csv", "valid.csv", "tree.json"), str(tmp_path / "data"))
+    cfg, out2 = write_cfg(str(tmp_path), extra=f"data.dir = {data_dir}\n")
+    assert main(["train", "--config", cfg, "--method", "kdsm"]) == 0
+    assert read_bytes(os.path.join(out2, "model_kdsm.json")) == read_bytes(os.path.join(out, "model_kdsm.json"))
+
+
+def test_true_cate_and_split_indices_keep_their_bytes(tmp_path):
+    cfg, out = write_cfg(str(tmp_path), extra="synth.n = 20000\n")
+    assert main(["synth", "--config", cfg]) == 0
+    assert main(["split", "--config", cfg]) == 0
+    run = RunConfig(parse_config_file(cfg))
+    ds, tau = gen_synthetic(run.synthetic_config(derive_seed(run.seed, "synth")))
+    # the per-element expressions these files were first written with
+    expected = "true_cate\n" + "".join(repr(float(v)) + "\n" for v in tau)
+    assert read_bytes(os.path.join(out, "true_cate.csv")) == expected.encode()
+    split = split_dataset(ds, run.split_ratios(), derive_seed(run.seed, "split"))
+    lines = ["# split indices v1"]
+    for name in ("train", "valid", "test"):
+        lines.append(f"{name}: " + " ".join(str(int(i)) for i in split.indices[name]))
+    assert read_bytes(os.path.join(out, "split_indices.txt")) == ("\n".join(lines) + "\n").encode()
 
 
 def test_plain_pair_stream_equals_kdsm_at_zero_weight(tmp_path):
@@ -305,3 +352,31 @@ def test_evaluate_rejects_cyclic_tree_without_hanging(pipeline, tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {path}: tree node 0")
+
+
+ARTIFACT_WRITERS = {
+    "dataset": lambda p, models: save_csv(gen_synthetic(SyntheticConfig(n=50, d_categorical=1, seed=1))[0], p),
+    "text": lambda p, models: _write_text(p, "new\n"),
+    "two-model": lambda p, models: _save_predictor(models["tm"], p),
+    "student": lambda p, models: save_student(models["kdsm"], p),
+    "tree": lambda p, models: save_tree(models["tree"], p),
+    "curve": lambda p, models: write_curve_csv(Curve(np.arange(1, 4), np.array([0.5, 1.0, 1.5])), p),
+    "report": lambda p, models: write_train_report(TrainReport("kdsm", 0.5), p),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ARTIFACT_WRITERS))
+def test_failed_artifact_write_keeps_the_previous_file(trained_predictors, tmp_path, monkeypatch, writer):
+    path = tmp_path / "artifact"
+    path.write_text("previous\n", encoding="utf-8")
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    # the last step of an atomic write fails, after the new content is complete
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="no space"):
+        ARTIFACT_WRITERS[writer](str(path), trained_predictors[1])
+    monkeypatch.undo()
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert os.listdir(tmp_path) == ["artifact"]

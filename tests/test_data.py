@@ -1,19 +1,27 @@
+import csv
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from kdsm.data import (
+    CSV_BLOCK_ROWS,
     Column,
     Dataset,
     FeatureSchema,
     SplitRatios,
     SyntheticConfig,
+    atomic_write,
     gen_synthetic,
     load_csv,
     save_csv,
     split_dataset,
     subsample_per_arm,
 )
-from kdsm.errors import DomainError, ParseError, SchemaError
+from kdsm.errors import DomainError, KdsmError, ParseError, SchemaError
 
 
 def make_schema(n_numeric=2, n_categorical=0, cardinality=3):
@@ -336,3 +344,233 @@ def test_csv_rejects_treatment_column_named_like_a_feature(tmp_path):
     schema = FeatureSchema(columns=(Column("f0", "numeric"),))
     with pytest.raises(SchemaError, match="'f0'"):
         load_csv(str(path), schema, treatment_col="f0")
+
+
+# --- blocked csv against the row-by-row oracle ---
+
+B = CSV_BLOCK_ROWS
+# empty, one row, and both sides of one and two block boundaries
+SIZES = (0, 1, B - 1, B + 1, 2 * B + 3)
+# deterministic examples, and no example database written to the working tree
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+floats = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([5e-324, -5e-324, 1e-310, 1e308, -1e308, -0.0, 0.0])
+    | st.integers(-(10**6), 10**6).map(float)
+)
+# any text but surrogates, which UTF-8 cannot encode; CSV-special characters,
+# leading spaces and non-ASCII text are drawn often
+labels = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from([",", '"', "\n", "\r", " ", "é", "語"]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def datasets(draw):
+    """A dataset with pinned categorical labels, built from small drawn
+    pools of values, so large row counts stay cheap to generate."""
+    n = draw(st.sampled_from(SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols, feats = [], []
+    for j in range(draw(st.integers(0, 2))):
+        cols.append(Column(f"x{j}", "numeric"))
+        feats.append(rng.choice(np.array(draw(st.lists(floats, min_size=1, max_size=12))), n))
+    for j in range(draw(st.integers(0, 2))):
+        cats = tuple(draw(st.lists(labels, min_size=2, max_size=5, unique=True)))
+        cols.append(Column(f"c{j}", "categorical", len(cats) + draw(st.integers(0, 1)), cats))
+        feats.append(rng.integers(0, len(cats), n).astype(np.float64))
+    ds = Dataset(
+        schema=FeatureSchema(tuple(cols)),
+        features=np.column_stack(feats) if feats else np.zeros((n, 0)),
+        treatment=rng.integers(0, 2, n),
+        outcome=rng.integers(0, 2, n),
+    )
+    ds.validate()
+    return ds
+
+
+def unpinned(schema):
+    return FeatureSchema(tuple(Column(c.name, c.kind, c.cardinality) for c in schema.columns))
+
+
+def assert_bitwise_equal(a, b):
+    assert a.schema == b.schema
+    for x, y in ((a.features, b.features), (a.treatment, b.treatment), (a.outcome, b.outcome)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def read_like_oracle(path, schema):
+    """load_csv and the oracle on one file: both raise the same error or
+    both return bitwise-equal datasets; returns the dataset or None."""
+    try:
+        expected = oracles.load_csv(path, schema)
+    except KdsmError as e:
+        with pytest.raises(type(e)) as got:
+            load_csv(path, schema)
+        assert str(got.value) == str(e)
+        return None
+    ds = load_csv(path, schema)
+    assert_bitwise_equal(ds, expected)
+    return ds
+
+
+@PROPERTY
+@given(datasets())
+def test_csv_save_and_load_match_the_row_oracle(tmp_path_factory, ds):
+    d = tmp_path_factory.mktemp("csv")
+    path, expected = str(d / "new.csv"), str(d / "oracle.csv")
+    save_csv(ds, path)
+    oracles.save_csv(ds, expected)
+    with open(path, "rb") as a, open(expected, "rb") as b:
+        assert a.read() == b.read()
+    # pinned columns round-trip exactly
+    assert_bitwise_equal(read_like_oracle(path, ds.schema), ds)
+    # unpinned columns are coded by first appearance, as the oracle codes them
+    assert read_like_oracle(path, unpinned(ds.schema)) is not None
+
+
+BAD_NUMBERS = ["", "not_a_number", "inf", "-inf", "nan", "1e400", " 1.5 ", "1_0", "0x10"]
+BAD_BITS = ["", "2", "-1", " 1", "1 ", "01", "+1", "0_0", "１", "yes", "1.0"]
+
+
+@st.composite
+def raw_csvs(draw):
+    """Cells of a CSV file as text: clean values plus a few drawn defects
+    (odd numbers and bits, unknown or empty labels, ragged rows) at drawn rows."""
+    n = draw(st.sampled_from(SIZES[1:]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cats = draw(st.lists(labels, min_size=2, max_size=4, unique=True))
+    pinned = draw(st.booleans())
+    # unpinned, the cardinality may leave no room for every label
+    card = len(cats) if pinned else max(2, len(cats) + draw(st.integers(-1, 1)))
+    schema = FeatureSchema(
+        (Column("x0", "numeric"), Column("c0", "categorical", card, tuple(cats) if pinned else ()))
+    )
+    rows = [
+        [repr(float(v)), cats[c], str(t), str(y)]
+        for v, c, t, y in zip(
+            rng.standard_normal(n), rng.integers(0, len(cats), n), rng.integers(0, 2, n), rng.integers(0, 2, n)
+        )
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, 4))
+        if j == 4:
+            rows[i] = rows[i] + ["extra"] if draw(st.booleans()) else rows[i][:-1]
+        elif j >= len(rows[i]):
+            continue  # that cell was cut off by an earlier defect
+        elif j == 0:
+            rows[i][j] = draw(st.sampled_from(BAD_NUMBERS))
+        elif j == 1:
+            rows[i][j] = draw(st.just("") | labels)
+        else:
+            rows[i][j] = draw(st.sampled_from(BAD_BITS))
+    return schema, rows
+
+
+@PROPERTY
+@given(raw_csvs())
+def test_csv_load_matches_the_row_oracle_on_raw_text(tmp_path_factory, case):
+    schema, rows = case
+    path = str(tmp_path_factory.mktemp("raw") / "raw.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x0", "c0", "treatment", "outcome"])
+        writer.writerows(rows)
+    read_like_oracle(path, schema)
+
+
+def two_block_rows(defect):
+    """2B+3 valid rows whose first block uses labels a and b and whose
+    second block brings in c at B+2; `defect` edits row B+5."""
+    rng = np.random.default_rng(11)
+    rows = [
+        [repr(float(v)), "ab"[i % 2], str(i % 2), str((i // 2) % 2)]
+        for i, v in enumerate(rng.standard_normal(2 * B + 3))
+    ]
+    rows[B + 2][1] = "c"
+    defect(rows[B + 5])
+    return rows
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x0", "c0", "treatment", "outcome"])
+        writer.writerows(rows)
+
+
+def set_cell(j, value):
+    def edit(row):
+        row[j] = value
+
+    return edit
+
+
+UNPINNED_3 = FeatureSchema((Column("x0", "numeric"), Column("c0", "categorical", 3)))
+UNPINNED_4 = FeatureSchema((Column("x0", "numeric"), Column("c0", "categorical", 4)))
+PINNED_3 = FeatureSchema((Column("x0", "numeric"), Column("c0", "categorical", 3, ("a", "b", "c"))))
+
+
+@pytest.mark.parametrize(
+    "defect, schema, error",
+    [
+        (lambda row: row.append("extra"), UNPINNED_3, ParseError),
+        (set_cell(0, ""), UNPINNED_3, ParseError),
+        (set_cell(1, ""), UNPINNED_4, ParseError),  # room for one more label, but empty is missing
+        (set_cell(0, "not_a_number"), UNPINNED_3, ParseError),
+        (set_cell(0, "inf"), UNPINNED_3, DomainError),
+        (set_cell(1, "zz"), PINNED_3, DomainError),
+        (set_cell(1, "d"), UNPINNED_3, DomainError),  # a fourth label, first seen in block 2
+        (set_cell(2, "2"), UNPINNED_3, DomainError),
+    ],
+    ids=["ragged", "empty", "empty_label", "not_a_number", "inf", "unknown_pinned", "overflow", "treatment_2"],
+)
+def test_csv_error_in_second_block_matches_the_row_oracle(tmp_path, defect, schema, error):
+    path = str(tmp_path / "raw.csv")
+    write_rows(path, two_block_rows(defect))
+    with pytest.raises(error) as expected:
+        oracles.load_csv(path, schema)
+    assert f"line {B + 7}" in str(expected.value)  # the header is line 1
+    with pytest.raises(error) as got:
+        load_csv(path, schema)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("spelling", [" 1", "01"])
+def test_csv_lenient_treatment_spelling_loads_as_the_row_oracle(tmp_path, spelling):
+    path = str(tmp_path / "raw.csv")
+    write_rows(path, two_block_rows(set_cell(2, spelling)))
+    for schema in (UNPINNED_3, PINNED_3):
+        ds = load_csv(path, schema)
+        assert_bitwise_equal(ds, oracles.load_csv(path, schema))
+        assert ds.treatment[B + 5] == 1
+    assert load_csv(path, UNPINNED_3).schema.columns[1].categories == ("a", "b", "c")
+
+
+def test_failed_csv_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "ds.csv"
+    path.write_text("previous\n", encoding="utf-8")
+    ds = make_dataset(2 * B + 3, n_numeric=1, n_categorical=1)
+    ds.features[B + 5, 1] = 7  # no label: the writer fails after writing its first block
+    with pytest.raises(IndexError):
+        save_csv(ds, str(path))
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert os.listdir(tmp_path) == ["ds.csv"]
+
+
+def test_atomic_write_replaces_only_on_success(tmp_path):
+    path = str(tmp_path / "a.txt")
+    with atomic_write(path) as fh:
+        fh.write("one\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("two\n")
+            fh.flush()
+            raise RuntimeError("writer failed halfway")
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "one\n"
+    assert os.listdir(tmp_path) == ["a.txt"]
