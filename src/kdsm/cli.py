@@ -383,13 +383,13 @@ def _predictor_from_jsonable(obj: dict):
     return kind, predictor.predict_uplift, predictor.schema
 
 
-def _train_one(method, train, valid, tree, student_cfg, hyper, drop_leftovers):
+def _train_one(method, train, valid, tree, student_cfg, hyper, drop_leftovers, pair_stream=False):
     if method == "kdsm":
         return distill.train_kdsm(train, valid, tree, student_cfg, hyper, drop_leftovers)
     if method == "kdss":
         return distill.train_kdss(train, valid, tree, student_cfg, hyper)
     if method == "plain":
-        return distill.train_plain(train, valid, student_cfg, hyper)
+        return distill.train_plain(train, valid, student_cfg, hyper, tree if pair_stream else None, drop_leftovers)
     if method == "tm":
         return distill.train_two_model(train, valid, student_cfg, hyper)
     if method == "mom":
@@ -411,17 +411,12 @@ def cmd_train(args) -> int:
                 f"--method {method} needs a fitted tree at {tree_path}; run `kdsm fit-tree` first"
             )
         teacher = tree_mod.load_tree(tree_path)
-        if tree_mod.schema_hash(teacher.schema) != tree_mod.schema_hash(train.schema):
+        if teacher.schema != train.schema:
             raise ConfigError("tree schema does not match the training data schema")
     student_cfg = cfg.student_config(derive_seed(cfg.seed, "student-init"))
     hyper = cfg.hyper(derive_seed(cfg.seed, "train"))
     drop = cfg._bool("train.drop_leftovers")
-    if method == "plain" and args.pair_stream:
-        model, report = distill.train_plain(
-            train, valid, student_cfg, hyper, pair_stream_tree=teacher, drop_leftovers=drop
-        )
-    else:
-        model, report = _train_one(method, train, valid, teacher, student_cfg, hyper, drop)
+    model, report = _train_one(method, train, valid, teacher, student_cfg, hyper, drop, args.pair_stream)
     os.makedirs(cfg.out_dir, exist_ok=True)
     model_path = os.path.join(cfg.out_dir, f"model_{method}.json")
     _save_predictor(model, model_path)
@@ -438,7 +433,7 @@ def cmd_evaluate(args) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     for path in args.models:
         kind, predict, schema = load_predictor(path)
-        if tree_mod.schema_hash(schema) != tree_mod.schema_hash(test.schema):
+        if schema != test.schema:
             raise ConfigError(f"{path}: predictor schema does not match the test data schema")
         ev = metrics.rank_eval(predict(test.features), test.treatment, test.outcome, tie_seed)
         summary = metrics.summary(ev)
@@ -591,35 +586,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tie=False, method=False, models=False):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--lambda", dest="lambda_", type=float, help="soft-term weight")
-        p.add_argument("--criterion", choices=("ed", "kl"), help="tree split criterion")
-        p.add_argument("--out", help="output directory")
-        p.add_argument(
-            "--drop-leftovers",
-            action="store_true",
-            help="train on matched pairs only, dropping unpaired rows",
-        )
-        if tie:
-            p.add_argument("--tie-seed", type=int, help="ranking tie-break seed")
-        if method:
-            p.add_argument("--method", required=True, choices=METHODS)
-            p.add_argument(
-                "--pair-stream",
-                action="store_true",
-                help="plain only: consume the tree's pair-grouped stream",
-            )
-        if models:
-            p.add_argument("models", nargs="+", help="predictor file(s) to evaluate")
+    # the flags some commands read; each overrides its config key
+    flags = {
+        "--seed": dict(type=int, help="master seed (overrides config)"),
+        "--lambda": dict(dest="lambda_", type=float, help="soft-term weight"),
+        "--criterion": dict(choices=("ed", "kl"), help="tree split criterion"),
+        "--drop-leftovers": dict(
+            action="store_true", help="train on matched pairs only, dropping unpaired rows"
+        ),
+        "--tie-seed": dict(type=int, help="ranking tie-break seed"),
+    }
 
-    common(sub.add_parser("synth", help="generate a synthetic trial dataset"))
-    common(sub.add_parser("split", help="stratified train/valid/test split"))
-    common(sub.add_parser("fit-tree", help="fit the uplift tree teacher"))
-    common(sub.add_parser("train", help="train a student or baseline"), method=True)
-    common(sub.add_parser("evaluate", help="rank the test split and report metrics"), tie=True, models=True)
-    common(sub.add_parser("compare", help="full method-by-seed comparison table"), tie=True)
+    def command(name, summary, *names):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--out", help="output directory")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        return p
+
+    command("synth", "generate a synthetic trial dataset", "--seed")
+    command("split", "stratified train/valid/test split", "--seed")
+    command("fit-tree", "fit the uplift tree teacher", "--seed", "--criterion")
+    train = command("train", "train a student or baseline", "--seed", "--lambda", "--drop-leftovers")
+    train.add_argument("--method", required=True, choices=METHODS)
+    train.add_argument(
+        "--pair-stream", action="store_true", help="plain only: consume the tree's pair-grouped stream"
+    )
+    evaluate = command("evaluate", "rank the test split and report metrics", "--seed", "--tie-seed")
+    evaluate.add_argument("models", nargs="+", help="predictor file(s) to evaluate")
+    command(
+        "compare", "full method-by-seed comparison table", "--lambda", "--criterion", "--drop-leftovers", "--tie-seed"
+    )
     return parser
 
 

@@ -409,7 +409,8 @@ def load_csv(
     the order distinct values are first seen) and the discovered dictionary
     is pinned into the returned dataset's schema. Numeric cells must parse
     as finite floats; treatment/outcome cells must be the literal integers
-    0 or 1. Errors name the row and column.
+    0 or 1. Errors name the row and column; a record the csv module cannot
+    parse raises ParseError naming its line.
 
     Rows are read in blocks of CSV_BLOCK_ROWS and converted one column at a
     time. A block that fails any fast check is converted again row by row,
@@ -417,7 +418,10 @@ def load_csv(
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as e:
+            raise ParseError(f"{path}: line 1: {e}") from None
         if header is None:
             raise ParseError(f"{path}: empty file")
         required = schema.names + [treatment_col, outcome_col]
@@ -450,11 +454,11 @@ def load_csv(
             rows: list[list[str]] = []
             try:
                 rows.extend(itertools.islice(reader, CSV_BLOCK_ROWS))
-            except csv.Error:
+            except csv.Error as e:
                 # the reader failed mid-block: a bad cell before that record
                 # is reported first, as a row-by-row read would
                 _convert_rows(layout, rows, line)
-                raise
+                raise ParseError(f"{path}: line {line + len(rows)}: {e}") from None
             if not rows:
                 break
             block = _convert_block(layout, rows)
@@ -636,12 +640,15 @@ def save_csv(
     Categorical cells hold the pinned label of the code when the column has
     one, else the literal code. Rows are formatted in blocks of
     CSV_BLOCK_ROWS, one column at a time, and the file replaces `path` only
-    once it is complete.
+    once it is complete. A categorical cell that is not a code of its
+    column raises DomainError before anything is written.
     """
-    # each label CSV-quoted once, by the csv module itself
+    codes = categorical_codes(ds.schema, ds.features)
+    # each label CSV-quoted once, by the csv module itself; keyed by feature
+    # column, with the column's position in `codes`
     labels = {
-        j: np.array([_csv_field(c) for c in ds.schema.columns[j].categories], dtype=object)
-        for j in map(int, ds.schema.categorical_indices)
+        j: (k, np.array([_csv_field(c) for c in ds.schema.columns[j].categories], dtype=object))
+        for k, j in enumerate(map(int, ds.schema.categorical_indices))
     }
     with atomic_write(path, newline="") as fh:
         csv.writer(fh).writerow(ds.schema.names + [treatment_col, outcome_col])
@@ -652,8 +659,9 @@ def save_csv(
                 if j not in labels:
                     cols.append(map(repr, block[:, j].tolist()))
                     continue
-                codes = block[:, j].astype(np.int64)
-                cols.append(labels[j][codes].tolist() if labels[j].size else map(str, codes.tolist()))
+                k, names = labels[j]
+                c = codes[a : a + CSV_BLOCK_ROWS, k]
+                cols.append(names[c].tolist() if names.size else map(str, c.tolist()))
             for bits in (ds.treatment, ds.outcome):
                 cols.append(map(str, bits[a : a + CSV_BLOCK_ROWS].astype(np.int64).tolist()))
             fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")

@@ -45,8 +45,6 @@ from .student import (
 )
 from .tree import UpliftTree, leaf_of_batch
 
-PAIR, SINGLE, KD_SINGLE = 0, 1, 2
-
 
 @dataclass
 class EpochPlan:
@@ -62,7 +60,6 @@ class EpochPlan:
     leaf_ids: np.ndarray
     teacher_uplift: np.ndarray
     leftovers: np.ndarray
-    epoch_seed: int
 
     @property
     def n_pairs(self) -> int:
@@ -123,7 +120,6 @@ def match_pairs(train: Dataset, tree: UpliftTree, epoch_seed: int) -> EpochPlan:
     if tree.schema != train.schema:
         raise SchemaError("tree and training data have different schemas")
     leaf_ids = leaf_of_batch(tree, train.features)
-    taus = tree.leaf_tau()
     treated_parts: list[np.ndarray] = []
     control_parts: list[np.ndarray] = []
     leaf_parts: list[np.ndarray] = []
@@ -141,146 +137,96 @@ def match_pairs(train: Dataset, tree: UpliftTree, epoch_seed: int) -> EpochPlan:
         leaf_parts.append(np.full(k, leaf, dtype=np.int64))
         leftover_parts.append(tr[k:])
         leftover_parts.append(co[k:])
-    treated = np.concatenate(treated_parts) if treated_parts else np.array([], dtype=np.int64)
-    control = np.concatenate(control_parts) if control_parts else np.array([], dtype=np.int64)
-    leafs = np.concatenate(leaf_parts) if leaf_parts else np.array([], dtype=np.int64)
-    leftovers = (
-        np.concatenate(leftover_parts) if leftover_parts else np.array([], dtype=np.int64)
-    )
+    leafs = np.concatenate(leaf_parts)
     return EpochPlan(
-        treated=treated,
-        control=control,
+        treated=np.concatenate(treated_parts),
+        control=np.concatenate(control_parts),
         leaf_ids=leafs,
-        teacher_uplift=taus[leafs] if leafs.size else np.array([], dtype=np.float64),
-        leftovers=leftovers,
-        epoch_seed=epoch_seed,
+        teacher_uplift=tree.leaf_tau()[leafs],
+        leftovers=np.concatenate(leftover_parts),
     )
 
 
 @dataclass
 class _Units:
-    """One epoch's shuffled unit stream in parallel arrays.
+    """One epoch's stream of training units in parallel arrays.
 
-    kind: PAIR (a=treated row, b=control row), SINGLE (a only), or KD_SINGLE
-    (a with its own counterfactual pass). u is the soft-term target, NaN
-    where a unit has none.
+    A unit with b >= 0 is a pair: a treated pass on row a, a control pass on
+    row b, and u, the target of its soft term. A single-sample distillation
+    unit is a pair with a == b. A unit with b == -1 is a singleton: one pass
+    on the row's own arm, with no soft term.
     """
 
-    kind: np.ndarray
     a: np.ndarray
     b: np.ndarray
     u: np.ndarray
 
     def __len__(self) -> int:
-        return self.kind.shape[0]
+        return self.a.shape[0]
+
+    def shuffled(self, seed: int) -> _Units:
+        perm = np.random.default_rng(seed).permutation(len(self))
+        return _Units(self.a[perm], self.b[perm], self.u[perm])
 
 
-def _shuffled(units: _Units, rng: np.random.Generator) -> _Units:
-    perm = rng.permutation(len(units))
-    return _Units(units.kind[perm], units.a[perm], units.b[perm], units.u[perm])
+def _pair_stream(train: Dataset, tree: UpliftTree, drop_leftovers: bool):
+    """Epoch seed -> that epoch's pairs matched in the tree's leaves, with
+    the leaves' effect estimates as targets, plus the leftovers as
+    singletons unless dropped, shuffled together."""
 
-
-def _units_from_plan(plan: EpochPlan, drop_leftovers: bool, with_teacher: bool) -> _Units:
-    n_p = plan.n_pairs
-    leftovers = plan.leftovers[:0] if drop_leftovers else plan.leftovers
-    n_l = leftovers.shape[0]
-    kind = np.concatenate([np.full(n_p, PAIR, np.int8), np.full(n_l, SINGLE, np.int8)])
-    a = np.concatenate([plan.treated, leftovers])
-    b = np.concatenate([plan.control, np.full(n_l, -1, np.int64)])
-    if with_teacher:
-        u = np.concatenate([plan.teacher_uplift, np.full(n_l, np.nan)])
-    else:
-        u = np.full(n_p + n_l, np.nan)
-    return _Units(kind, a, b, u)
-
-
-def _pair_stream_builder(train, tree, drop_leftovers, with_teacher):
     def build(epoch_seed: int) -> _Units:
         plan = match_pairs(train, tree, epoch_seed)
-        units = _units_from_plan(plan, drop_leftovers, with_teacher)
-        return _shuffled(units, np.random.default_rng(derive_seed(epoch_seed, "stream")))
+        rest = plan.leftovers[:0] if drop_leftovers else plan.leftovers
+        units = _Units(
+            np.concatenate([plan.treated, rest]),
+            np.concatenate([plan.control, np.full(rest.size, -1, np.int64)]),
+            np.concatenate([plan.teacher_uplift, np.full(rest.size, np.nan)]),
+        )
+        return units.shuffled(derive_seed(epoch_seed, "stream"))
 
     return build
 
 
-def _single_stream_builder(train, teacher_uplift_per_row=None, tags: tuple[str, ...] = ()):
-    """Every row of `train` as one unit, reshuffled each epoch by a stream
-    seeded from (epoch_seed, "stream", *tags)."""
-    n = train.n
-
-    def build(epoch_seed: int) -> _Units:
-        if teacher_uplift_per_row is None:
-            kind = np.full(n, SINGLE, np.int8)
-            u = np.full(n, np.nan)
-        else:
-            kind = np.full(n, KD_SINGLE, np.int8)
-            u = teacher_uplift_per_row
-        units = _Units(kind, np.arange(n, dtype=np.int64), np.full(n, -1, np.int64), u)
-        return _shuffled(units, np.random.default_rng(derive_seed(epoch_seed, "stream", *tags)))
-
-    return build
+def _row_stream(n: int, teacher_uplift: np.ndarray | None = None, tags: tuple[str, ...] = ()):
+    """Epoch seed -> every one of n rows as one unit, shuffled by a stream
+    seeded from (epoch_seed, "stream", *tags). A row is a singleton, or,
+    given the teacher's uplift per row, a pair of the row with itself."""
+    rows = np.arange(n, dtype=np.int64)
+    if teacher_uplift is None:
+        units = _Units(rows, np.full(n, -1, np.int64), np.full(n, np.nan))
+    else:
+        units = _Units(rows, rows, teacher_uplift)
+    return lambda epoch_seed: units.shuffled(derive_seed(epoch_seed, "stream", *tags))
 
 
 def _assemble_batch(ds: Dataset, units: _Units, start: int, stop: int, kd_weight: float) -> LossBatch:
     """Stack the forward passes of units[start:stop] into one LossBatch.
 
-    Pass layout: pair-treated block, pair-control block, singleton block,
-    then the two passes (treated, control) of every KD singleton. The soft
-    term is materialized only when kd_weight > 0.
+    Pass layout: the treated pass of every pair, the control pass of every
+    pair, then every singleton on its own arm. A pass trains BCE only where
+    its treatment input is the row's own arm, so the counterfactual pass of
+    a single-sample unit feeds the soft term alone. The soft term is
+    materialized only when kd_weight > 0.
     """
-    kind = units.kind[start:stop]
     a = units.a[start:stop]
     b = units.b[start:stop]
-    u = units.u[start:stop]
-    is_pair = kind == PAIR
-    is_single = kind == SINGLE
-    is_kds = kind == KD_SINGLE
-    pa = a[is_pair]
-    pb = b[is_pair]
-    sa = a[is_single]
-    ka = a[is_kds]
-
-    rows = np.concatenate([pa, pb, sa, ka, ka])
-    T = np.concatenate(
-        [
-            np.ones(pa.size),
-            np.zeros(pb.size),
-            ds.treatment[sa].astype(np.float64),
-            np.ones(ka.size),
-            np.zeros(ka.size),
-        ]
-    )
-    y = ds.outcome[rows].astype(np.float64)
-    t_ka = ds.treatment[ka]
-    w = np.concatenate(
-        [
-            np.ones(pa.size + pb.size + sa.size),
-            (t_ka == 1).astype(np.float64),
-            (t_ka == 0).astype(np.float64),
-        ]
-    )
-    if kd_weight > 0.0 and (pa.size or ka.size):
-        off_pb = pa.size
-        off_ka1 = pa.size + pb.size + sa.size
-        off_ka0 = off_ka1 + ka.size
-        idx_pairs = np.concatenate(
-            [
-                np.stack([np.arange(pa.size), off_pb + np.arange(pb.size)], axis=1),
-                np.stack(
-                    [off_ka1 + np.arange(ka.size), off_ka0 + np.arange(ka.size)], axis=1
-                ),
-            ]
-        ).astype(np.int64)
-        targets = np.concatenate([u[is_pair], u[is_kds]])
+    pair = b >= 0
+    k = int(np.count_nonzero(pair))
+    single = a[~pair]
+    rows = np.concatenate([a[pair], b[pair], single])
+    T = np.concatenate([np.ones(k), np.zeros(k), ds.treatment[single].astype(np.float64)])
+    if kd_weight > 0.0 and k:
+        kd_pairs = np.stack([np.arange(k), k + np.arange(k)], axis=1)
+        targets = units.u[start:stop][pair]
     else:
-        idx_pairs = np.zeros((0, 2), dtype=np.int64)
+        kd_pairs = np.zeros((0, 2), dtype=np.int64)
         targets = np.zeros(0)
     return LossBatch(
         X=ds.features[rows],
         T=T,
-        y=y,
-        bce_weight=w,
-        kd_pairs=idx_pairs,
+        y=ds.outcome[rows].astype(np.float64),
+        bce_weight=(ds.treatment[rows] == T).astype(np.float64),
+        kd_pairs=kd_pairs,
         kd_targets=targets,
         lam=kd_weight,
         n_units=stop - start,
@@ -309,33 +255,21 @@ def _run_epoch(track: _Track, epoch_seed: int, batch_size: int) -> tuple[float, 
         if track.mse_targets is not None:
             rows = units.a[start:stop]
             grads, parts = backward_mse(
-                track.model,
-                track.ds.features[rows],
-                track.mse_targets[rows],
-                n_units=stop - start,
-                return_loss=True,
+                track.model, track.ds.features[rows], track.mse_targets[rows], n_units=stop - start
             )
         else:
             batch = _assemble_batch(track.ds, units, start, stop, track.kd_weight)
-            grads, parts = backward(track.model, batch, return_loss=True)
+            grads, parts = backward(track.model, batch)
         apply_update(track.model, grads, track.opt)
         hard_sum += parts.hard * (stop - start)
         soft_sum += parts.soft * (stop - start)
     return hard_sum, soft_sum, n_units
 
 
-def _train_loop(
-    tracks: list[_Track],
-    valid: Dataset,
-    hyper: KdsmHyper,
-    predictor,
-    method: str,
-    kd_weight: float,
-) -> TrainReport:
+def _train_loop(tracks: list[_Track], valid: Dataset, hyper: KdsmHyper, predictor, report: TrainReport) -> TrainReport:
     """Shared training loop: epochs over every track, validation ranking of
     `predictor.predict_uplift`, early stopping with best-epoch restore, lr
-    decay on stagnation."""
-    report = TrainReport(method=method, kd_weight=kd_weight)
+    decay on stagnation. Fills in and returns `report`."""
     tie_seed = derive_seed(hyper.master_seed, "valid-ties")
     best_snapshots = None
     since_improve = 0
@@ -398,6 +332,34 @@ def _check_two_arms(ds: Dataset, what: str) -> None:
         raise FitError(f"{what} needs both treatment arms present")
 
 
+def _train_student(
+    method: str,
+    train: Dataset,
+    valid: Dataset,
+    student_cfg: StudentConfig,
+    hyper: KdsmHyper,
+    stream,
+    kd_weight: float = 0.0,
+    tree: UpliftTree | None = None,
+    mse_targets: np.ndarray | None = None,
+) -> tuple[StudentModel, TrainReport]:
+    """Train one student on `stream` (epoch seed -> _Units) in the shared
+    loop, with soft weight `kd_weight`. A `tree` must share the training
+    schema. Given `mse_targets`, the student is a regressor of them whose
+    final bias starts at their mean."""
+    hyper.validate()
+    _check_two_arms(train, "uplift training" if method == "plain" else "distillation training")
+    if tree is not None and tree.schema != train.schema:
+        raise SchemaError("tree and training data have different schemas")
+    if mse_targets is None:
+        model = init_student(student_cfg, train)
+    else:
+        model = init_student(student_cfg, train, head="regression", final_bias=float(mse_targets.mean()))
+    track = _Track(model, init_optimizer(student_cfg, model), train, stream, kd_weight, mse_targets)
+    report = _train_loop([track], valid, hyper, model, TrainReport(method=method, kd_weight=kd_weight))
+    return model, report
+
+
 def train_kdsm(
     train: Dataset,
     valid: Dataset,
@@ -413,27 +375,8 @@ def train_kdsm(
     contribute plain BCE unless dropped. kd_weight == 0 degenerates to
     plain training on the identical stream, bit for bit.
     """
-    hyper.validate()
-    _check_two_arms(train, "distillation training")
-    if tree.schema != train.schema:
-        raise SchemaError("tree and training data have different schemas")
-    model = init_student(student_cfg, train)
-    track = _Track(
-        model=model,
-        opt=init_optimizer(student_cfg, model),
-        ds=train,
-        build_units=_pair_stream_builder(train, tree, drop_leftovers, with_teacher=True),
-        kd_weight=hyper.kd_weight,
-    )
-    report = _train_loop(
-        [track],
-        valid,
-        hyper,
-        predictor=model,
-        method="kdsm",
-        kd_weight=hyper.kd_weight,
-    )
-    return model, report
+    stream = _pair_stream(train, tree, drop_leftovers)
+    return _train_student("kdsm", train, valid, student_cfg, hyper, stream, hyper.kd_weight, tree)
 
 
 def train_kdss(
@@ -447,29 +390,9 @@ def train_kdss(
     plus the soft term on its own counterfactual gap, using the row's leaf
     estimate as the target. kd_weight == 0 is bit-identical to plain
     training on the same stream."""
-    hyper.validate()
-    _check_two_arms(train, "distillation training")
-    if tree.schema != train.schema:
-        raise SchemaError("tree and training data have different schemas")
-    model = init_student(student_cfg, train)
-    per_row = tree.leaf_tau()[leaf_of_batch(tree, train.features)]
-    builder = _single_stream_builder(train, per_row if hyper.kd_weight > 0.0 else None)
-    track = _Track(
-        model=model,
-        opt=init_optimizer(student_cfg, model),
-        ds=train,
-        build_units=builder,
-        kd_weight=hyper.kd_weight,
-    )
-    report = _train_loop(
-        [track],
-        valid,
-        hyper,
-        predictor=model,
-        method="kdss",
-        kd_weight=hyper.kd_weight,
-    )
-    return model, report
+    teacher = tree.predict_uplift(train.features) if hyper.kd_weight > 0.0 else None
+    stream = _row_stream(train.n, teacher)
+    return _train_student("kdss", train, valid, student_cfg, hyper, stream, hyper.kd_weight, tree)
 
 
 def train_plain(
@@ -487,29 +410,11 @@ def train_plain(
     stream distillation would build from that tree (targets ignored), so
     runs are comparable sample for sample.
     """
-    hyper.validate()
-    _check_two_arms(train, "uplift training")
-    model = init_student(student_cfg, train)
-    if pair_stream_tree is not None:
-        builder = _pair_stream_builder(train, pair_stream_tree, drop_leftovers, with_teacher=False)
+    if pair_stream_tree is None:
+        stream = _row_stream(train.n)
     else:
-        builder = _single_stream_builder(train, None)
-    track = _Track(
-        model=model,
-        opt=init_optimizer(student_cfg, model),
-        ds=train,
-        build_units=builder,
-        kd_weight=0.0,
-    )
-    report = _train_loop(
-        [track],
-        valid,
-        hyper,
-        predictor=model,
-        method="plain",
-        kd_weight=0.0,
-    )
-    return model, report
+        stream = _pair_stream(train, pair_stream_tree, drop_leftovers)
+    return _train_student("plain", train, valid, student_cfg, hyper, stream, tree=pair_stream_tree)
 
 
 @dataclass
@@ -553,18 +458,11 @@ def train_two_model(
     m_t = init_student(cfg_t, tr_t)
     m_c = init_student(cfg_c, tr_c)
     tracks = [
-        _Track(m_t, init_optimizer(cfg_t, m_t), tr_t, _single_stream_builder(tr_t, tags=("treated",)), 0.0),
-        _Track(m_c, init_optimizer(cfg_c, m_c), tr_c, _single_stream_builder(tr_c, tags=("control",)), 0.0),
+        _Track(m_t, init_optimizer(cfg_t, m_t), tr_t, _row_stream(tr_t.n, tags=("treated",)), 0.0),
+        _Track(m_c, init_optimizer(cfg_c, m_c), tr_c, _row_stream(tr_c.n, tags=("control",)), 0.0),
     ]
     result = TwoModelResult(m_t, m_c)
-    report = _train_loop(
-        tracks,
-        valid,
-        hyper,
-        predictor=result,
-        method="tm",
-        kd_weight=0.0,
-    )
+    report = _train_loop(tracks, valid, hyper, result, TrainReport(method="tm", kd_weight=0.0))
     return result, report
 
 
@@ -589,28 +487,8 @@ def train_mom(
     """Transformed-outcome baseline: fit the network as a squared-loss
     regressor of Y*; its raw output is the uplift prediction. The final bias
     starts at the mean transformed outcome (the pooled effect estimate)."""
-    hyper.validate()
     targets = transformed_outcome(train)
-    model = init_student(
-        student_cfg, train, head="regression", final_bias=float(targets.mean())
-    )
-    track = _Track(
-        model=model,
-        opt=init_optimizer(student_cfg, model),
-        ds=train,
-        build_units=_single_stream_builder(train, None),
-        kd_weight=0.0,
-        mse_targets=targets,
-    )
-    report = _train_loop(
-        [track],
-        valid,
-        hyper,
-        predictor=model,
-        method="mom",
-        kd_weight=0.0,
-    )
-    return model, report
+    return _train_student("mom", train, valid, student_cfg, hyper, _row_stream(train.n), mse_targets=targets)
 
 
 def format_train_report(report: TrainReport) -> str:

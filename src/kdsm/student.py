@@ -6,9 +6,10 @@ layers use relu or tanh; the single output unit is a logit, clamped to
 [-30, 30] before the sigmoid so probabilities stay strictly inside (0, 1).
 The predicted uplift of a subject is forward(x, 1) - forward(x, 0).
 
-`backward` computes exact analytic gradients of a batch loss made of
+`backward` returns exact analytic gradients of a batch loss made of
 per-pass binary cross-entropy terms plus an optional pairwise soft term
-lam * (target - (p_treated - p_control))^2, mean-reduced over loss units.
+lam * (target - (p_treated - p_control))^2, mean-reduced over loss units,
+together with that loss's `LossParts`.
 A `lam` of exactly 0 skips the soft term entirely (no 0-weighted
 arithmetic), which training relies on for bit-exact reductions.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,25 +136,12 @@ class StudentModel:
         return predict_uplift_batch(self, X)
 
 
-class LossParts(tuple):
+class LossParts(NamedTuple):
     """(total, hard, soft) losses of one batch, mean-reduced over units."""
 
-    __slots__ = ()
-
-    def __new__(cls, total: float, hard: float, soft: float):
-        return super().__new__(cls, (total, hard, soft))
-
-    @property
-    def total(self) -> float:
-        return self[0]
-
-    @property
-    def hard(self) -> float:
-        return self[1]
-
-    @property
-    def soft(self) -> float:
-        return self[2]
+    total: float
+    hard: float
+    soft: float
 
 
 @dataclass
@@ -369,11 +358,9 @@ def _bce_vec(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def backward(
-    model: StudentModel, batch: LossBatch, return_loss: bool = False
-) -> np.ndarray | tuple[np.ndarray, LossParts]:
+def backward(model: StudentModel, batch: LossBatch) -> tuple[np.ndarray, LossParts]:
     """Exact analytic gradient of the batch loss, one entry per entry of
-    `model.params`.
+    `model.params`, and the batch's losses.
 
     The gradient respects the forward path's clamps: passes whose logit sits
     outside [-30, 30], or whose probability is pinned by the BCE clamp,
@@ -388,12 +375,14 @@ def backward(
     dz = batch.bce_weight * (p - batch.y) * in_band
     hard = float(np.sum(batch.bce_weight * _bce_vec(batch.y, p)))
     soft = 0.0
+    total = hard
     if batch.lam != 0.0 and batch.kd_pairs.shape[0]:
         it = batch.kd_pairs[:, 0]
         ic = batch.kd_pairs[:, 1]
         diff = p[it] - p[ic]
         gaps = batch.kd_targets - diff
         soft = float(np.sum(gaps**2))
+        total = hard + batch.lam * soft
         g = 2.0 * batch.lam * (diff - batch.kd_targets)
         sig_grad = p * (1.0 - p)
         # a pass sits in at most one pair, so plain fancy-index adds suffice
@@ -403,32 +392,21 @@ def backward(
     dz /= batch.n_units
 
     grads = _backprop(model, hs, ss, codes, dz)
-    if return_loss:
-        if batch.lam != 0.0 and batch.kd_pairs.shape[0]:
-            total = (hard + batch.lam * soft) / batch.n_units
-        else:
-            total = hard / batch.n_units
-        return grads, LossParts(total, hard / batch.n_units, soft / batch.n_units)
-    return grads
+    n = batch.n_units
+    return grads, LossParts(total / n, hard / n, soft / n)
 
 
 def backward_mse(
-    model: StudentModel,
-    X: np.ndarray,
-    targets: np.ndarray,
-    n_units: int,
-    return_loss: bool = False,
-):
+    model: StudentModel, X: np.ndarray, targets: np.ndarray, n_units: int
+) -> tuple[np.ndarray, LossParts]:
     """Gradient of mean squared error of the raw output against `targets`
-    (regression head); reduction divides by n_units."""
+    (regression head), and that loss; reduction divides by n_units."""
     z_raw, hs, ss, codes = _forward_cached(model, X, np.zeros(X.shape[0]))
     resid = z_raw - targets
     dz = 2.0 * resid / n_units
     grads = _backprop(model, hs, ss, codes, dz)
-    if return_loss:
-        loss = float(np.sum(resid**2)) / n_units
-        return grads, LossParts(loss, loss, 0.0)
-    return grads
+    loss = float(np.sum(resid**2)) / n_units
+    return grads, LossParts(loss, loss, 0.0)
 
 
 def _backprop(model: StudentModel, hs, ss, codes, dz: np.ndarray) -> np.ndarray:

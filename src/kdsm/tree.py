@@ -181,10 +181,9 @@ def _candidate_scores(criterion, counts_left, parent: NodeStats):
     nt_r = parent.n_t - nt_l
     pt_r = parent.pos_t - pt_l
     scores = np.full(counts_left.shape[0], -np.inf)
-    valid = (nt_l > 0) & (nc_l > 0) & (nt_r > 0) & (nc_r > 0)
-    if not valid.any():
-        return scores, valid
-    v = valid
+    v = (nt_l > 0) & (nc_l > 0) & (nt_r > 0) & (nc_r > 0)
+    if not v.any():
+        return scores
     if criterion == "ed":
         tau_l = pt_l[v] / nt_l[v] - pc_l[v] / nc_l[v]
         tau_r = pt_r[v] / nt_r[v] - pc_r[v] / nc_r[v]
@@ -193,7 +192,7 @@ def _candidate_scores(criterion, counts_left, parent: NodeStats):
         scores[v] = _kl_gain(
             nt_l[v], nc_l[v], pt_l[v], pc_l[v], nt_r[v], nc_r[v], pt_r[v], pc_r[v], parent
         )
-    return scores, valid
+    return scores
 
 
 def _best_split(X, t, y, rows, stats: NodeStats, params: TreeParams, schema: FeatureSchema):
@@ -234,7 +233,7 @@ def _best_split(X, t, y, rows, stats: NodeStats, params: TreeParams, schema: Fea
         counts_left = np.stack(
             [left[:, 0] + left[:, 1], left[:, 1], left[:, 2] + left[:, 3], left[:, 3]], axis=1
         )
-        scores, valid = _candidate_scores(params.criterion, counts_left, stats)
+        scores = _candidate_scores(params.criterion, counts_left, stats)
         size_ok = (
             (counts_left[:, 0] >= m)
             & (counts_left[:, 2] >= m)
@@ -316,9 +315,6 @@ def leaf_of_batch(tree: UpliftTree, X: np.ndarray) -> np.ndarray:
             go_left = nd.rule.goes_left(X[idx, nd.rule.feature])
             stack.append((nd.left, idx[go_left]))
             stack.append((nd.right, idx[~go_left]))
-        else:
-            stack.append((nd.left, idx))
-            stack.append((nd.right, idx[:0]))
     return out
 
 

@@ -221,7 +221,7 @@ def test_pair_loss_gradients_match_central_finite_differences():
         )
         targets = rng.normal(scale=0.1, size=20)
         batch = kd_pair_batch(ds, t_rows, c_rows, targets, lam=0.7)
-        grads = backward(model, batch)
+        grads, _ = backward(model, batch)
         grad_flat = grads
         flat = flat_params(model)
         for i in rng.choice(flat.size, size=min(50, flat.size), replace=False):

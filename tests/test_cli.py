@@ -232,6 +232,44 @@ def test_unknown_method_rejected_by_parser(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--lambda", "0.1"],
+        ["synth", "--criterion", "ed"],
+        ["synth", "--drop-leftovers"],
+        ["split", "--lambda", "0.1"],
+        ["split", "--criterion", "ed"],
+        ["split", "--drop-leftovers"],
+        ["fit-tree", "--lambda", "0.1"],
+        ["fit-tree", "--drop-leftovers"],
+        ["train", "--method", "kdsm", "--criterion", "ed"],
+        ["evaluate", "m.json", "--lambda", "0.1"],
+        ["evaluate", "m.json", "--criterion", "ed"],
+        ["evaluate", "m.json", "--drop-leftovers"],
+        ["compare", "--seed", "1"],
+    ],
+    ids="_".join,
+)
+def test_commands_reject_flags_they_do_not_read(tmp_path, argv):
+    cfg, _ = write_cfg(str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", cfg, *argv[1:]])
+    assert exc.value.code == 2
+
+
+def test_split_reports_an_oversized_csv_field(tmp_path, capsys):
+    cfg, out = write_cfg(str(tmp_path))
+    os.makedirs(out)
+    with open(os.path.join(out, "schema.json"), "w", encoding="utf-8") as fh:
+        json.dump([{"name": "f0", "kind": "numeric"}], fh)
+    dataset = os.path.join(out, "dataset.csv")
+    with open(dataset, "w", encoding="utf-8") as fh:
+        fh.write("f0,treatment,outcome\n0.5,1,0\n" + "9" * 200_000 + ",0,1\n")
+    assert main(["split", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {dataset}: line 3: field larger than field limit")
+
+
 def test_evaluate_rejects_schema_mismatch(pipeline, tmp_path, capsys):
     _, out = pipeline
     cfg2, out2 = write_cfg(str(tmp_path), extra="synth.d_numeric = 3\n")

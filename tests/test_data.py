@@ -555,8 +555,20 @@ def test_failed_csv_write_keeps_the_previous_file(tmp_path):
     path = tmp_path / "ds.csv"
     path.write_text("previous\n", encoding="utf-8")
     ds = make_dataset(2 * B + 3, n_numeric=1, n_categorical=1)
-    ds.features[B + 5, 1] = 7  # no label: the writer fails after writing its first block
-    with pytest.raises(IndexError):
+    ds.features[B + 5, 1] = 7  # not a code of the column: the writer fails before writing
+    with pytest.raises(DomainError):
+        save_csv(ds, str(path))
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert os.listdir(tmp_path) == ["ds.csv"]
+
+
+@pytest.mark.parametrize("code", [-1.0, 1.7])
+def test_save_csv_rejects_a_cell_that_is_not_a_code(tmp_path, code):
+    path = tmp_path / "ds.csv"
+    path.write_text("previous\n", encoding="utf-8")
+    ds = make_dataset(10, n_numeric=1, n_categorical=1)
+    ds.features[4, 1] = code
+    with pytest.raises(DomainError, match=r"column 'c0' at row 4"):
         save_csv(ds, str(path))
     assert path.read_text(encoding="utf-8") == "previous\n"
     assert os.listdir(tmp_path) == ["ds.csv"]

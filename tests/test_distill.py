@@ -14,6 +14,8 @@ from kdsm.data import (
 )
 from kdsm.distill import (
     KdsmHyper,
+    _assemble_batch,
+    _Units,
     TwoModelResult,
     format_train_report,
     match_pairs,
@@ -151,6 +153,63 @@ def test_match_pairs_schema_mismatch():
     other = dataset_from(np.random.default_rng(0).random((50, 3)), [1, 0] * 25, [0, 1] * 25)
     with pytest.raises(SchemaError):
         match_pairs(other, tree, epoch_seed=0)
+
+
+# --- batch assembly ---
+
+# rows 0-2 treated, 3-5 control; feature 0 is the row index
+BATCH_DS = dataset_from(np.arange(6.0)[:, None], [1, 1, 1, 0, 0, 0], [1, 0, 0, 1, 1, 0])
+
+
+def units(a, b, u):
+    return _Units(np.array(a, np.int64), np.array(b, np.int64), np.array(u, np.float64))
+
+
+@pytest.mark.parametrize(
+    "stream, rows, T, weight, kd_pairs, targets",
+    [
+        # matched pairs (0, 3) and (1, 4), leftovers 5 (control) and 2
+        # (treated): both treated passes, both control passes, then each
+        # leftover on its own arm, all trained by BCE
+        (
+            units([0, 5, 1, 2], [3, -1, 4, -1], [0.1, np.nan, 0.2, np.nan]),
+            [0, 1, 3, 4, 5, 2],
+            [1, 1, 0, 0, 0, 1],
+            [1, 1, 1, 1, 1, 1],
+            [[0, 2], [1, 3]],
+            [0.1, 0.2],
+        ),
+        # single-sample units pair a row with itself: BCE only on the pass
+        # of the row's own arm, the soft term on both
+        (
+            units([2, 4, 0], [2, 4, 0], [0.3, -0.1, 0.2]),
+            [2, 4, 0, 2, 4, 0],
+            [1, 1, 1, 0, 0, 0],
+            [1, 0, 1, 0, 1, 0],
+            [[0, 3], [1, 4], [2, 5]],
+            [0.3, -0.1, 0.2],
+        ),
+        # singletons: one pass each on the row's own arm, no soft term
+        (
+            units([4, 1, 3], [-1, -1, -1], [np.nan] * 3),
+            [4, 1, 3],
+            [0, 1, 0],
+            [1, 1, 1],
+            np.zeros((0, 2)),
+            [],
+        ),
+    ],
+    ids=["pairs-with-leftovers", "single-sample", "singletons"],
+)
+def test_assemble_batch_pass_layout_and_bce_weights(stream, rows, T, weight, kd_pairs, targets):
+    batch = _assemble_batch(BATCH_DS, stream, 0, len(stream), kd_weight=0.5)
+    assert np.array_equal(batch.X, BATCH_DS.features[rows])
+    assert np.array_equal(batch.T, np.array(T, np.float64))
+    assert np.array_equal(batch.y, BATCH_DS.outcome[rows].astype(np.float64))
+    assert np.array_equal(batch.bce_weight, np.array(weight, np.float64))
+    assert np.array_equal(batch.kd_pairs, np.array(kd_pairs, np.int64).reshape(-1, 2))
+    assert np.array_equal(batch.kd_targets, np.array(targets, np.float64))
+    assert (batch.lam, batch.n_units) == (0.5, len(stream))
 
 
 # --- pair loss ---

@@ -205,7 +205,7 @@ def test_gradient_matches_finite_differences_bce_only():
         StudentConfig(hidden_sizes=(5,), embedding_dim=2, init_seed=7), ds
     )
     batch = singles_batch(ds)
-    grads = backward(model, batch)
+    grads, _ = backward(model, batch)
     rng = np.random.default_rng(0)
     fd_check(model, lambda: batch_loss(model, batch).total, grads, 30, rng)
 
@@ -219,7 +219,7 @@ def test_gradient_matches_finite_differences_kd_pair():
         t_row = int(np.flatnonzero(ds.treatment == 1)[0])
         c_row = int(np.flatnonzero(ds.treatment == 0)[0])
         batch = pair_batch(ds, t_row, c_row, u_tea=0.07, lam=0.5)
-        grads = backward(model, batch)
+        grads, _ = backward(model, batch)
         rng = np.random.default_rng(1)
         fd_check(model, lambda: batch_loss(model, batch).total, grads, 25, rng)
 
@@ -233,8 +233,8 @@ def test_gradient_kd_term_vanishes_at_teacher_match():
     c_row = int(np.flatnonzero(ds.treatment == 0)[0])
     p_t = forward(model, ds.features[t_row], 1)
     p_c = forward(model, ds.features[c_row], 0)
-    with_kd = backward(model, pair_batch(ds, t_row, c_row, u_tea=p_t - p_c, lam=0.5))
-    without = backward(model, pair_batch(ds, t_row, c_row, u_tea=0.0, lam=0.0))
+    with_kd, _ = backward(model, pair_batch(ds, t_row, c_row, u_tea=p_t - p_c, lam=0.5))
+    without, _ = backward(model, pair_batch(ds, t_row, c_row, u_tea=0.0, lam=0.0))
     assert np.allclose(with_kd, without, atol=1e-12)
 
 
@@ -244,7 +244,7 @@ def test_gradient_mse_matches_finite_differences():
         StudentConfig(hidden_sizes=(4,), init_seed=5), ds, head="regression", final_bias=0.0
     )
     targets = np.random.default_rng(2).normal(size=25)
-    grads = backward_mse(model, ds.features, targets, n_units=25)
+    grads, _ = backward_mse(model, ds.features, targets, n_units=25)
 
     def loss():
         from kdsm.student import raw_output_batch
@@ -266,8 +266,8 @@ def test_backward_deterministic():
     ds = tiny_dataset(n=30, seed=1)
     model = init_student(StudentConfig(hidden_sizes=(6,), init_seed=4), ds)
     batch = singles_batch(ds)
-    a = backward(model, batch)
-    b = backward(model, batch)
+    a, _ = backward(model, batch)
+    b, _ = backward(model, batch)
     assert np.array_equal(a, b)
 
 
@@ -319,7 +319,7 @@ def test_loss_descends_under_full_batch_sgd():
     descents = 0
     prev = batch_loss(model, batch).total
     for _ in range(50):
-        grads = backward(model, batch)
+        grads, _ = backward(model, batch)
         apply_update(model, grads, state)
         cur = batch_loss(model, batch).total
         if cur < prev:
