@@ -311,11 +311,9 @@ def cmd_split(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out = _dataset_paths(RunConfig({"data.dir": cfg.out_dir}))
-    data_mod.save_csv(split.train, out["train"])
-    data_mod.save_csv(split.valid, out["valid"])
-    data_mod.save_csv(split.test, out["test"])
     lines = ["# split indices v1"]
     for name in ("train", "valid", "test"):
+        data_mod.save_csv(getattr(split, name), out[name])
         lines.append(f"{name}: " + " ".join(map(str, split.indices[name].tolist())))
     _write_text(out["split_indices"], "\n".join(lines) + "\n")
     # re-emit the schema with any first-appearance dictionaries pinned, so
@@ -389,7 +387,8 @@ def _train_one(method, train, valid, tree, student_cfg, hyper, drop_leftovers, p
     if method == "kdss":
         return distill.train_kdss(train, valid, tree, student_cfg, hyper)
     if method == "plain":
-        return distill.train_plain(train, valid, student_cfg, hyper, tree if pair_stream else None, drop_leftovers)
+        pair_tree = tree if pair_stream else None
+        return distill.train_plain(train, valid, student_cfg, hyper, pair_tree, drop_leftovers)
     if method == "tm":
         return distill.train_two_model(train, valid, student_cfg, hyper)
     if method == "mom":
@@ -400,8 +399,6 @@ def _train_one(method, train, valid, tree, student_cfg, hyper, drop_leftovers, p
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     method = args.method
-    if method not in METHODS:
-        raise ConfigError(f"--method must be one of {METHODS}, got {method!r}")
     train, valid = _load_split(cfg, ("train", "valid"))
     teacher = None
     if method in ("kdsm", "kdss") or (method == "plain" and args.pair_stream):
@@ -416,7 +413,9 @@ def cmd_train(args) -> int:
     student_cfg = cfg.student_config(derive_seed(cfg.seed, "student-init"))
     hyper = cfg.hyper(derive_seed(cfg.seed, "train"))
     drop = cfg._bool("train.drop_leftovers")
-    model, report = _train_one(method, train, valid, teacher, student_cfg, hyper, drop, args.pair_stream)
+    model, report = _train_one(
+        method, train, valid, teacher, student_cfg, hyper, drop, args.pair_stream
+    )
     os.makedirs(cfg.out_dir, exist_ok=True)
     model_path = os.path.join(cfg.out_dir, f"model_{method}.json")
     _save_predictor(model, model_path)
@@ -528,17 +527,9 @@ def run_comparison(
     medians: list[MedianRow] = []
     for method in methods:
         ok = [r for r in rows if r.method == method and not r.failed]
-        if ok:
-            medians.append(
-                MedianRow(
-                    method=method,
-                    auuc=statistics.median(r.auuc for r in ok),
-                    qini=statistics.median(r.qini for r in ok),
-                    n_ok=len(ok),
-                )
-            )
-        else:
-            medians.append(MedianRow(method=method, auuc=None, qini=None, n_ok=0))
+        auuc = statistics.median(r.auuc for r in ok) if ok else None
+        qini = statistics.median(r.qini for r in ok) if ok else None
+        medians.append(MedianRow(method=method, auuc=auuc, qini=qini, n_ok=len(ok)))
     medians.sort(key=lambda m: (m.qini is None, -(m.qini if m.qini is not None else 0.0)))
     report = ComparisonReport(rows=rows, medians=medians)
     if out_dir is not None:
@@ -608,15 +599,26 @@ def build_parser() -> argparse.ArgumentParser:
     command("synth", "generate a synthetic trial dataset", "--seed")
     command("split", "stratified train/valid/test split", "--seed")
     command("fit-tree", "fit the uplift tree teacher", "--seed", "--criterion")
-    train = command("train", "train a student or baseline", "--seed", "--lambda", "--drop-leftovers")
+    train = command(
+        "train", "train a student or baseline", "--seed", "--lambda", "--drop-leftovers"
+    )
     train.add_argument("--method", required=True, choices=METHODS)
     train.add_argument(
-        "--pair-stream", action="store_true", help="plain only: consume the tree's pair-grouped stream"
+        "--pair-stream",
+        action="store_true",
+        help="plain only: consume the tree's pair-grouped stream",
     )
-    evaluate = command("evaluate", "rank the test split and report metrics", "--seed", "--tie-seed")
+    evaluate = command(
+        "evaluate", "rank the test split and report metrics", "--seed", "--tie-seed"
+    )
     evaluate.add_argument("models", nargs="+", help="predictor file(s) to evaluate")
     command(
-        "compare", "full method-by-seed comparison table", "--lambda", "--criterion", "--drop-leftovers", "--tie-seed"
+        "compare",
+        "full method-by-seed comparison table",
+        "--lambda",
+        "--criterion",
+        "--drop-leftovers",
+        "--tie-seed",
     )
     return parser
 
@@ -636,10 +638,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except KdsmError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (KdsmError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -255,7 +255,10 @@ def _run_epoch(track: _Track, epoch_seed: int, batch_size: int) -> tuple[float, 
         if track.mse_targets is not None:
             rows = units.a[start:stop]
             grads, parts = backward_mse(
-                track.model, track.ds.features[rows], track.mse_targets[rows], n_units=stop - start
+                track.model,
+                track.ds.features[rows],
+                track.mse_targets[rows],
+                n_units=stop - start,
             )
         else:
             batch = _assemble_batch(track.ds, units, start, stop, track.kd_weight)
@@ -266,7 +269,13 @@ def _run_epoch(track: _Track, epoch_seed: int, batch_size: int) -> tuple[float, 
     return hard_sum, soft_sum, n_units
 
 
-def _train_loop(tracks: list[_Track], valid: Dataset, hyper: KdsmHyper, predictor, report: TrainReport) -> TrainReport:
+def _train_loop(
+    tracks: list[_Track],
+    valid: Dataset,
+    hyper: KdsmHyper,
+    predictor,
+    report: TrainReport,
+) -> TrainReport:
     """Shared training loop: epochs over every track, validation ranking of
     `predictor.predict_uplift`, early stopping with best-epoch restore, lr
     decay on stagnation. Fills in and returns `report`."""
@@ -340,23 +349,22 @@ def _train_student(
     hyper: KdsmHyper,
     stream,
     kd_weight: float = 0.0,
-    tree: UpliftTree | None = None,
     mse_targets: np.ndarray | None = None,
 ) -> tuple[StudentModel, TrainReport]:
     """Train one student on `stream` (epoch seed -> _Units) in the shared
-    loop, with soft weight `kd_weight`. A `tree` must share the training
-    schema. Given `mse_targets`, the student is a regressor of them whose
-    final bias starts at their mean."""
+    loop, with soft weight `kd_weight`. Given `mse_targets`, the student is
+    a regressor of them whose final bias starts at their mean."""
     hyper.validate()
-    _check_two_arms(train, "uplift training" if method == "plain" else "distillation training")
-    if tree is not None and tree.schema != train.schema:
-        raise SchemaError("tree and training data have different schemas")
     if mse_targets is None:
         model = init_student(student_cfg, train)
     else:
-        model = init_student(student_cfg, train, head="regression", final_bias=float(mse_targets.mean()))
+        model = init_student(
+            student_cfg, train, head="regression", final_bias=float(mse_targets.mean())
+        )
     track = _Track(model, init_optimizer(student_cfg, model), train, stream, kd_weight, mse_targets)
-    report = _train_loop([track], valid, hyper, model, TrainReport(method=method, kd_weight=kd_weight))
+    report = _train_loop(
+        [track], valid, hyper, model, TrainReport(method=method, kd_weight=kd_weight)
+    )
     return model, report
 
 
@@ -375,8 +383,9 @@ def train_kdsm(
     contribute plain BCE unless dropped. kd_weight == 0 degenerates to
     plain training on the identical stream, bit for bit.
     """
+    _check_two_arms(train, "distillation training")
     stream = _pair_stream(train, tree, drop_leftovers)
-    return _train_student("kdsm", train, valid, student_cfg, hyper, stream, hyper.kd_weight, tree)
+    return _train_student("kdsm", train, valid, student_cfg, hyper, stream, hyper.kd_weight)
 
 
 def train_kdss(
@@ -390,9 +399,12 @@ def train_kdss(
     plus the soft term on its own counterfactual gap, using the row's leaf
     estimate as the target. kd_weight == 0 is bit-identical to plain
     training on the same stream."""
+    _check_two_arms(train, "distillation training")
+    if tree.schema != train.schema:
+        raise SchemaError("tree and training data have different schemas")
     teacher = tree.predict_uplift(train.features) if hyper.kd_weight > 0.0 else None
     stream = _row_stream(train.n, teacher)
-    return _train_student("kdss", train, valid, student_cfg, hyper, stream, hyper.kd_weight, tree)
+    return _train_student("kdss", train, valid, student_cfg, hyper, stream, hyper.kd_weight)
 
 
 def train_plain(
@@ -410,11 +422,12 @@ def train_plain(
     stream distillation would build from that tree (targets ignored), so
     runs are comparable sample for sample.
     """
+    _check_two_arms(train, "uplift training")
     if pair_stream_tree is None:
         stream = _row_stream(train.n)
     else:
         stream = _pair_stream(train, pair_stream_tree, drop_leftovers)
-    return _train_student("plain", train, valid, student_cfg, hyper, stream, tree=pair_stream_tree)
+    return _train_student("plain", train, valid, student_cfg, hyper, stream)
 
 
 @dataclass
@@ -451,18 +464,21 @@ def train_two_model(
     The two models draw independent init seeds from student_cfg.init_seed."""
     hyper.validate()
     _check_two_arms(train, "two-model training")
-    tr_t = train.subset(np.flatnonzero(train.treatment == 1))
-    tr_c = train.subset(np.flatnonzero(train.treatment == 0))
-    cfg_t = replace(student_cfg, init_seed=derive_seed(student_cfg.init_seed, "treated"))
-    cfg_c = replace(student_cfg, init_seed=derive_seed(student_cfg.init_seed, "control"))
-    m_t = init_student(cfg_t, tr_t)
-    m_c = init_student(cfg_c, tr_c)
-    tracks = [
-        _Track(m_t, init_optimizer(cfg_t, m_t), tr_t, _row_stream(tr_t.n, tags=("treated",)), 0.0),
-        _Track(m_c, init_optimizer(cfg_c, m_c), tr_c, _row_stream(tr_c.n, tags=("control",)), 0.0),
-    ]
-    result = TwoModelResult(m_t, m_c)
-    report = _train_loop(tracks, valid, hyper, result, TrainReport(method="tm", kd_weight=0.0))
+    tracks = []
+    for arm, tag in ((1, "treated"), (0, "control")):
+        ds = train.subset(np.flatnonzero(train.treatment == arm))
+        cfg = replace(student_cfg, init_seed=derive_seed(student_cfg.init_seed, tag))
+        model = init_student(cfg, ds)
+        stream = _row_stream(ds.n, tags=(tag,))
+        tracks.append(_Track(model, init_optimizer(cfg, model), ds, stream, 0.0))
+    result = TwoModelResult(tracks[0].model, tracks[1].model)
+    report = _train_loop(
+        tracks,
+        valid,
+        hyper,
+        predictor=result,
+        report=TrainReport(method="tm", kd_weight=0.0),
+    )
     return result, report
 
 
@@ -470,9 +486,8 @@ def transformed_outcome(ds: Dataset) -> np.ndarray:
     """Propensity-transformed outcome Y*: y*t/p - y*(1-t)/(1-p) with p the
     empirical treated fraction; E[Y*|x] equals the treatment effect under
     randomized assignment."""
+    _check_two_arms(ds, "transformed outcome")
     p = float(ds.treatment.mean())
-    if not (0.0 < p < 1.0):
-        raise FitError("transformed outcome needs both treatment arms present")
     y = ds.outcome.astype(np.float64)
     t = ds.treatment.astype(np.float64)
     return y * t / p - y * (1.0 - t) / (1.0 - p)
@@ -488,7 +503,8 @@ def train_mom(
     regressor of Y*; its raw output is the uplift prediction. The final bias
     starts at the mean transformed outcome (the pooled effect estimate)."""
     targets = transformed_outcome(train)
-    return _train_student("mom", train, valid, student_cfg, hyper, _row_stream(train.n), mse_targets=targets)
+    stream = _row_stream(train.n)
+    return _train_student("mom", train, valid, student_cfg, hyper, stream, mse_targets=targets)
 
 
 def format_train_report(report: TrainReport) -> str:

@@ -397,7 +397,10 @@ def backward(model: StudentModel, batch: LossBatch) -> tuple[np.ndarray, LossPar
 
 
 def backward_mse(
-    model: StudentModel, X: np.ndarray, targets: np.ndarray, n_units: int
+    model: StudentModel,
+    X: np.ndarray,
+    targets: np.ndarray,
+    n_units: int,
 ) -> tuple[np.ndarray, LossParts]:
     """Gradient of mean squared error of the raw output against `targets`
     (regression head), and that loss; reduction divides by n_units."""

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import errno
 import os
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from kdsm import data as data_module
 from kdsm.data import (
     CSV_BLOCK_ROWS,
     Column,
@@ -551,18 +554,44 @@ def test_csv_lenient_treatment_spelling_loads_as_the_row_oracle(tmp_path, spelli
     assert load_csv(path, UNPINNED_3).schema.columns[1].categories == ("a", "b", "c")
 
 
-def test_failed_csv_write_keeps_the_previous_file(tmp_path):
+class _FullDisk:
+    """A file whose writes fail once `room` of them have succeeded; before
+    failing it records what the file holds."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room, self.held = fh, room, None
+
+    def write(self, text):
+        if self.room == 0:
+            self.fh.flush()
+            with open(self.fh.name, encoding="utf-8", newline="") as f:
+                self.held = f.read()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= 1
+        return self.fh.write(text)
+
+
+def test_failed_csv_write_keeps_the_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "ds.csv"
     path.write_text("previous\n", encoding="utf-8")
     ds = make_dataset(2 * B + 3, n_numeric=1, n_categorical=1)
-    ds.features[B + 5, 1] = 7  # not a code of the column: the writer fails before writing
-    with pytest.raises(DomainError):
+    disks = []
+
+    @contextlib.contextmanager
+    def full_after_first_block(*args, **kwargs):
+        with atomic_write(*args, **kwargs) as fh:
+            disks.append(_FullDisk(fh, room=2))  # the header, then the first block
+            yield disks[-1]
+
+    monkeypatch.setattr(data_module, "atomic_write", full_after_first_block)
+    with pytest.raises(OSError):
         save_csv(ds, str(path))
+    assert disks[0].held.count("\r\n") == 1 + B  # the writer failed after its first block
     assert path.read_text(encoding="utf-8") == "previous\n"
     assert os.listdir(tmp_path) == ["ds.csv"]
 
 
-@pytest.mark.parametrize("code", [-1.0, 1.7])
+@pytest.mark.parametrize("code", [-1.0, 1.7, 7.0])
 def test_save_csv_rejects_a_cell_that_is_not_a_code(tmp_path, code):
     path = tmp_path / "ds.csv"
     path.write_text("previous\n", encoding="utf-8")

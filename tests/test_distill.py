@@ -315,6 +315,23 @@ def test_train_deterministic():
     assert params_equal(a, b)
 
 
+@pytest.mark.parametrize("kd_weight", [0.0, 0.5])
+@pytest.mark.parametrize("method", ["kdsm", "kdss", "plain"])
+def test_trainers_reject_a_tree_of_another_schema(method, kd_weight):
+    train, valid = split_for_training(300, seed=26)
+    rng = np.random.default_rng(26)
+    X = rng.random((200, train.features.shape[1] + 1))
+    tree = shallow_tree(dataset_from(X, [1, 0] * 100, rng.integers(0, 2, 200)))
+    hyper = KdsmHyper(kd_weight=kd_weight, batch_size=64, max_epochs=1, master_seed=26)
+    trainers = {
+        "kdsm": lambda: train_kdsm(train, valid, tree, FAST, hyper),
+        "kdss": lambda: train_kdss(train, valid, tree, FAST, hyper),
+        "plain": lambda: train_plain(train, valid, FAST, hyper, pair_stream_tree=tree),
+    }
+    with pytest.raises(SchemaError, match="^tree and training data have different schemas$"):
+        trainers[method]()
+
+
 def test_train_rejects_single_arm():
     ds = dataset_from(np.random.default_rng(0).random((40, 2)), [1] * 40, [0, 1] * 20)
     valid = synthetic(100, seed=16)
