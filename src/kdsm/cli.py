@@ -14,7 +14,7 @@ import json
 import os
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -88,6 +88,21 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+# per declared field type: how a config value is parsed, and what it must be
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "a string"),
+    "bool": (lambda v: _BOOLS[v.lower()], "a boolean"),
+    "tuple[int, ...]": (
+        lambda v: tuple(int(h) for h in v.split(",") if h.strip()),
+        "a comma list of integers",
+    ),
+}
+
+
 @dataclass
 class RunConfig:
     """Typed view over the merged (defaults, file, flags) key space."""
@@ -99,32 +114,29 @@ class RunConfig:
         merged.update(self.values)
         self.values = merged
 
-    def _get(self, key: str) -> str:
-        return self.values[key]
-
-    def _int(self, key: str) -> int:
+    def _get(self, key: str, kind: str = "str"):
+        """The value of `key`, parsed as a field of type `kind`."""
+        parse, what = _PARSERS[kind]
+        raw = self.values[key]
         try:
-            return int(self._get(key))
-        except ValueError:
-            raise ConfigError(f"config key {key}={self._get(key)!r} is not an integer") from None
+            return parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"config key {key}={raw!r} is not {what}") from None
 
-    def _float(self, key: str) -> float:
-        try:
-            return float(self._get(key))
-        except ValueError:
-            raise ConfigError(f"config key {key}={self._get(key)!r} is not a number") from None
-
-    def _bool(self, key: str) -> bool:
-        v = self._get(key).lower()
-        if v in ("true", "1", "yes"):
-            return True
-        if v in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key}={self._get(key)!r} is not a boolean")
+    def _section(self, cls, prefix: str, *unkeyed):
+        """`cls` built from the keys `<prefix>.<field>`, each parsed by its
+        field's declared type; the fields with no key take `unkeyed`, in
+        field order."""
+        unkeyed = iter(unkeyed)
+        values = {}
+        for f in fields(cls):
+            key = f"{prefix}.{f.name}"
+            values[f.name] = self._get(key, f.type) if key in DEFAULTS else next(unkeyed)
+        return cls(**values)
 
     @property
     def seed(self) -> int:
-        return self._int("seed")
+        return self._get("seed", "int")
 
     @property
     def out_dir(self) -> str:
@@ -135,82 +147,25 @@ class RunConfig:
         return self._get("data.dir") or self.out_dir
 
     def synthetic_config(self, seed: int) -> data_mod.SyntheticConfig:
-        cfg = data_mod.SyntheticConfig(
-            n=self._int("synth.n"),
-            d_numeric=self._int("synth.d_numeric"),
-            d_categorical=self._int("synth.d_categorical"),
-            base_rate=self._float("synth.base_rate"),
-            effect_function=self._get("synth.effect_function"),
-            effect_scale=self._float("synth.effect_scale"),
-            treatment_fraction=self._float("synth.treatment_fraction"),
-            noise_features=self._int("synth.noise_features"),
-            seed=seed,
-        )
-        cfg.validate()
-        return cfg
+        return self._section(data_mod.SyntheticConfig, "synth", seed)
 
     def split_ratios(self) -> data_mod.SplitRatios:
-        return data_mod.SplitRatios(
-            train=self._float("split.train"),
-            valid=self._float("split.valid"),
-            test=self._float("split.test"),
-        )
+        return self._section(data_mod.SplitRatios, "split")
 
     def tree_params(self) -> tree_mod.TreeParams:
-        params = tree_mod.TreeParams(
-            criterion=self._get("tree.criterion"),
-            max_depth=self._int("tree.max_depth"),
-            min_samples_per_arm=self._int("tree.min_samples_per_arm"),
-            min_gain=self._float("tree.min_gain"),
-            numeric_split_candidates=self._int("tree.numeric_split_candidates"),
-        )
-        params.validate()
-        return params
+        return self._section(tree_mod.TreeParams, "tree")
 
     def student_config(self, init_seed: int) -> student.StudentConfig:
-        hidden_raw = self._get("student.hidden_sizes").strip()
-        try:
-            hidden = tuple(int(h) for h in hidden_raw.split(",") if h.strip() != "")
-        except ValueError:
-            raise ConfigError(
-                f"config key student.hidden_sizes={hidden_raw!r} is not a comma list of integers"
-            ) from None
-        cfg = student.StudentConfig(
-            hidden_sizes=hidden,
-            embedding_dim=self._int("student.embedding_dim"),
-            activation=self._get("student.activation"),
-            optimizer=self._get("student.optimizer"),
-            momentum=self._float("student.momentum"),
-            beta1=self._float("student.beta1"),
-            beta2=self._float("student.beta2"),
-            eps=self._float("student.eps"),
-            learning_rate=self._float("student.learning_rate"),
-            lr_decay_factor=self._float("student.lr_decay_factor"),
-            lr_decay_patience=self._int("student.lr_decay_patience"),
-            init_seed=init_seed,
-        )
-        cfg.validate()
-        return cfg
+        return self._section(student.StudentConfig, "student", init_seed)
 
     def hyper(self, master_seed: int) -> distill.KdsmHyper:
-        h = distill.KdsmHyper(
-            kd_weight=self._float("train.lambda"),
-            batch_size=self._int("train.batch_size"),
-            max_epochs=self._int("train.max_epochs"),
-            early_stop_patience=self._int("train.early_stop_patience"),
-            master_seed=master_seed,
-        )
-        h.validate()
-        return h
+        kd_weight = self._get("train.lambda", "float")
+        return self._section(distill.KdsmHyper, "train", kd_weight, master_seed)
 
     def tie_seed(self, master_seed: int) -> int:
-        raw = self._get("eval.tie_seed")
-        if raw == "":
+        if self._get("eval.tie_seed") == "":
             return derive_seed(master_seed, "eval-ties")
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key eval.tie_seed={raw!r} is not an integer") from None
+        return self._get("eval.tie_seed", "int")
 
     def compare_methods(self) -> list[str]:
         methods = [m.strip() for m in self._get("compare.methods").split(",") if m.strip()]
@@ -220,30 +175,18 @@ class RunConfig:
         return methods
 
     def compare_seeds(self) -> list[int]:
-        try:
-            return [int(s) for s in self._get("compare.seeds").split(",") if s.strip()]
-        except ValueError:
-            raise ConfigError(
-                f"config key compare.seeds={self._get('compare.seeds')!r} is not a comma list of integers"
-            ) from None
+        return list(self._get("compare.seeds", "tuple[int, ...]"))
 
 
 def _load_run_config(args) -> RunConfig:
+    """The config file's values, overridden by every flag given: a flag's
+    dest is the key it overrides, and an empty --out is ignored."""
     values: dict[str, str] = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    if getattr(args, "seed", None) is not None:
-        values["seed"] = str(args.seed)
-    if getattr(args, "lambda_", None) is not None:
-        values["train.lambda"] = repr(args.lambda_)
-    if getattr(args, "criterion", None) is not None:
-        values["tree.criterion"] = args.criterion
-    if getattr(args, "tie_seed", None) is not None:
-        values["eval.tie_seed"] = str(args.tie_seed)
-    if getattr(args, "drop_leftovers", False):
-        values["train.drop_leftovers"] = "true"
-    if getattr(args, "out", None):
-        values["out.dir"] = args.out
+    for key, value in vars(args).items():
+        if key in DEFAULTS and value not in (None, ""):
+            values[key] = str(value)
     return RunConfig(values)
 
 
@@ -303,7 +246,7 @@ def cmd_split(args) -> int:
     if not os.path.exists(paths["dataset"]):
         raise ConfigError(f"{paths['dataset']} not found; run `kdsm synth` or place a dataset there")
     ds = data_mod.load_csv(paths["dataset"], schema)
-    n_sub = cfg._int("split.subsample_per_arm")
+    n_sub = cfg._get("split.subsample_per_arm", "int")
     if n_sub > 0:
         ds = data_mod.subsample_per_arm(ds, n_sub, derive_seed(cfg.seed, "subsample"))
     split = data_mod.split_dataset(ds, cfg.split_ratios(), derive_seed(cfg.seed, "split"))
@@ -412,7 +355,7 @@ def cmd_train(args) -> int:
             raise ConfigError("tree schema does not match the training data schema")
     student_cfg = cfg.student_config(derive_seed(cfg.seed, "student-init"))
     hyper = cfg.hyper(derive_seed(cfg.seed, "train"))
-    drop = cfg._bool("train.drop_leftovers")
+    drop = cfg._get("train.drop_leftovers", "bool")
     model, report = _train_one(
         method, train, valid, teacher, student_cfg, hyper, drop, args.pair_stream
     )
@@ -499,7 +442,7 @@ def run_comparison(
         student_cfg = cfg.student_config(derive_seed(seed, "student-init"))
         hyper = cfg.hyper(derive_seed(seed, "train"))
         tie_seed = cfg.tie_seed(seed)
-        drop = cfg._bool("train.drop_leftovers")
+        drop = cfg._get("train.drop_leftovers", "bool")
         for method in methods:
             row = MethodRow(method=method, seed=seed)
             try:
@@ -577,21 +520,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags some commands read; each overrides its config key
+    # the flags some commands read; each one's dest is the config key it overrides
     flags = {
-        "--seed": dict(type=int, help="master seed (overrides config)"),
-        "--lambda": dict(dest="lambda_", type=float, help="soft-term weight"),
-        "--criterion": dict(choices=("ed", "kl"), help="tree split criterion"),
-        "--drop-leftovers": dict(
-            action="store_true", help="train on matched pairs only, dropping unpaired rows"
+        "--seed": dict(dest="seed", type=int, help="master seed (overrides config)"),
+        "--lambda": dict(dest="train.lambda", type=float, help="soft-term weight"),
+        "--criterion": dict(
+            dest="tree.criterion", choices=("ed", "kl"), help="tree split criterion"
         ),
-        "--tie-seed": dict(type=int, help="ranking tie-break seed"),
+        "--drop-leftovers": dict(
+            dest="train.drop_leftovers", action="store_const", const="true",
+            help="train on matched pairs only, dropping unpaired rows",
+        ),
+        "--tie-seed": dict(dest="eval.tie_seed", type=int, help="ranking tie-break seed"),
     }
 
     def command(name, summary, *names):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out.dir", help="output directory")
         for flag in names:
             p.add_argument(flag, **flags[flag])
         return p

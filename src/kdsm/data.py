@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -182,6 +182,19 @@ def load_document(path: str, parse):
         raise type(e)(f"{path}: {e}") from None
 
 
+# the conversion of a document value to each declared config field type
+_FIELD_TYPES = {
+    "int": int, "float": float, "str": str, "tuple[int, ...]": lambda v: tuple(map(int, v))
+}
+
+
+def config_from_jsonable(cls, obj: dict):
+    """The config dataclass `cls` rebuilt from a document that holds each of
+    its fields by name, as `dataclasses.asdict` writes them. Each value is
+    converted to its field's declared type, and the constructor checks it."""
+    return cls(**{f.name: _FIELD_TYPES[f.type](obj[f.name]) for f in fields(cls)})
+
+
 @contextmanager
 def atomic_write(path: str, newline: str | None = None):
     """Open a UTF-8 text file that replaces `path` only when the block
@@ -310,7 +323,7 @@ class SyntheticConfig:
     noise_features: int = 0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"n={self.n} must be >= 1")
         if self.d_numeric < 0 or self.d_categorical < 0 or self.noise_features < 0:
@@ -361,7 +374,6 @@ def gen_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     Bit-identical output for identical configs: the draw order (numeric
     block, categorical block, noise block, treatment, outcome) is fixed.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n
 
@@ -641,7 +653,8 @@ def save_csv(
     one, else the literal code. Rows are formatted in blocks of
     CSV_BLOCK_ROWS, one column at a time, and the file replaces `path` only
     once it is complete. A categorical cell that is not a code of its
-    column raises DomainError before anything is written.
+    column, or whose code has no pinned label, raises DomainError before
+    anything is written.
     """
     codes = categorical_codes(ds.schema, ds.features)
     # each label CSV-quoted once, by the csv module itself; keyed by feature
@@ -650,6 +663,14 @@ def save_csv(
         j: (k, np.array([_csv_field(c) for c in ds.schema.columns[j].categories], dtype=object))
         for k, j in enumerate(map(int, ds.schema.categorical_indices))
     }
+    for j, (k, names) in labels.items():
+        unlabelled = np.flatnonzero(codes[:, k] >= names.size) if names.size else []
+        if len(unlabelled):
+            i = int(unlabelled[0])
+            raise DomainError(
+                f"code {codes[i, k]} in categorical column {ds.schema.columns[j].name!r} at row "
+                f"{i} has no label: the column pins {names.size} categories"
+            )
     with atomic_write(path, newline="") as fh:
         csv.writer(fh).writerow(ds.schema.names + [treatment_col, outcome_col])
         for a in range(0, ds.n, CSV_BLOCK_ROWS):

@@ -76,7 +76,7 @@ class KdsmHyper:
     early_stop_patience: int = 20
     master_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kd_weight < 0:
             raise DomainError(f"kd_weight={self.kd_weight} must be >= 0")
         if self.batch_size < 1:
@@ -354,7 +354,6 @@ def _train_student(
     """Train one student on `stream` (epoch seed -> _Units) in the shared
     loop, with soft weight `kd_weight`. Given `mse_targets`, the student is
     a regressor of them whose final bias starts at their mean."""
-    hyper.validate()
     if mse_targets is None:
         model = init_student(student_cfg, train)
     else:
@@ -462,7 +461,6 @@ def train_two_model(
     """Classic two-model baseline: one response model per arm, trained in
     lockstep epochs with early stopping on the joint validation ranking.
     The two models draw independent init seeds from student_cfg.init_seed."""
-    hyper.validate()
     _check_two_arms(train, "two-model training")
     tracks = []
     for arm, tag in ((1, "treated"), (0, "control")):

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, atomic_write, categorical_codes, load_document
+from .data import (
+    Dataset, FeatureSchema, atomic_write, categorical_codes, config_from_jsonable, load_document
+)
 from .errors import DomainError, ParseError, SchemaError, TrainingError, document_errors
 
 MODEL_FORMAT = "student-model/v1"
@@ -55,7 +57,7 @@ class StudentConfig:
     lr_decay_patience: int = 3
     init_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if any(h < 1 for h in self.hidden_sizes):
             raise DomainError(f"hidden sizes must be positive, got {self.hidden_sizes}")
         if self.embedding_dim < 1:
@@ -181,7 +183,6 @@ def init_student(
     training positive rate for binary heads and must be supplied for
     regression heads by the caller that knows the target scale.
     """
-    cfg.validate()
     if head not in ("binary", "regression"):
         raise DomainError(f"head must be 'binary' or 'regression', got {head!r}")
     schema = train.schema
@@ -495,24 +496,10 @@ def clone_params(model: StudentModel) -> np.ndarray:
 
 
 def student_to_jsonable(model: StudentModel) -> dict:
-    cfg = model.config
     return {
         "format": MODEL_FORMAT,
         "head": model.head,
-        "config": {
-            "hidden_sizes": list(cfg.hidden_sizes),
-            "embedding_dim": cfg.embedding_dim,
-            "activation": cfg.activation,
-            "optimizer": cfg.optimizer,
-            "momentum": cfg.momentum,
-            "beta1": cfg.beta1,
-            "beta2": cfg.beta2,
-            "eps": cfg.eps,
-            "learning_rate": cfg.learning_rate,
-            "lr_decay_factor": cfg.lr_decay_factor,
-            "lr_decay_patience": cfg.lr_decay_patience,
-            "init_seed": cfg.init_seed,
-        },
+        "config": asdict(model.config),
         "schema": model.schema.to_jsonable(),
         "num_mean": model.num_mean.tolist(),
         "num_std": model.num_std.tolist(),
@@ -526,22 +513,7 @@ def student_to_jsonable(model: StudentModel) -> dict:
 def student_from_jsonable(obj: dict) -> StudentModel:
     if obj.get("format") != MODEL_FORMAT:
         raise ParseError(f"not a student model document (format {obj.get('format')!r})")
-    c = obj["config"]
-    cfg = StudentConfig(
-        hidden_sizes=tuple(int(h) for h in c["hidden_sizes"]),
-        embedding_dim=int(c["embedding_dim"]),
-        activation=c["activation"],
-        optimizer=c["optimizer"],
-        momentum=float(c["momentum"]),
-        beta1=float(c["beta1"]),
-        beta2=float(c["beta2"]),
-        eps=float(c["eps"]),
-        learning_rate=float(c["learning_rate"]),
-        lr_decay_factor=float(c["lr_decay_factor"]),
-        lr_decay_patience=int(c["lr_decay_patience"]),
-        init_seed=int(c["init_seed"]),
-    )
-    cfg.validate()
+    cfg = config_from_jsonable(StudentConfig, obj["config"])
     schema = FeatureSchema.from_jsonable(obj["schema"])
     if obj["head"] not in ("binary", "regression"):
         raise ParseError(f"head must be 'binary' or 'regression', got {obj['head']!r}")

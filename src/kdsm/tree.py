@@ -21,11 +21,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import CATEGORICAL, NUMERIC, Dataset, FeatureSchema, atomic_write, load_document
+from .data import (
+    CATEGORICAL, NUMERIC, Dataset, FeatureSchema, atomic_write, config_from_jsonable, load_document
+)
 from .errors import DomainError, FitError, ParseError, SchemaError, document_errors
 
 TREE_FORMAT = "uplift-tree/v1"
@@ -89,7 +91,7 @@ class TreeParams:
     min_gain: float = 0.0
     numeric_split_candidates: int = 32
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.criterion not in ("ed", "kl"):
             raise DomainError(f"criterion must be 'ed' or 'kl', got {self.criterion!r}")
         if self.max_depth < 1:
@@ -263,7 +265,6 @@ def fit_tree(ds: Dataset, params: TreeParams, seed: int = 0) -> UpliftTree:
     gain does not exceed min_gain. Deterministic given (ds, params); `seed`
     is accepted for interface stability and currently unused.
     """
-    params.validate()
     ds.validate()
     X, t, y = ds.features, ds.treatment, ds.outcome
     root_stats = NodeStats.from_arrays(t, y)
@@ -357,11 +358,7 @@ def tree_to_jsonable(tree: UpliftTree) -> dict:
         )
     return {
         "format": TREE_FORMAT,
-        "criterion": tree.params.criterion,
-        "max_depth": tree.params.max_depth,
-        "min_samples_per_arm": tree.params.min_samples_per_arm,
-        "min_gain": tree.params.min_gain,
-        "numeric_split_candidates": tree.params.numeric_split_candidates,
+        **asdict(tree.params),
         "schema_hash": schema_hash(tree.schema),
         "schema": tree.schema.to_jsonable(),
         "nodes": nodes,
@@ -370,20 +367,15 @@ def tree_to_jsonable(tree: UpliftTree) -> dict:
 
 @document_errors("tree document")
 def tree_from_jsonable(obj: dict) -> UpliftTree:
-    """Rebuild a tree, rejecting any document whose nodes do not form the
-    preorder tree `fit_tree` writes (see `_check_topology`)."""
+    """Rebuild a tree, rejecting any document whose params are out of range
+    or whose nodes do not form the preorder tree `fit_tree` writes (see
+    `_check_topology`)."""
     if obj.get("format") != TREE_FORMAT:
         raise ParseError(f"not a tree document (format {obj.get('format')!r})")
     schema = FeatureSchema.from_jsonable(obj["schema"])
     if schema_hash(schema) != obj["schema_hash"]:
         raise SchemaError("tree document schema hash does not match its schema")
-    params = TreeParams(
-        criterion=obj["criterion"],
-        max_depth=int(obj["max_depth"]),
-        min_samples_per_arm=int(obj["min_samples_per_arm"]),
-        min_gain=float(obj["min_gain"]),
-        numeric_split_candidates=int(obj["numeric_split_candidates"]),
-    )
+    params = config_from_jsonable(TreeParams, obj)
     nodes = []
     for nd in obj["nodes"]:
         rule = None

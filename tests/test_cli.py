@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,9 @@ import pytest
 
 import kdsm
 from kdsm import distill
-from kdsm.cli import RunConfig, _save_predictor, _write_text, load_predictor, main, parse_config_file
+from kdsm.cli import (
+    DEFAULTS, RunConfig, _save_predictor, _write_text, load_predictor, main, parse_config_file
+)
 from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, load_csv, save_csv, split_dataset
 from kdsm.distill import KdsmHyper, TrainReport, write_train_report
 from kdsm.metrics import Curve, write_curve_csv
@@ -217,6 +220,69 @@ def test_invalid_base_rate_fails_before_writing(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        (["fit-tree"], "tree.max_depth = 2.5", "config key tree.max_depth='2.5' is not an integer"),
+        (
+            ["train", "--method", "plain"],
+            "student.learning_rate = fast",
+            "config key student.learning_rate='fast' is not a number",
+        ),
+        (
+            ["train", "--method", "plain"],
+            "train.drop_leftovers = maybe",
+            "config key train.drop_leftovers='maybe' is not a boolean",
+        ),
+        (
+            ["train", "--method", "plain"],
+            "student.hidden_sizes = 64;32",
+            "config key student.hidden_sizes='64;32' is not a comma list of integers",
+        ),
+        (
+            ["compare"],
+            "compare.seeds = 1,x",
+            "config key compare.seeds='1,x' is not a comma list of integers",
+        ),
+        (
+            ["compare"],
+            "compare.methods = plain,boosted",
+            "unknown method 'boosted' in compare.methods",
+        ),
+        (["synth"], "bogus.key = 1", "{cfg}:15: unknown config key 'bogus.key'"),
+    ],
+    ids=[
+        "max_depth", "learning_rate", "drop_leftovers", "hidden_sizes", "seeds", "methods",
+        "unknown_key",
+    ],
+)
+def test_bad_config_value_names_its_key(pipeline, tmp_path, capsys, command, line, message):
+    _, data_dir = pipeline
+    cfg, out = write_cfg(str(tmp_path), extra=f"data.dir = {data_dir}\n{line}\n")
+    assert main([command[0], "--config", cfg, *command[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not os.path.exists(out)
+
+
+def test_every_section_key_is_a_config_field():
+    sections = {
+        "synth": SyntheticConfig,
+        "split": SplitRatios,
+        "tree": TreeParams,
+        "student": StudentConfig,
+        "train": KdsmHyper,
+    }
+    keys = {key for key in DEFAULTS if key.split(".")[0] in sections}
+    fields = {
+        f"{prefix}.{f.name}" for prefix, cls in sections.items() for f in dataclasses.fields(cls)
+    }
+    # keys read by the commands themselves, and fields the caller supplies
+    assert keys - fields == {"split.subsample_per_arm", "train.lambda", "train.drop_leftovers"}
+    assert fields - keys == {
+        "synth.seed", "student.init_seed", "train.kd_weight", "train.master_seed"
+    }
+
+
 def test_train_kdsm_without_tree_names_fit_tree(tmp_path, capsys):
     cfg, out = write_cfg(str(tmp_path))
     assert main(["synth", "--config", cfg]) == 0
@@ -390,6 +456,19 @@ def test_evaluate_rejects_cyclic_tree_without_hanging(pipeline, tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {path}: tree node 0")
+
+
+@pytest.mark.parametrize("key, value", [("max_depth", 0), ("criterion", "nope")])
+def test_evaluate_rejects_a_tree_with_invalid_params(pipeline, tmp_path, capsys, key, value):
+    cfg, out = pipeline
+    with open(os.path.join(out, "tree.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["evaluate", "--config", cfg, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and key in err
 
 
 ARTIFACT_WRITERS = {

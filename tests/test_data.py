@@ -591,11 +591,14 @@ def test_failed_csv_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["ds.csv"]
 
 
-@pytest.mark.parametrize("code", [-1.0, 1.7, 7.0])
+@pytest.mark.parametrize("code", [-1.0, 1.7, 7.0, 2.0])
 def test_save_csv_rejects_a_cell_that_is_not_a_code(tmp_path, code):
     path = tmp_path / "ds.csv"
     path.write_text("previous\n", encoding="utf-8")
     ds = make_dataset(10, n_numeric=1, n_categorical=1)
+    # code 2 lies inside the cardinality, 3, but past the two pinned labels
+    ds.schema = FeatureSchema((ds.schema.columns[0], Column("c0", "categorical", 3, ("a", "b"))))
+    ds.features[:, 1] = np.minimum(ds.features[:, 1], 1.0)
     ds.features[4, 1] = code
     with pytest.raises(DomainError, match=r"column 'c0' at row 4"):
         save_csv(ds, str(path))

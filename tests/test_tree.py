@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +366,17 @@ def test_tree_load_rejects_malformed_topology(edit, named):
     edit(obj)
     with pytest.raises(ParseError, match=named):
         tree_from_jsonable(obj)
+
+
+@pytest.mark.parametrize("key, value", [("max_depth", 0), ("criterion", "nope")])
+def test_load_tree_rejects_invalid_params(tmp_path, key, value):
+    _, tree = fitted_example(n=2_000)
+    obj = tree_to_jsonable(tree)
+    obj[key] = value
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: .*{key}"):
+        load_tree(str(path))
 
 
 def test_leaf_summary_lists_every_leaf():

@@ -10,7 +10,11 @@
 #   - train for all five methods, plus plain --pair-stream, kdsm
 #     --drop-leftovers and kdss --lambda 0, each to its own --out;
 #   - evaluate on every model and on the tree;
-#   - compare at synth.n=20000, seeds 1,2, 15 epochs.
+#   - compare at synth.n=20000, seeds 1,2, 15 epochs;
+#   - a "tuned" chain (synth, split, fit-tree, train kdsm, evaluate) in its
+#     own directory, whose config sets a non-default value in every section
+#     and whose commands pass every flag (--seed, --criterion kl, --lambda,
+#     --drop-leftovers, --tie-seed, and an empty --out, which is ignored).
 # Prints the number of files compared; exits 0 when both runs match byte
 # for byte, 1 when they differ (the diff goes to stdout), 2 on bad usage.
 # BLAS thread variables such as OPENBLAS_NUM_THREADS pass through to both
@@ -36,6 +40,37 @@ run_side() {
         "$out/data" "$out/data" >"$cfg"
     printf 'out.dir = %s\nsynth.n = 20000\ncompare.seeds = 1,2\ntrain.max_epochs = 15\n' \
         "$out/compare" >"$cfg.compare"
+    printf 'out.dir = %s\ndata.dir = %s\n' "$out/tuned" "$out/tuned" >"$cfg.tuned"
+    cat >>"$cfg.tuned" <<'TUNED'
+seed = 5
+synth.n = 6000
+synth.d_categorical = 1
+synth.base_rate = 0.2
+synth.effect_scale = 1.5
+synth.treatment_fraction = 0.45
+synth.noise_features = 1
+split.train = 0.5
+split.valid = 0.25
+split.test = 0.25
+split.subsample_per_arm = 2500
+tree.max_depth = 3
+tree.min_samples_per_arm = 60
+tree.min_gain = 0.00001
+tree.numeric_split_candidates = 16
+student.hidden_sizes = 12,6
+student.embedding_dim = 3
+student.activation = tanh
+student.optimizer = sgd
+student.momentum = 0.8
+student.learning_rate = 0.05
+student.lr_decay_factor = 0.3
+student.lr_decay_patience = 2
+train.lambda = 0.1
+train.batch_size = 256
+train.max_epochs = 8
+train.early_stop_patience = 4
+eval.tie_seed = 17
+TUNED
 
     kdsm() { PYTHONPATH="$src" python3 -m kdsm.cli "$@"; }
     {
@@ -59,6 +94,13 @@ kdss_lambda0 kdss --lambda 0
 VARIANTS
         kdsm evaluate --config "$cfg" "$out/data/tree.json"
         kdsm compare --config "$cfg.compare"
+        kdsm synth --config "$cfg.tuned" --seed 11
+        kdsm split --config "$cfg.tuned" --seed 11
+        kdsm fit-tree --config "$cfg.tuned" --seed 11 --criterion kl
+        kdsm train --config "$cfg.tuned" --seed 11 --method kdsm --lambda 0.75 --drop-leftovers
+        kdsm evaluate --config "$cfg.tuned" --out "" "$out/tuned/model_kdsm.json"
+        kdsm evaluate --config "$cfg.tuned" --out "$out/tuned/flags" --seed 11 --tie-seed 23 \
+            "$out/tuned/model_kdsm.json" "$out/tuned/tree.json"
     } | sed "s#$out#OUT#g" >"$out/stdout.txt"
 }
 
