@@ -16,6 +16,7 @@ from kdsm.cli import (
 )
 from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, load_csv, save_csv, split_dataset
 from kdsm.distill import KdsmHyper, TrainReport, write_train_report
+from kdsm.errors import FitError
 from kdsm.metrics import Curve, write_curve_csv
 from kdsm.seeds import derive_seed
 from kdsm.student import StudentConfig, save_student
@@ -373,6 +374,26 @@ def test_compare_report_rows_and_sorted_medians(tmp_path, capsys):
     assert qinis == sorted(qinis, reverse=True)
     # per-cell artifacts land under cells/
     assert os.path.exists(os.path.join(out, "cells", "kdsm_seed1", "summary.json"))
+
+
+def test_compare_reports_failed_cells(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise FitError("boom")
+
+    monkeypatch.setattr(distill, "train_mom", boom)
+    cfg, out = write_cfg(str(tmp_path), extra="compare.methods = plain,mom\ncompare.seeds = 1,2\n")
+    assert main(["compare", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: 2 cell(s) failed\n"
+    lines = captured.out.splitlines()
+    assert "mom\t1\t-\t-\tfailed: boom" in lines and "mom\t2\t-\t-\tfailed: boom" in lines
+    # the method with no ok cell sorts last, after plain's two ok cells
+    assert lines[-2].startswith("plain\t") and lines[-2].endswith("\t2")
+    assert lines[-1] == "mom\t-\t-\t0"
+    with open(os.path.join(out, "comparison.txt"), encoding="utf-8") as fh:
+        assert fh.read() == captured.out
+    assert os.path.isdir(os.path.join(out, "cells", "plain_seed1"))
+    assert not os.path.exists(os.path.join(out, "cells", "mom_seed1"))
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdsm.data import Column, Dataset, FeatureSchema, SyntheticConfig, gen_synthetic
-from kdsm.errors import DomainError, FitError, ParseError, SchemaError
+from kdsm.errors import DomainError, FitError, KdsmError, ParseError, SchemaError
 from kdsm.tree import (
     TreeParams,
     fit_tree,
@@ -377,6 +379,81 @@ def test_load_tree_rejects_invalid_params(tmp_path, key, value):
     path.write_text(json.dumps(obj), encoding="utf-8")
     with pytest.raises(DomainError, match=f"^{re.escape(str(path))}: .*{key}"):
         load_tree(str(path))
+
+
+# deterministic examples, and no example database written to the working tree
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def fitted_trees(draw):
+    """A tree fitted with drawn params on a small random trial with one or
+    two numeric columns and maybe a categorical one; returns it and the
+    trial's features."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(60, 800))
+    cols = [Column(f"x{j}", "numeric") for j in range(draw(st.integers(1, 2)))]
+    feats = [rng.random(n) for _ in cols]
+    if draw(st.booleans()):
+        card = draw(st.integers(2, 4))
+        cols.append(Column("c0", "categorical", card))
+        feats.append(rng.integers(0, card, n).astype(np.float64))
+    X = np.column_stack(feats)
+    t = rng.permutation(np.arange(n) % 2)  # both arms at the root
+    y = (rng.random(n) < 0.2 + 0.4 * t * (X[:, 0] > 0.5)).astype(np.int64)
+    params = TreeParams(
+        criterion=draw(st.sampled_from(["ed", "kl"])),
+        max_depth=draw(st.integers(1, 4)),
+        min_samples_per_arm=draw(st.integers(1, 40)),
+        min_gain=draw(st.sampled_from([0.0, 1e-4])),
+        numeric_split_candidates=draw(st.integers(2, 16)),
+    )
+    return fit_tree(dataset_from(X, t, y, FeatureSchema(tuple(cols))), params), X
+
+
+@PROPERTY
+@given(fitted_trees())
+def test_tree_document_round_trips_byte_for_byte(tmp_path_factory, case):
+    tree, X = case
+    d = tmp_path_factory.mktemp("tree")
+    first, second = str(d / "first.json"), str(d / "second.json")
+    save_tree(tree, first)
+    back = load_tree(first)
+    save_tree(back, second)
+    with open(first, "rb") as a, open(second, "rb") as b:
+        assert a.read() == b.read()
+    assert back.predict_uplift(X).tobytes() == tree.predict_uplift(X).tobytes()
+
+
+DELETE = object()
+STATS_KEYS = {"n", "n_t", "n_c", "pos_t", "pos_c", "tau_hat"}
+
+
+@PROPERTY
+@given(fitted_trees(), st.data())
+def test_tree_document_with_a_bad_node_value_is_rejected(tmp_path_factory, case, data):
+    tree, _ = case
+    doc = tree_to_jsonable(tree)
+    i = data.draw(st.integers(0, len(doc["nodes"]) - 1), label="node")
+    node = doc["nodes"][i]
+    key = data.draw(st.sampled_from(sorted(node)), label="key")
+    edit = data.draw(st.sampled_from([DELETE, "x", "", None, [], [0]]), label="edit")
+    # the keys the loader reads the values of at this node; "id" is for readers
+    used = STATS_KEYS | {"rule"} | ({"left", "right"} if node["rule"] else {"leaf_id"})
+    if edit is DELETE:
+        must_fail = key != "id"
+        del node[key]
+    else:
+        must_fail = key in used and node[key] != edit
+        node[key] = edit
+    path = tmp_path_factory.mktemp("tree") / "tree.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load_tree(str(path))
+    except KdsmError as e:
+        assert str(e).startswith(f"{path}: ")
+    else:
+        assert not must_fail
 
 
 def test_leaf_summary_lists_every_leaf():

@@ -11,6 +11,10 @@
 #     --drop-leftovers and kdss --lambda 0, each to its own --out;
 #   - evaluate on every model and on the tree;
 #   - compare at synth.n=20000, seeds 1,2, 15 epochs;
+#   - a second compare with a failing cell: no treatment effect at
+#     synth.n=3000, methods plain,tm, seeds 1-4, 2 epochs, where seed 4's
+#     cells fail with "AUUC is undefined", so failed rows and medians over
+#     fewer ok cells are compared too;
 #   - a "tuned" chain (synth, split, fit-tree, train kdsm, evaluate) in its
 #     own directory, whose config sets a non-default value in every section
 #     and whose commands pass every flag (--seed, --criterion kl, --lambda,
@@ -40,6 +44,11 @@ run_side() {
         "$out/data" "$out/data" >"$cfg"
     printf 'out.dir = %s\nsynth.n = 20000\ncompare.seeds = 1,2\ntrain.max_epochs = 15\n' \
         "$out/compare" >"$cfg.compare"
+    {
+        printf 'out.dir = %s\n' "$out/compare_failing"
+        printf '%s\n' 'synth.n = 3000' 'synth.effect_function = zero' \
+            'compare.methods = plain,tm' 'compare.seeds = 1,2,3,4' 'train.max_epochs = 2'
+    } >"$cfg.compare_failing"
     printf 'out.dir = %s\ndata.dir = %s\n' "$out/tuned" "$out/tuned" >"$cfg.tuned"
     cat >>"$cfg.tuned" <<'TUNED'
 seed = 5
@@ -94,6 +103,7 @@ kdss_lambda0 kdss --lambda 0
 VARIANTS
         kdsm evaluate --config "$cfg" "$out/data/tree.json"
         kdsm compare --config "$cfg.compare"
+        kdsm compare --config "$cfg.compare_failing"
         kdsm synth --config "$cfg.tuned" --seed 11
         kdsm split --config "$cfg.tuned" --seed 11
         kdsm fit-tree --config "$cfg.tuned" --seed 11 --criterion kl
