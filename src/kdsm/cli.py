@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import data as data_mod
 from . import distill, metrics, student, tree as tree_mod
-from .errors import ConfigError, KdsmError, document_errors
+from .errors import ConfigError, FitError, KdsmError, MetricError, TrainingError, document_errors
 from .seeds import derive_seed
 
 TWO_MODEL_FORMAT = "two-model/v1"
@@ -172,10 +171,20 @@ class RunConfig:
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} in compare.methods")
-        return methods
+        return _distinct("compare.methods", methods)
 
     def compare_seeds(self) -> list[int]:
-        return list(self._get("compare.seeds", "tuple[int, ...]"))
+        return _distinct("compare.seeds", list(self._get("compare.seeds", "tuple[int, ...]")))
+
+
+def _distinct(key: str, entries: list) -> list:
+    """`entries`, the list config key `key` holds, unless it is empty or repeats one."""
+    if not entries:
+        raise ConfigError(f"config key {key} lists nothing")
+    for i, entry in enumerate(entries):
+        if entry in entries[:i]:
+            raise ConfigError(f"config key {key} repeats {entry!r}")
+    return entries
 
 
 def _load_run_config(args) -> RunConfig:
@@ -195,18 +204,13 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _dataset_paths(cfg: RunConfig) -> dict[str, str]:
-    d = cfg.data_dir
-    return {
-        "dataset": os.path.join(d, "dataset.csv"),
-        "true_cate": os.path.join(d, "true_cate.csv"),
-        "schema": os.path.join(d, "schema.json"),
-        "train": os.path.join(d, "train.csv"),
-        "valid": os.path.join(d, "valid.csv"),
-        "test": os.path.join(d, "test.csv"),
-        "split_indices": os.path.join(d, "split_indices.txt"),
-        "tree": os.path.join(d, "tree.json"),
-    }
+def _dataset_paths(directory: str) -> dict[str, str]:
+    """The path of each pipeline file under `directory`, by its stem."""
+    files = (
+        "dataset.csv", "true_cate.csv", "schema.json", "train.csv", "valid.csv", "test.csv",
+        "split_indices.txt", "tree.json",
+    )
+    return {os.path.splitext(f)[0]: os.path.join(directory, f) for f in files}
 
 
 def _load_schema(path: str) -> data_mod.FeatureSchema:
@@ -218,7 +222,7 @@ def _load_schema(path: str) -> data_mod.FeatureSchema:
 def _load_split(cfg: RunConfig, names: tuple[str, ...]) -> tuple[data_mod.Dataset, ...]:
     """The named split files ("train", "valid", "test"), read under the
     data directory's schema; only those files need to exist."""
-    paths = _dataset_paths(cfg)
+    paths = _dataset_paths(cfg.data_dir)
     schema = _load_schema(paths["schema"])
     for name in names:
         if not os.path.exists(paths[name]):
@@ -231,7 +235,7 @@ def cmd_synth(args) -> int:
     synth_cfg = cfg.synthetic_config(derive_seed(cfg.seed, "synth"))
     ds, tau = data_mod.gen_synthetic(synth_cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    out = _dataset_paths(RunConfig({"data.dir": cfg.out_dir}))
+    out = _dataset_paths(cfg.out_dir)
     data_mod.save_csv(ds, out["dataset"])
     _write_text(out["true_cate"], "\n".join(["true_cate", *map(repr, tau.tolist())]) + "\n")
     _write_text(out["schema"], json.dumps(ds.schema.to_jsonable(), indent=1) + "\n")
@@ -241,7 +245,7 @@ def cmd_synth(args) -> int:
 
 def cmd_split(args) -> int:
     cfg = _load_run_config(args)
-    paths = _dataset_paths(cfg)
+    paths = _dataset_paths(cfg.data_dir)
     schema = _load_schema(paths["schema"])
     if not os.path.exists(paths["dataset"]):
         raise ConfigError(f"{paths['dataset']} not found; run `kdsm synth` or place a dataset there")
@@ -253,7 +257,7 @@ def cmd_split(args) -> int:
     for w in split.warnings:
         print(f"warning: {w}", file=sys.stderr)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    out = _dataset_paths(RunConfig({"data.dir": cfg.out_dir}))
+    out = _dataset_paths(cfg.out_dir)
     lines = ["# split indices v1"]
     for name in ("train", "valid", "test"):
         data_mod.save_csv(getattr(split, name), out[name])
@@ -324,14 +328,19 @@ def _predictor_from_jsonable(obj: dict):
     return kind, predictor.predict_uplift, predictor.schema
 
 
-def _train_one(method, train, valid, tree, student_cfg, hyper, drop_leftovers, pair_stream=False):
+def _train_one(cfg, seed, method, train, valid, tree, pair_stream=False):
+    """Train `method` with the student and training settings of `cfg`, their
+    seeds derived from the master seed `seed`."""
+    student_cfg = cfg.student_config(derive_seed(seed, "student-init"))
+    hyper = cfg.hyper(derive_seed(seed, "train"))
+    drop = cfg._get("train.drop_leftovers", "bool")
     if method == "kdsm":
-        return distill.train_kdsm(train, valid, tree, student_cfg, hyper, drop_leftovers)
+        return distill.train_kdsm(train, valid, tree, student_cfg, hyper, drop)
     if method == "kdss":
         return distill.train_kdss(train, valid, tree, student_cfg, hyper)
     if method == "plain":
         pair_tree = tree if pair_stream else None
-        return distill.train_plain(train, valid, student_cfg, hyper, pair_tree, drop_leftovers)
+        return distill.train_plain(train, valid, student_cfg, hyper, pair_tree, drop)
     if method == "tm":
         return distill.train_two_model(train, valid, student_cfg, hyper)
     if method == "mom":
@@ -345,7 +354,7 @@ def cmd_train(args) -> int:
     train, valid = _load_split(cfg, ("train", "valid"))
     teacher = None
     if method in ("kdsm", "kdss") or (method == "plain" and args.pair_stream):
-        tree_path = _dataset_paths(cfg)["tree"]
+        tree_path = _dataset_paths(cfg.data_dir)["tree"]
         if not os.path.exists(tree_path):
             raise ConfigError(
                 f"--method {method} needs a fitted tree at {tree_path}; run `kdsm fit-tree` first"
@@ -353,12 +362,7 @@ def cmd_train(args) -> int:
         teacher = tree_mod.load_tree(tree_path)
         if teacher.schema != train.schema:
             raise ConfigError("tree schema does not match the training data schema")
-    student_cfg = cfg.student_config(derive_seed(cfg.seed, "student-init"))
-    hyper = cfg.hyper(derive_seed(cfg.seed, "train"))
-    drop = cfg._get("train.drop_leftovers", "bool")
-    model, report = _train_one(
-        method, train, valid, teacher, student_cfg, hyper, drop, args.pair_stream
-    )
+    model, report = _train_one(cfg, cfg.seed, method, train, valid, teacher, args.pair_stream)
     os.makedirs(cfg.out_dir, exist_ok=True)
     model_path = os.path.join(cfg.out_dir, f"model_{method}.json")
     _save_predictor(model, model_path)
@@ -393,27 +397,45 @@ def cmd_evaluate(args) -> int:
 
 
 @dataclass
-class MethodRow:
+class CellResult:
+    """One (method, seed) cell of a comparison: the summary record of its
+    test split, or None and the error when training or scoring failed."""
+
     method: str
     seed: int
-    auuc: float | None = None
-    qini: float | None = None
-    failed: bool = False
+    summary: dict | None = None
     error: str = ""
 
-
-@dataclass
-class MedianRow:
-    method: str
-    auuc: float | None
-    qini: float | None
-    n_ok: int
+    @property
+    def failed(self) -> bool:
+        return self.summary is None
 
 
 @dataclass
 class ComparisonReport:
-    rows: list[MethodRow]
-    medians: list[MedianRow]
+    rows: list[CellResult]
+
+
+def _run_cell(cfg, seed, method, split, teacher, cell_dir) -> CellResult:
+    """Train `method` on the seed's split and score its test split, writing the
+    cell's artifacts under `cell_dir` unless it is None. Training or scoring
+    that fails on the data gives a failed cell; a bad setting raises."""
+    try:
+        model, report = _train_one(cfg, seed, method, split.train, split.valid, teacher)
+        summary = metrics.evaluate_predictions(
+            model.predict_uplift(split.test.features),
+            split.test.treatment,
+            split.test.outcome,
+            cfg.tie_seed(seed),
+        )
+    except (FitError, TrainingError, MetricError) as e:
+        return CellResult(method, seed, error=str(e))
+    if cell_dir is not None:
+        os.makedirs(cell_dir, exist_ok=True)
+        _save_predictor(model, os.path.join(cell_dir, "model.json"))
+        distill.write_train_report(report, os.path.join(cell_dir, "train_report.txt"))
+        _write_text(os.path.join(cell_dir, "summary.json"), json.dumps(summary, indent=1) + "\n")
+    return CellResult(method, seed, summary)
 
 
 def run_comparison(
@@ -433,73 +455,46 @@ def run_comparison(
     seeds = seeds if seeds is not None else cfg.compare_seeds()
     ratios = cfg.split_ratios()
     tree_params = cfg.tree_params()
-    rows: list[MethodRow] = []
+    rows: list[CellResult] = []
     for seed in seeds:
-        synth_cfg = cfg.synthetic_config(derive_seed(seed, "synth"))
-        ds, _ = data_mod.gen_synthetic(synth_cfg)
+        ds, _ = data_mod.gen_synthetic(cfg.synthetic_config(derive_seed(seed, "synth")))
         split = data_mod.split_dataset(ds, ratios, derive_seed(seed, "split"))
         teacher = tree_mod.fit_tree(split.train, tree_params, derive_seed(seed, "tree"))
-        student_cfg = cfg.student_config(derive_seed(seed, "student-init"))
-        hyper = cfg.hyper(derive_seed(seed, "train"))
-        tie_seed = cfg.tie_seed(seed)
-        drop = cfg._get("train.drop_leftovers", "bool")
         for method in methods:
-            row = MethodRow(method=method, seed=seed)
-            try:
-                model, report = _train_one(
-                    method, split.train, split.valid, teacher, student_cfg, hyper, drop
-                )
-                summary = metrics.evaluate_predictions(
-                    model.predict_uplift(split.test.features),
-                    split.test.treatment,
-                    split.test.outcome,
-                    tie_seed,
-                )
-                row.auuc = summary["auuc"]
-                row.qini = summary["qini"]
-                if out_dir is not None:
-                    cell_dir = os.path.join(out_dir, "cells", f"{method}_seed{seed}")
-                    os.makedirs(cell_dir, exist_ok=True)
-                    _save_predictor(model, os.path.join(cell_dir, "model.json"))
-                    distill.write_train_report(report, os.path.join(cell_dir, "train_report.txt"))
-                    _write_text(os.path.join(cell_dir, "summary.json"), json.dumps(summary, indent=1) + "\n")
-            except KdsmError as e:
-                row.failed = True
-                row.error = str(e)
-            rows.append(row)
-    medians: list[MedianRow] = []
-    for method in methods:
-        ok = [r for r in rows if r.method == method and not r.failed]
-        auuc = statistics.median(r.auuc for r in ok) if ok else None
-        qini = statistics.median(r.qini for r in ok) if ok else None
-        medians.append(MedianRow(method=method, auuc=auuc, qini=qini, n_ok=len(ok)))
-    medians.sort(key=lambda m: (m.qini is None, -(m.qini if m.qini is not None else 0.0)))
-    report = ComparisonReport(rows=rows, medians=medians)
+            cell = f"{method}_seed{seed}"
+            cell_dir = None if out_dir is None else os.path.join(out_dir, "cells", cell)
+            rows.append(_run_cell(cfg, seed, method, split, teacher, cell_dir))
+    report = ComparisonReport(rows)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_text(os.path.join(out_dir, "comparison.txt"), format_comparison_report(report))
     return report
 
 
+def _metric_cells(summary: dict | None) -> list[str]:
+    """The auuc and qini columns of a report row: their exact reprs, or "-"."""
+    return ["-", "-"] if summary is None else [repr(float(summary[k])) for k in ("auuc", "qini")]
+
+
 def format_comparison_report(report: ComparisonReport) -> str:
-    """Per-seed rows plus a median block sorted by median Qini, descending."""
+    """Per-seed rows plus a median block sorted by median Qini, descending.
+    A method's medians are taken over its ok cells; ties keep method order,
+    and a method with no ok cell comes last."""
     lines = ["# comparison report v1", "method\tseed\tauuc\tqini\tstatus"]
+    ok: dict[str, list[dict]] = {r.method: [] for r in report.rows}
     for r in report.rows:
-        if r.failed:
-            lines.append(f"{r.method}\t{r.seed}\t-\t-\tfailed: {r.error}")
-        else:
-            lines.append(
-                f"{r.method}\t{r.seed}\t{repr(float(r.auuc))}\t{repr(float(r.qini))}\tok"
-            )
+        status = f"failed: {r.error}" if r.failed else "ok"
+        lines.append("\t".join([r.method, str(r.seed), *_metric_cells(r.summary), status]))
+        if not r.failed:
+            ok[r.method].append(r.summary)
+    medians = {
+        m: {k: statistics.median(s[k] for s in cells) for k in ("auuc", "qini")} if cells else None
+        for m, cells in ok.items()
+    }
     lines.append("# medians (sorted by qini, descending)")
     lines.append("method\tauuc_median\tqini_median\tn_ok")
-    for m in report.medians:
-        if m.n_ok == 0:
-            lines.append(f"{m.method}\t-\t-\t0")
-        else:
-            lines.append(
-                f"{m.method}\t{repr(float(m.auuc))}\t{repr(float(m.qini))}\t{m.n_ok}"
-            )
+    for m in sorted(medians, key=lambda m: -medians[m]["qini"] if medians[m] else math.inf):
+        lines.append("\t".join([m, *_metric_cells(medians[m]), str(len(ok[m]))]))
     return "\n".join(lines) + "\n"
 
 

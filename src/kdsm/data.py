@@ -182,17 +182,20 @@ def load_document(path: str, parse):
         raise type(e)(f"{path}: {e}") from None
 
 
-# the conversion of a document value to each declared config field type
+# the conversion of a document value to each declared field type
 _FIELD_TYPES = {
-    "int": int, "float": float, "str": str, "tuple[int, ...]": lambda v: tuple(map(int, v))
+    "int": int, "float": float, "str": str, "tuple[int, ...]": lambda v: tuple(map(int, v)),
+    "int | None": int, "float | None": float,
 }
 
 
 def config_from_jsonable(cls, obj: dict):
-    """The config dataclass `cls` rebuilt from a document that holds each of
-    its fields by name, as `dataclasses.asdict` writes them. Each value is
-    converted to its field's declared type, and the constructor checks it."""
-    return cls(**{f.name: _FIELD_TYPES[f.type](obj[f.name]) for f in fields(cls)})
+    """The dataclass `cls` rebuilt from a document that holds each of its
+    fields by name, as `dataclasses.asdict` writes them; a field whose
+    default is None may be absent. Each value is converted to its field's
+    declared type, and the constructor checks it."""
+    given = [f for f in fields(cls) if f.default is not None or f.name in obj]
+    return cls(**{f.name: _FIELD_TYPES[f.type](obj[f.name]) for f in given})
 
 
 @contextmanager
@@ -286,7 +289,6 @@ class Dataset:
 class DatasetSplit:
     """Result of `split_dataset`: three datasets plus bookkeeping.
 
-    Iterating yields (train, valid, test) so the result unpacks like a tuple.
     `indices` maps split name to the sorted original row indices it received;
     `warnings` records non-fatal conditions such as empty strata.
     """
@@ -296,9 +298,6 @@ class DatasetSplit:
     test: Dataset
     indices: dict[str, np.ndarray] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-
-    def __iter__(self):
-        return iter((self.train, self.valid, self.test))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -82,8 +82,8 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Fitting parameters. `max_depth` counts edges from the root, so a
-    depth-0 tree is a single leaf and max_depth=1 allows one split."""
+    """Fitting parameters. `max_depth` counts edges from the root and must
+    be >= 1: max_depth=1 allows one split."""
 
     criterion: str = "ed"
     max_depth: int = 5
@@ -334,28 +334,13 @@ def schema_hash(schema: FeatureSchema) -> str:
 def tree_to_jsonable(tree: UpliftTree) -> dict:
     nodes = []
     for i, nd in enumerate(tree.nodes):
-        rule = None
+        # a node is written as its fields with its stats inlined, and its rule
+        # as the rule's fields that are not None
+        doc = asdict(nd)
+        stats = doc.pop("stats")
         if nd.rule is not None:
-            rule = {"feature": nd.rule.feature, "kind": nd.rule.kind}
-            if nd.rule.kind == NUMERIC:
-                rule["threshold"] = nd.rule.threshold
-            else:
-                rule["code"] = nd.rule.code
-        nodes.append(
-            {
-                "id": i,
-                "n": nd.stats.n,
-                "n_t": nd.stats.n_t,
-                "n_c": nd.stats.n_c,
-                "pos_t": nd.stats.pos_t,
-                "pos_c": nd.stats.pos_c,
-                "tau_hat": nd.stats.tau_hat,
-                "rule": rule,
-                "left": nd.left,
-                "right": nd.right,
-                "leaf_id": nd.leaf_id,
-            }
-        )
+            doc["rule"] = {k: v for k, v in doc["rule"].items() if v is not None}
+        nodes.append({"id": i, **stats, **doc})
     return {
         "format": TREE_FORMAT,
         **asdict(tree.params),
@@ -376,32 +361,14 @@ def tree_from_jsonable(obj: dict) -> UpliftTree:
     if schema_hash(schema) != obj["schema_hash"]:
         raise SchemaError("tree document schema hash does not match its schema")
     params = config_from_jsonable(TreeParams, obj)
-    nodes = []
-    for nd in obj["nodes"]:
-        rule = None
-        if nd["rule"] is not None:
-            r = nd["rule"]
-            if r["kind"] == NUMERIC:
-                rule = SplitRule(feature=int(r["feature"]), kind=NUMERIC, threshold=float(r["threshold"]))
-            else:
-                rule = SplitRule(feature=int(r["feature"]), kind=CATEGORICAL, code=int(r["code"]))
-        stats = NodeStats(
-            n=int(nd["n"]),
-            n_t=int(nd["n_t"]),
-            n_c=int(nd["n_c"]),
-            pos_t=int(nd["pos_t"]),
-            pos_c=int(nd["pos_c"]),
-            tau_hat=float(nd["tau_hat"]),
+    nodes = [
+        TreeNode(
+            config_from_jsonable(NodeStats, nd),
+            None if nd["rule"] is None else config_from_jsonable(SplitRule, nd["rule"]),
+            nd["left"], nd["right"], nd["leaf_id"],
         )
-        nodes.append(
-            TreeNode(
-                stats=stats,
-                rule=rule,
-                left=nd["left"],
-                right=nd["right"],
-                leaf_id=nd["leaf_id"],
-            )
-        )
+        for nd in obj["nodes"]
+    ]
     _check_topology(nodes, schema)
     return UpliftTree(schema=schema, params=params, nodes=nodes)
 
@@ -410,8 +377,9 @@ def _check_topology(nodes: list[TreeNode], schema: FeatureSchema) -> None:
     """Raise a ParseError naming the node unless every child id lies after
     its parent's, every node but the root has exactly one parent, leaf ids
     are 0..n_leaves-1, and every rule tests an existing column of its kind
-    (numeric thresholds finite). Children after parents rule out cycles,
-    which would make routing loop forever."""
+    and holds the value its kind compares with (numeric thresholds finite).
+    Children after parents rule out cycles, which would make routing loop
+    forever."""
     if not nodes:
         raise ParseError("tree document has no nodes")
     parents = [0] * len(nodes)
@@ -431,6 +399,9 @@ def _check_topology(nodes: list[TreeNode], schema: FeatureSchema) -> None:
         f = nd.rule.feature
         if not 0 <= f < len(schema.columns) or schema.columns[f].kind != nd.rule.kind:
             raise ParseError(f"tree node {i}: rule feature {f} is not a {nd.rule.kind} column")
+        key = "threshold" if nd.rule.kind == NUMERIC else "code"
+        if getattr(nd.rule, key) is None:
+            raise ParseError(f"tree node {i}: {nd.rule.kind} rule is missing key {key!r}")
         if nd.rule.kind == NUMERIC and not math.isfinite(nd.rule.threshold):
             raise ParseError(f"tree node {i}: threshold {nd.rule.threshold} is not finite")
     for i in range(1, len(nodes)):
@@ -457,10 +428,7 @@ def load_tree(path: str) -> UpliftTree:
 
 def leaf_summary(tree: UpliftTree) -> str:
     """Human-readable per-leaf table: counts, positives, and tau_hat."""
-    lines = ["leaf_id\tn\tn_t\tn_c\tpos_t\tpos_c\ttau_hat"]
+    lines = ["\t".join(["leaf_id", *(f.name for f in fields(NodeStats))])]
     for nd in tree.leaf_nodes():
-        s = nd.stats
-        lines.append(
-            f"{nd.leaf_id}\t{s.n}\t{s.n_t}\t{s.n_c}\t{s.pos_t}\t{s.pos_c}\t{repr(float(s.tau_hat))}"
-        )
+        lines.append("\t".join(map(repr, [nd.leaf_id, *astuple(nd.stats)])))
     return "\n".join(lines) + "\n"

@@ -251,10 +251,13 @@ def test_invalid_base_rate_fails_before_writing(tmp_path, capsys):
             "unknown method 'boosted' in compare.methods",
         ),
         (["synth"], "bogus.key = 1", "{cfg}:15: unknown config key 'bogus.key'"),
+        (["compare"], "compare.methods = plain,plain", "config key compare.methods repeats 'plain'"),
+        (["compare"], "compare.seeds = 1,1", "config key compare.seeds repeats 1"),
+        (["compare"], "compare.seeds = ,", "config key compare.seeds lists nothing"),
     ],
     ids=[
         "max_depth", "learning_rate", "drop_leftovers", "hidden_sizes", "seeds", "methods",
-        "unknown_key",
+        "unknown_key", "repeated_method", "repeated_seed", "no_seed",
     ],
 )
 def test_bad_config_value_names_its_key(pipeline, tmp_path, capsys, command, line, message):
