@@ -119,7 +119,7 @@ def auuc(ev: RankingEval) -> float:
     final = values[-1]
     if not final > 0:
         raise UndefinedMetricError(
-            f"AUUC is undefined: uplift at k=n is {final!r} (needs to be > 0)"
+            f"AUUC is undefined: uplift at k=n is {float(final)!r} (needs to be > 0)"
         )
     return float(np.mean(values / final))
 

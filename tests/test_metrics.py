@@ -98,8 +98,10 @@ def test_auuc_undefined_when_final_gain_nonpositive():
     t = np.array([1] * 100 + [0] * 100)
     y = np.array([1] * 5 + [0] * 95 + [1] * 30 + [0] * 70)
     ev = rank_eval(np.linspace(1, 0, 200), t, y, tie_seed=0)
-    with pytest.raises(UndefinedMetricError):
+    # the uplift prints as a plain float, whatever numpy's scalar repr is
+    with pytest.raises(UndefinedMetricError) as exc:
         auuc(ev)
+    assert str(exc.value) == "AUUC is undefined: uplift at k=n is -50.0 (needs to be > 0)"
 
 
 def test_qini_coefficient_matches_direct_formula():
