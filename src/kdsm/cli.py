@@ -13,8 +13,10 @@ import argparse
 import json
 import math
 import os
+import pickle
 import statistics
 import sys
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields
 
 from . import data as data_mod
@@ -416,21 +418,20 @@ class ComparisonReport:
     rows: list[CellResult]
 
 
-def _run_cell(cfg, seed, method, split, teacher, cell_dir) -> CellResult:
+def _run_cell(cfg, seed, method, split, teacher, out_dir) -> CellResult:
     """Train `method` on the seed's split and score its test split, writing the
-    cell's artifacts under `cell_dir` unless it is None. Training or scoring
-    that fails on the data gives a failed cell; a bad setting raises."""
+    cell's artifacts under `out_dir`/cells unless it is None. Training or
+    scoring that fails on the data gives a failed cell; a bad setting raises."""
     try:
         model, report = _train_one(cfg, seed, method, split.train, split.valid, teacher)
+        test = split.test
         summary = metrics.evaluate_predictions(
-            model.predict_uplift(split.test.features),
-            split.test.treatment,
-            split.test.outcome,
-            cfg.tie_seed(seed),
+            model.predict_uplift(test.features), test.treatment, test.outcome, cfg.tie_seed(seed)
         )
     except (FitError, TrainingError, MetricError) as e:
         return CellResult(method, seed, error=str(e))
-    if cell_dir is not None:
+    if out_dir is not None:
+        cell_dir = os.path.join(out_dir, "cells", f"{method}_seed{seed}")
         os.makedirs(cell_dir, exist_ok=True)
         _save_predictor(model, os.path.join(cell_dir, "model.json"))
         distill.write_train_report(report, os.path.join(cell_dir, "train_report.txt"))
@@ -443,32 +444,97 @@ def run_comparison(
     out_dir: str | None = None,
     methods: list[str] | None = None,
     seeds: list[int] | None = None,
+    *,
+    workers: int | None = None,
 ) -> ComparisonReport:
     """Train and evaluate every (method, seed) cell on fresh synthetic data.
 
     Per seed: one dataset, one split, and one teacher are shared by all
     methods; test rankings share one tie seed so curves are comparable. A
-    failing cell is marked failed and the rest proceed. Rerunning with the
-    same config writes byte-identical artifacts.
+    failing cell is marked failed and the rest proceed. The cells run in
+    `workers` processes, by default the fewer of the usable CPUs and the
+    cells, or in this one if 1; the artifacts are the same at any count.
     """
     methods = methods if methods is not None else cfg.compare_methods()
     seeds = seeds if seeds is not None else cfg.compare_seeds()
-    ratios = cfg.split_ratios()
-    tree_params = cfg.tree_params()
-    rows: list[CellResult] = []
-    for seed in seeds:
-        ds, _ = data_mod.gen_synthetic(cfg.synthetic_config(derive_seed(seed, "synth")))
-        split = data_mod.split_dataset(ds, ratios, derive_seed(seed, "split"))
-        teacher = tree_mod.fit_tree(split.train, tree_params, derive_seed(seed, "tree"))
-        for method in methods:
-            cell = f"{method}_seed{seed}"
-            cell_dir = None if out_dir is None else os.path.join(out_dir, "cells", cell)
-            rows.append(_run_cell(cfg, seed, method, split, teacher, cell_dir))
-    report = ComparisonReport(rows)
+    if workers is None:
+        workers = min(len(os.sched_getaffinity(0)), len(methods) * len(seeds))
+    # the workers start first, so that their imports overlap the teachers' fits
+    with _cell_runner(cfg, workers) as run_cells:
+        cells = []
+        for seed in seeds:
+            ds, _ = data_mod.gen_synthetic(cfg.synthetic_config(derive_seed(seed, "synth")))
+            split = data_mod.split_dataset(ds, cfg.split_ratios(), derive_seed(seed, "split"))
+            teacher = tree_mod.fit_tree(split.train, cfg.tree_params(), derive_seed(seed, "tree"))
+            cells += [(seed, method, split, teacher, out_dir) for method in methods]
+        report = ComparisonReport(run_cells(cells))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _write_text(os.path.join(out_dir, "comparison.txt"), format_comparison_report(report))
     return report
+
+
+WORKER_CODE = "from kdsm.cli import _serve_cells; _serve_cells()"
+
+
+@contextmanager
+def _cell_runner(cfg: RunConfig, workers: int):
+    """A function from cells to their results in cell order, which runs each
+    in the next free of `workers` WORKER_CODE interpreters (killed and reaped
+    on exit) and raises the first error, a cell's or a dead worker's."""
+    if workers <= 1:
+        yield lambda cells: [_run_cell(cfg, *cell) for cell in cells]
+        return
+    import queue
+    import subprocess
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(cell):
+        proc = free.get()
+        try:
+            pickle.dump((cfg.values, cell), proc.stdin, pickle.HIGHEST_PROTOCOL)
+            proc.stdin.flush()
+            reply = pickle.load(proc.stdout)
+        except (OSError, EOFError, pickle.UnpicklingError):
+            proc.kill()
+            with suppress(OSError):  # a half-sent cell would fail the close on exit
+                proc.stdin.close()
+            raise KdsmError(f"a compare worker stopped with exit code {proc.wait()}") from None
+        finally:
+            free.put(proc)
+        if isinstance(reply, Exception):
+            raise reply
+        return CellResult(**reply)
+
+    # one BLAS thread each: two workers with two threads each ran 5x slower on 2 CPUs
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # where this kdsm lives
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    free = queue.SimpleQueue()
+    cmd = [sys.executable, "-c", WORKER_CODE]
+    options = {"stdin": subprocess.PIPE, "stdout": subprocess.PIPE, "env": env}
+    with ExitStack() as stack:
+        # unwound in reverse: the workers are killed, the threads end, the pipes close
+        procs = [stack.enter_context(subprocess.Popen(cmd, **options)) for _ in range(workers)]
+        threads = stack.enter_context(ThreadPoolExecutor(workers))
+        for proc in procs:
+            stack.callback(proc.kill)
+            free.put(proc)
+        yield lambda cells: list(threads.map(run, cells))
+
+
+def _serve_cells() -> None:
+    """A compare worker: answer each pickled (values, cell) on stdin with its result or error."""
+    replies, sys.stdout = sys.stdout.buffer, sys.stderr  # prints go to stderr
+    with suppress(EOFError):
+        while True:
+            values, cell = pickle.load(sys.stdin.buffer)
+            try:
+                reply = vars(_run_cell(RunConfig(values), *cell))
+            except (KdsmError, OSError) as e:
+                reply = e
+            pickle.dump(reply, replies)
+            replies.flush()
 
 
 def _metric_cells(summary: dict | None) -> list[str]:

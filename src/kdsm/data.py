@@ -182,9 +182,15 @@ def load_document(path: str, parse):
         raise type(e)(f"{path}: {e}") from None
 
 
+def _int_tuple(v) -> tuple[int, ...]:
+    if not isinstance(v, (list, tuple)):  # not a string, though tuple(map(int, "12")) is (1, 2)
+        raise TypeError(f"{v!r} is not a list of integers")
+    return tuple(map(int, v))
+
+
 # the conversion of a document value to each declared field type
 _FIELD_TYPES = {
-    "int": int, "float": float, "str": str, "tuple[int, ...]": lambda v: tuple(map(int, v)),
+    "int": int, "float": float, "str": str, "tuple[int, ...]": _int_tuple,
     "int | None": int, "float | None": float,
 }
 

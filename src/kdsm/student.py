@@ -38,6 +38,8 @@ PROB_EPS = 1e-7
 #: Rows per block of the inference routine; fixes its working memory at a
 #: few MB whatever the number of rows scored.
 SCORE_BLOCK_ROWS = 8192
+#: Rows per chunk of a weight gradient's batch sum, whose BLAS bits vary with its thread count.
+GRAD_CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -421,7 +423,9 @@ def _backprop(model: StudentModel, hs, ss, codes, dz: np.ndarray) -> np.ndarray:
     g_emb, g_w, g_b = param_views(model.config, model.schema, grads)
     g = dz[:, None]
     for l in range(len(model.weights) - 1, -1, -1):
-        g_w[l][...] = hs[l].T @ g
+        g_w[l][...] = hs[l][:GRAD_CHUNK_ROWS].T @ g[:GRAD_CHUNK_ROWS]
+        for lo in range(GRAD_CHUNK_ROWS, g.shape[0], GRAD_CHUNK_ROWS):
+            g_w[l] += hs[l][lo : lo + GRAD_CHUNK_ROWS].T @ g[lo : lo + GRAD_CHUNK_ROWS]
         g_b[l][...] = g.sum(axis=0)
         g = g @ model.weights[l].T
         if l > 0:

@@ -361,23 +361,23 @@ def tree_from_jsonable(obj: dict) -> UpliftTree:
     if schema_hash(schema) != obj["schema_hash"]:
         raise SchemaError("tree document schema hash does not match its schema")
     params = config_from_jsonable(TreeParams, obj)
-    nodes = [
-        TreeNode(
-            config_from_jsonable(NodeStats, nd),
-            None if nd["rule"] is None else config_from_jsonable(SplitRule, nd["rule"]),
-            nd["left"], nd["right"], nd["leaf_id"],
-        )
-        for nd in obj["nodes"]
-    ]
+    nodes = []
+    for i, nd in enumerate(obj["nodes"]):
+        if not (_is_int(nd["id"]) and nd["id"] == i):
+            raise ParseError(f"tree node {i} has id {nd['id']!r}")
+        rule = None if nd["rule"] is None else config_from_jsonable(SplitRule, nd["rule"])
+        stats = config_from_jsonable(NodeStats, nd)
+        nodes.append(TreeNode(stats, rule, nd["left"], nd["right"], nd["leaf_id"]))
     _check_topology(nodes, schema)
     return UpliftTree(schema=schema, params=params, nodes=nodes)
 
 
 def _check_topology(nodes: list[TreeNode], schema: FeatureSchema) -> None:
     """Raise a ParseError naming the node unless every child id lies after
-    its parent's, every node but the root has exactly one parent, leaf ids
-    are 0..n_leaves-1, and every rule tests an existing column of its kind
-    and holds the value its kind compares with (numeric thresholds finite).
+    its parent's, every node but the root has exactly one parent, only leaves
+    have leaf ids (0..n_leaves-1) and only internal nodes children, and every
+    rule tests an existing column of its kind and holds the value its kind
+    compares with (a finite threshold, a code below the cardinality).
     Children after parents rule out cycles, which would make routing loop
     forever."""
     if not nodes:
@@ -386,10 +386,12 @@ def _check_topology(nodes: list[TreeNode], schema: FeatureSchema) -> None:
     leaf_ids = []
     for i, nd in enumerate(nodes):
         if nd.rule is None:
-            if not _is_int(nd.leaf_id):
-                raise ParseError(f"tree node {i}: leaf without an integer leaf_id")
+            if not _is_int(nd.leaf_id) or (nd.left, nd.right) != (None, None):
+                raise ParseError(f"tree node {i}: a leaf needs an integer leaf_id and no children")
             leaf_ids.append(nd.leaf_id)
             continue
+        if nd.leaf_id is not None:
+            raise ParseError(f"tree node {i}: an internal node has leaf_id {nd.leaf_id!r}")
         for side, child in (("left", nd.left), ("right", nd.right)):
             if not (_is_int(child) and i < child < len(nodes)):
                 raise ParseError(
@@ -404,6 +406,8 @@ def _check_topology(nodes: list[TreeNode], schema: FeatureSchema) -> None:
             raise ParseError(f"tree node {i}: {nd.rule.kind} rule is missing key {key!r}")
         if nd.rule.kind == NUMERIC and not math.isfinite(nd.rule.threshold):
             raise ParseError(f"tree node {i}: threshold {nd.rule.threshold} is not finite")
+        if nd.rule.kind == CATEGORICAL and not 0 <= nd.rule.code < schema.columns[f].cardinality:
+            raise ParseError(f"tree node {i}: code {nd.rule.code} is not a code of column {f}")
     for i in range(1, len(nodes)):
         if parents[i] != 1:
             raise ParseError(f"tree node {i} is referenced by {parents[i]} parents, expected 1")

@@ -10,13 +10,20 @@ import numpy as np
 import pytest
 
 import kdsm
-from kdsm import distill
+from kdsm import cli, distill
 from kdsm.cli import (
-    DEFAULTS, RunConfig, _save_predictor, _write_text, load_predictor, main, parse_config_file
+    DEFAULTS,
+    RunConfig,
+    _save_predictor,
+    _write_text,
+    load_predictor,
+    main,
+    parse_config_file,
+    run_comparison,
 )
 from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, load_csv, save_csv, split_dataset
 from kdsm.distill import KdsmHyper, TrainReport, write_train_report
-from kdsm.errors import FitError
+from kdsm.errors import FitError, KdsmError
 from kdsm.metrics import Curve, write_curve_csv
 from kdsm.seeds import derive_seed
 from kdsm.student import StudentConfig, save_student
@@ -384,6 +391,8 @@ def test_compare_reports_failed_cells(tmp_path, capsys, monkeypatch):
         raise FitError("boom")
 
     monkeypatch.setattr(distill, "train_mom", boom)
+    # the patched trainer exists in this process only, so the cells must run here
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     cfg, out = write_cfg(str(tmp_path), extra="compare.methods = plain,mom\ncompare.seeds = 1,2\n")
     assert main(["compare", "--config", cfg]) == 0
     captured = capsys.readouterr()
@@ -397,6 +406,85 @@ def test_compare_reports_failed_cells(tmp_path, capsys, monkeypatch):
         assert fh.read() == captured.out
     assert os.path.isdir(os.path.join(out, "cells", "plain_seed1"))
     assert not os.path.exists(os.path.join(out, "cells", "mom_seed1"))
+
+
+# the compare of tools/refactor_oracle.sh whose seed-4 cells fail: with no
+# treatment effect, their AUUC is undefined
+FAILING_COMPARE = {
+    "synth.n": "3000",
+    "synth.effect_function": "zero",
+    "compare.methods": "plain,tm",
+    "compare.seeds": "1,2,3,4",
+    "train.max_epochs": "2",
+}
+
+
+def _no_child_process_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.mark.parametrize(
+    "values, n_failed",
+    [
+        pytest.param({"compare.methods": "plain,kdsm,tm", "compare.seeds": "1,2"}, 0, id="base"),
+        pytest.param(FAILING_COMPARE, 2, id="failing-cells"),
+    ],
+)
+def test_compare_artifacts_do_not_depend_on_the_worker_count(tmp_path, values, n_failed):
+    cfg = RunConfig(values if n_failed else {**parse_config_file(write_cfg(str(tmp_path))[0]), **values})
+    artifacts = {}
+    for workers in (1, 2, 3):  # 3: more workers than the CPUs of a 2-CPU machine
+        out = str(tmp_path / f"workers{workers}")
+        report = run_comparison(cfg, out, workers=workers)
+        assert sum(r.failed for r in report.rows) == n_failed
+        artifacts[workers] = file_hashes(out)
+    assert artifacts[1] == artifacts[2] == artifacts[3]
+    assert "comparison.txt" in artifacts[1]
+    assert sum(p.startswith("cells") for p in artifacts[1]) == 3 * (len(report.rows) - n_failed)
+    assert _no_child_process_left()
+
+
+def test_compare_bad_setting_fails_alike_in_workers_and_in_process(tmp_path, capsys, monkeypatch):
+    # the setting is read only when a cell trains, so in a worker when there are workers
+    extra = "train.drop_leftovers = maybe\ncompare.methods = plain,kdsm\ncompare.seeds = 1,2\n"
+    cfg, _ = write_cfg(str(tmp_path), extra=extra)
+    errors = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert main(["compare", "--config", cfg]) == 1
+        errors[len(cpus)] = capsys.readouterr().err
+        assert _no_child_process_left()
+    assert errors[1] == errors[2] == "error: config key train.drop_leftovers='maybe' is not a boolean\n"
+    # and through `python -m kdsm.cli`, whose cli module is __main__
+    src = os.path.dirname(os.path.dirname(kdsm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kdsm.cli", "compare", "--config", cfg],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (1, errors[1])
+
+
+@pytest.mark.parametrize(
+    "worker_code",
+    [
+        pytest.param("import os; os._exit(3)", id="before-reading-a-cell"),
+        pytest.param(
+            "import os, pickle, sys; pickle.load(sys.stdin.buffer); os._exit(3)",
+            id="after-reading-a-cell",
+        ),
+    ],
+)
+def test_compare_worker_that_dies_is_a_kdsm_error(tmp_path, monkeypatch, worker_code):
+    monkeypatch.setattr(cli, "WORKER_CODE", worker_code)
+    cfg = RunConfig(parse_config_file(write_cfg(str(tmp_path))[0]))
+    with pytest.raises(KdsmError, match=r"^a compare worker stopped with exit code 3$"):
+        run_comparison(cfg, str(tmp_path / "out"), ["plain", "tm"], [1, 2], workers=2)
+    assert _no_child_process_left()
 
 
 @pytest.mark.parametrize(

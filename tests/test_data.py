@@ -163,7 +163,7 @@ def test_gen_synthetic_rejects_impossible_probability():
     with pytest.raises(DomainError):
         SyntheticConfig(
             n=100, d_numeric=2, base_rate=0.95, effect_function="piecewise-on-two-features", seed=0
-        ).validate()
+        )
 
 
 def test_gen_synthetic_outcome_rate_tracks_config():

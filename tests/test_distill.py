@@ -371,11 +371,11 @@ def test_report_format_lines():
 
 def test_hyper_validation():
     with pytest.raises(DomainError):
-        KdsmHyper(kd_weight=-0.1).validate()
+        KdsmHyper(kd_weight=-0.1)
     with pytest.raises(DomainError):
-        KdsmHyper(batch_size=0).validate()
+        KdsmHyper(batch_size=0)
     with pytest.raises(DomainError):
-        KdsmHyper(max_epochs=0).validate()
+        KdsmHyper(max_epochs=0)
 
 
 # --- two-model baseline ---

@@ -1,11 +1,19 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kdsm
 
 from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, split_dataset
 from kdsm.distill import KdsmHyper, TwoModelResult, train_kdsm
-from kdsm.errors import DomainError, ParseError, SchemaError, TrainingError
+from kdsm.errors import DomainError, KdsmError, ParseError, SchemaError, TrainingError
 from kdsm.student import (
     SCORE_BLOCK_ROWS,
     LossBatch,
@@ -482,14 +490,129 @@ def test_student_document_missing_key_is_a_parse_error():
         student_from_jsonable({"format": "student-model/v1", "head": "binary"})
 
 
+@pytest.mark.parametrize("hidden, text", [((), ""), ((1, 2), "12")])
+def test_student_document_hidden_sizes_must_be_a_list(tmp_path, hidden, text):
+    # a string spelling the sizes, which iterating it would give, is no list
+    model = init_student(StudentConfig(hidden_sizes=hidden), tiny_dataset(d_categorical=1))
+    doc = student_to_jsonable(model)
+    doc["config"]["hidden_sizes"] = text
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{path}: .*{text!r} is not a list of integers"):
+        load_student(str(path))
+
+
 def test_student_config_validation():
     with pytest.raises(DomainError):
-        StudentConfig(hidden_sizes=(0,)).validate()
+        StudentConfig(hidden_sizes=(0,))
     with pytest.raises(DomainError):
-        StudentConfig(activation="gelu").validate()
+        StudentConfig(activation="gelu")
     with pytest.raises(DomainError):
-        StudentConfig(optimizer="rmsprop").validate()
+        StudentConfig(optimizer="rmsprop")
     with pytest.raises(DomainError):
-        StudentConfig(learning_rate=0.0).validate()
+        StudentConfig(learning_rate=0.0)
     with pytest.raises(DomainError):
-        StudentConfig(lr_decay_factor=1.0).validate()
+        StudentConfig(lr_decay_factor=1.0)
+
+
+# Trains a kdsm student and a mom regressor on batches of about 1,000 passes
+# and prints the sha256 of both model documents.
+TRAIN_AND_HASH = """
+import hashlib, json
+from kdsm import data, distill, student, tree
+ds, _ = data.gen_synthetic(data.SyntheticConfig(n=4000, seed=1))
+split = data.split_dataset(ds, data.SplitRatios(0.6, 0.2, 0.2), 2)
+teacher = tree.fit_tree(split.train, tree.TreeParams(max_depth=3, min_samples_per_arm=50), 3)
+cfg = student.StudentConfig(init_seed=4)
+hyper = distill.KdsmHyper(max_epochs=2, early_stop_patience=2, master_seed=5)
+kdsm, _ = distill.train_kdsm(split.train, split.valid, teacher, cfg, hyper)
+mom, _ = distill.train_mom(split.train, split.valid, cfg, hyper)
+for model in (kdsm, mom):
+    doc = json.dumps(student.student_to_jsonable(model))
+    print(hashlib.sha256(doc.encode()).hexdigest())
+"""
+
+
+def test_training_is_bit_identical_at_one_and_two_blas_threads():
+    src = os.path.dirname(os.path.dirname(kdsm.__file__))
+    hashes = {}
+    for threads in ("1", "2"):
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", TRAIN_AND_HASH],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=dict(os.environ, PYTHONPATH=src, **blas),
+        )
+        assert proc.returncode == 0, proc.stderr
+        hashes[threads] = proc.stdout
+    assert hashes["1"] == hashes["2"]
+
+
+# deterministic examples, and no example database written to the working tree
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def student_models(draw):
+    """A freshly initialised student of drawn shape, settings and head, on a
+    small trial with two or three numeric and one or two categorical
+    columns; returns it and the trial's features."""
+    ds = tiny_dataset(
+        n=50,
+        d_numeric=draw(st.integers(2, 3)),
+        d_categorical=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    cfg = StudentConfig(
+        hidden_sizes=tuple(draw(st.lists(st.integers(1, 6), max_size=2))),
+        embedding_dim=draw(st.integers(1, 3)),
+        activation=draw(st.sampled_from(["relu", "tanh"])),
+        optimizer=draw(st.sampled_from(["sgd", "adam"])),
+        learning_rate=draw(st.sampled_from([1e-3, 0.05])),
+        init_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return init_student(cfg, ds, head=draw(st.sampled_from(["binary", "regression"]))), ds.features
+
+
+@PROPERTY
+@given(student_models())
+def test_student_document_round_trips_byte_for_byte(tmp_path_factory, case):
+    model, X = case
+    d = tmp_path_factory.mktemp("model")
+    first, second = str(d / "first.json"), str(d / "second.json")
+    save_student(model, first)
+    back = load_student(first)
+    save_student(back, second)
+    with open(first, "rb") as a, open(second, "rb") as b:
+        assert a.read() == b.read()
+    assert back.predict_uplift(X).tobytes() == model.predict_uplift(X).tobytes()
+
+
+DELETE = object()
+
+
+@PROPERTY
+@given(student_models(), st.data())
+def test_student_document_with_a_bad_value_is_rejected(tmp_path_factory, case, data):
+    model, _ = case
+    doc = json.loads(json.dumps(student_to_jsonable(model)))
+    # a key of the document, or of its config
+    target = doc["config"] if data.draw(st.booleans(), label="in config") else doc
+    key = data.draw(st.sampled_from(sorted(target)), label="key")
+    edit = data.draw(st.sampled_from([DELETE, "x", "", None, [], [0]]), label="edit")
+    if edit is DELETE:
+        must_fail = True
+        del target[key]
+    else:
+        must_fail = target[key] != edit
+        target[key] = edit
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load_student(str(path))
+    except KdsmError as e:
+        assert str(e).startswith(f"{path}: ")
+    else:
+        assert not must_fail

@@ -358,6 +358,10 @@ def _set(path, value):
         pytest.param(
             _set((0, "rule"), {"feature": 0, "kind": "numeric"}), "'threshold'", id="missing-key"
         ),
+        pytest.param(_set((2, "id"), 3), "node 2 has id 3", id="id-not-position"),
+        pytest.param(_set((2, "id"), True), "node 2 has id True", id="id-not-an-integer"),
+        pytest.param(_set((3, "left"), 4), "node 3: a leaf", id="leaf-with-child"),
+        pytest.param(_set((0, "leaf_id"), 0), "node 0: an internal node", id="internal-leaf-id"),
     ],
 )
 def test_tree_load_rejects_malformed_topology(edit, named):
@@ -367,6 +371,22 @@ def test_tree_load_rejects_malformed_topology(edit, named):
     obj = tree_to_jsonable(tree)
     edit(obj)
     with pytest.raises(ParseError, match=named):
+        tree_from_jsonable(obj)
+
+
+def test_tree_load_rejects_a_categorical_code_outside_its_column():
+    rng = np.random.default_rng(5)
+    n = 4_000
+    code = rng.integers(0, 4, n).astype(np.float64)
+    t = rng.permutation(np.arange(n) % 2)
+    y = (rng.random(n) < 0.1 + 0.5 * t * (code == 2)).astype(np.int64)
+    schema = FeatureSchema((Column("x0", "numeric"), Column("c0", "categorical", 4)))
+    X = np.column_stack([rng.random(n), code])
+    tree = fit_tree(dataset_from(X, t, y, schema), TreeParams(max_depth=1, min_samples_per_arm=20))
+    obj = tree_to_jsonable(tree)
+    assert obj["nodes"][0]["rule"] == {"feature": 1, "kind": "categorical", "code": 2}
+    obj["nodes"][0]["rule"]["code"] = 99
+    with pytest.raises(ParseError, match=r"^tree node 0: code 99 is not a code of column 1$"):
         tree_from_jsonable(obj)
 
 
@@ -426,7 +446,6 @@ def test_tree_document_round_trips_byte_for_byte(tmp_path_factory, case):
 
 
 DELETE = object()
-STATS_KEYS = {"n", "n_t", "n_c", "pos_t", "pos_c", "tau_hat"}
 
 
 @PROPERTY
@@ -438,13 +457,12 @@ def test_tree_document_with_a_bad_node_value_is_rejected(tmp_path_factory, case,
     node = doc["nodes"][i]
     key = data.draw(st.sampled_from(sorted(node)), label="key")
     edit = data.draw(st.sampled_from([DELETE, "x", "", None, [], [0]]), label="edit")
-    # the keys the loader reads the values of at this node; "id" is for readers
-    used = STATS_KEYS | {"rule"} | ({"left", "right"} if node["rule"] else {"leaf_id"})
+    # every key of a node is checked, the ones its kind does not use included
     if edit is DELETE:
-        must_fail = key != "id"
+        must_fail = True
         del node[key]
     else:
-        must_fail = key in used and node[key] != edit
+        must_fail = node[key] != edit
         node[key] = edit
     path = tmp_path_factory.mktemp("tree") / "tree.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -465,10 +483,10 @@ def test_leaf_summary_lists_every_leaf():
 
 def test_tree_params_validation():
     with pytest.raises(DomainError):
-        TreeParams(criterion="gini").validate()
+        TreeParams(criterion="gini")
     with pytest.raises(DomainError):
-        TreeParams(max_depth=0).validate()
+        TreeParams(max_depth=0)
     with pytest.raises(DomainError):
-        TreeParams(min_gain=-0.1).validate()
+        TreeParams(min_gain=-0.1)
     with pytest.raises(DomainError):
-        TreeParams(numeric_split_candidates=1).validate()
+        TreeParams(numeric_split_candidates=1)
