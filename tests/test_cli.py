@@ -419,10 +419,9 @@ FAILING_COMPARE = {
 }
 
 
-def _no_child_process_left():
-    with pytest.raises(ChildProcessError):
+def assert_no_child_process_left():
+    with pytest.raises(ChildProcessError):  # no child, running or exited and unreaped
         os.waitpid(-1, os.WNOHANG)
-    return True
 
 
 @pytest.mark.parametrize(
@@ -443,7 +442,7 @@ def test_compare_artifacts_do_not_depend_on_the_worker_count(tmp_path, values, n
     assert artifacts[1] == artifacts[2] == artifacts[3]
     assert "comparison.txt" in artifacts[1]
     assert sum(p.startswith("cells") for p in artifacts[1]) == 3 * (len(report.rows) - n_failed)
-    assert _no_child_process_left()
+    assert_no_child_process_left()
 
 
 def test_compare_bad_setting_fails_alike_in_workers_and_in_process(tmp_path, capsys, monkeypatch):
@@ -455,7 +454,7 @@ def test_compare_bad_setting_fails_alike_in_workers_and_in_process(tmp_path, cap
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         assert main(["compare", "--config", cfg]) == 1
         errors[len(cpus)] = capsys.readouterr().err
-        assert _no_child_process_left()
+        assert_no_child_process_left()
     assert errors[1] == errors[2] == "error: config key train.drop_leftovers='maybe' is not a boolean\n"
     # and through `python -m kdsm.cli`, whose cli module is __main__
     src = os.path.dirname(os.path.dirname(kdsm.__file__))
@@ -484,7 +483,7 @@ def test_compare_worker_that_dies_is_a_kdsm_error(tmp_path, monkeypatch, worker_
     cfg = RunConfig(parse_config_file(write_cfg(str(tmp_path))[0]))
     with pytest.raises(KdsmError, match=r"^a compare worker stopped with exit code 3$"):
         run_comparison(cfg, str(tmp_path / "out"), ["plain", "tm"], [1, 2], workers=2)
-    assert _no_child_process_left()
+    assert_no_child_process_left()
 
 
 @pytest.mark.parametrize(
