@@ -419,6 +419,10 @@ FAILING_COMPARE = {
 }
 
 
+def config_values(text):
+    return dict(line.split(" = ") for line in text.splitlines())
+
+
 def assert_no_child_process_left():
     with pytest.raises(ChildProcessError):  # no child, running or exited and unreaped
         os.waitpid(-1, os.WNOHANG)
@@ -427,12 +431,16 @@ def assert_no_child_process_left():
 @pytest.mark.parametrize(
     "values, n_failed",
     [
-        pytest.param({"compare.methods": "plain,kdsm,tm", "compare.seeds": "1,2"}, 0, id="base"),
+        pytest.param(
+            {**config_values(BASE_CFG), "compare.methods": "plain,kdsm,tm", "compare.seeds": "1,2"},
+            0,
+            id="base",
+        ),
         pytest.param(FAILING_COMPARE, 2, id="failing-cells"),
     ],
 )
 def test_compare_artifacts_do_not_depend_on_the_worker_count(tmp_path, values, n_failed):
-    cfg = RunConfig(values if n_failed else {**parse_config_file(write_cfg(str(tmp_path))[0]), **values})
+    cfg = RunConfig(values)
     artifacts = {}
     for workers in (1, 2, 3):  # 3: more workers than the CPUs of a 2-CPU machine
         out = str(tmp_path / f"workers{workers}")
