@@ -420,8 +420,8 @@ class ComparisonReport:
 
 def _run_cell(cfg, seed, method, split, teacher, out_dir) -> CellResult:
     """Train `method` on the seed's split and score its test split, writing the
-    cell's artifacts under `out_dir`/cells unless it is None. Training or
-    scoring that fails on the data gives a failed cell; a bad setting raises."""
+    cell's artifacts under `out_dir`/cells. Training or scoring that fails on
+    the data gives a failed cell; a bad setting raises."""
     try:
         model, report = _train_one(cfg, seed, method, split.train, split.valid, teacher)
         test = split.test
@@ -430,35 +430,25 @@ def _run_cell(cfg, seed, method, split, teacher, out_dir) -> CellResult:
         )
     except (FitError, TrainingError, MetricError) as e:
         return CellResult(method, seed, error=str(e))
-    if out_dir is not None:
-        cell_dir = os.path.join(out_dir, "cells", f"{method}_seed{seed}")
-        os.makedirs(cell_dir, exist_ok=True)
-        _save_predictor(model, os.path.join(cell_dir, "model.json"))
-        distill.write_train_report(report, os.path.join(cell_dir, "train_report.txt"))
-        _write_text(os.path.join(cell_dir, "summary.json"), json.dumps(summary, indent=1) + "\n")
+    cell_dir = os.path.join(out_dir, "cells", f"{method}_seed{seed}")
+    os.makedirs(cell_dir, exist_ok=True)
+    _save_predictor(model, os.path.join(cell_dir, "model.json"))
+    distill.write_train_report(report, os.path.join(cell_dir, "train_report.txt"))
+    _write_text(os.path.join(cell_dir, "summary.json"), json.dumps(summary, indent=1) + "\n")
     return CellResult(method, seed, summary)
 
 
-def run_comparison(
-    cfg: RunConfig,
-    out_dir: str | None = None,
-    methods: list[str] | None = None,
-    seeds: list[int] | None = None,
-    *,
-    workers: int | None = None,
-) -> ComparisonReport:
-    """Train and evaluate every (method, seed) cell on fresh synthetic data.
+def run_comparison(cfg: RunConfig, out_dir: str) -> ComparisonReport:
+    """Train and evaluate every (method, seed) cell of the config on fresh
+    synthetic data, writing their artifacts and comparison.txt to `out_dir`.
 
     Per seed: one dataset, one split, and one teacher are shared by all
     methods; test rankings share one tie seed so curves are comparable. A
-    failing cell is marked failed and the rest proceed. The cells run in
-    `workers` processes, by default the fewer of the usable CPUs and the
-    cells, or in this one if 1; the artifacts are the same at any count.
-    """
-    methods = methods if methods is not None else cfg.compare_methods()
-    seeds = seeds if seeds is not None else cfg.compare_seeds()
-    if workers is None:
-        workers = min(len(os.sched_getaffinity(0)), len(methods) * len(seeds))
+    failing cell is marked failed and the rest proceed. The cells run in a
+    worker process per usable CPU, at most one per cell, or in this process
+    if one CPU is usable; the artifacts are the same at any count."""
+    methods, seeds = cfg.compare_methods(), cfg.compare_seeds()
+    workers = min(len(os.sched_getaffinity(0)), len(methods) * len(seeds))
     # the workers start first, so that their imports overlap the teachers' fits
     with _cell_runner(cfg, workers) as run_cells:
         cells = []
@@ -468,9 +458,8 @@ def run_comparison(
             teacher = tree_mod.fit_tree(split.train, cfg.tree_params(), derive_seed(seed, "tree"))
             cells += [(seed, method, split, teacher, out_dir) for method in methods]
         report = ComparisonReport(run_cells(cells))
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_text(os.path.join(out_dir, "comparison.txt"), format_comparison_report(report))
+    os.makedirs(out_dir, exist_ok=True)
+    _write_text(os.path.join(out_dir, "comparison.txt"), format_comparison_report(report))
     return report
 
 

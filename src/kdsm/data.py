@@ -137,17 +137,9 @@ class FeatureSchema:
     @classmethod
     @document_errors("schema")
     def from_jsonable(cls, obj: list[dict]) -> "FeatureSchema":
-        return cls(
-            tuple(
-                Column(
-                    d["name"],
-                    d["kind"],
-                    int(d.get("cardinality", 0)),
-                    tuple(d.get("categories", ())),
-                )
-                for d in obj
-            )
-        )
+        # a column may leave out the cardinality and categories it has by default
+        columns = ({"cardinality": 0, "categories": (), **d} for d in obj)
+        return cls(tuple(config_from_jsonable(Column, d) for d in columns))
 
 
 def categorical_codes(schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
@@ -182,26 +174,42 @@ def load_document(path: str, parse):
         raise type(e)(f"{path}: {e}") from None
 
 
-def _int_tuple(v) -> tuple[int, ...]:
-    if not isinstance(v, (list, tuple)):  # not a string, though tuple(map(int, "12")) is (1, 2)
-        raise TypeError(f"{v!r} is not a list of integers")
-    return tuple(map(int, v))
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-# the conversion of a document value to each declared field type
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
+def _list_of(is_item):
+    return lambda v: isinstance(v, (list, tuple)) and all(map(is_item, v))
+
+
+# per declared field type: whether a document value is one, what it must be,
+# and its conversion to the type; an integer is a float too, a boolean neither
 _FIELD_TYPES = {
-    "int": int, "float": float, "str": str, "tuple[int, ...]": _int_tuple,
-    "int | None": int, "float | None": float,
+    "int": (_is_int, "an integer", int),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number", float),
+    "str": (_is_str, "a string", str),
+    "tuple[int, ...]": (_list_of(_is_int), "a list of integers", tuple),
+    "tuple[str, ...]": (_list_of(_is_str), "a list of strings", tuple),
 }
 
 
 def config_from_jsonable(cls, obj: dict):
     """The dataclass `cls` rebuilt from a document that holds each of its
     fields by name, as `dataclasses.asdict` writes them; a field whose
-    default is None may be absent. Each value is converted to its field's
-    declared type, and the constructor checks it."""
-    given = [f for f in fields(cls) if f.default is not None or f.name in obj]
-    return cls(**{f.name: _FIELD_TYPES[f.type](obj[f.name]) for f in given})
+    default is None may be absent. Each value must be a JSON value of its
+    field's declared type, and the constructor checks it."""
+    values = {}
+    for f in fields(cls):
+        if f.default is not None or f.name in obj:
+            is_type, what, convert = _FIELD_TYPES[f.type.removesuffix(" | None")]
+            if not is_type(obj[f.name]):
+                raise TypeError(f"{f.name} {obj[f.name]!r} is not {what}")
+            values[f.name] = convert(obj[f.name])
+    return cls(**values)
 
 
 @contextmanager

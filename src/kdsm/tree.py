@@ -30,7 +30,7 @@ from .data import (
 )
 from .errors import DomainError, FitError, ParseError, SchemaError, document_errors
 
-TREE_FORMAT = "uplift-tree/v1"
+TREE_FORMAT = "uplift-tree/v2"
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,9 @@ class SplitRule:
 
 @dataclass
 class TreeNode:
+    """A node's stats and, unless it is a leaf, its rule; `_link_preorder`
+    derives its children and leaf id from the order of the nodes."""
+
     stats: NodeStats
     rule: SplitRule | None = None
     left: int | None = None
@@ -124,11 +127,7 @@ class UpliftTree:
 
     def leaf_tau(self) -> np.ndarray:
         """tau_hat per leaf, indexed by leaf_id."""
-        out = np.empty(self.n_leaves, dtype=np.float64)
-        for nd in self.nodes:
-            if nd.rule is None:
-                out[nd.leaf_id] = nd.stats.tau_hat
-        return out
+        return np.array([nd.stats.tau_hat for nd in self.leaf_nodes()], dtype=np.float64)
 
     def predict_uplift(self, X: np.ndarray) -> np.ndarray:
         """tau_hat of the leaf each row of X lands in."""
@@ -273,28 +272,45 @@ def fit_tree(ds: Dataset, params: TreeParams, seed: int = 0) -> UpliftTree:
             f"cannot fit: root has {root_stats.n_t} treated and {root_stats.n_c} control rows"
         )
     tree = UpliftTree(schema=ds.schema, params=params)
-    nodes = tree.nodes
 
-    def build(rows: np.ndarray, depth: int) -> int:
+    def build(rows: np.ndarray, depth: int) -> None:
         stats = NodeStats.from_arrays(t[rows], y[rows])
-        node_id = len(nodes)
-        nodes.append(TreeNode(stats=stats))
+        node = TreeNode(stats=stats)
+        tree.nodes.append(node)
         if depth < params.max_depth:
-            rule = _best_split(X, t, y, rows, stats, params, ds.schema)
-            if rule is not None:
-                go_left = rule.goes_left(X[rows, rule.feature])
-                nodes[node_id].rule = rule
-                nodes[node_id].left = build(rows[go_left], depth + 1)
-                nodes[node_id].right = build(rows[~go_left], depth + 1)
-        return node_id
+            node.rule = _best_split(X, t, y, rows, stats, params, ds.schema)
+            if node.rule is not None:
+                go_left = node.rule.goes_left(X[rows, node.rule.feature])
+                build(rows[go_left], depth + 1)
+                build(rows[~go_left], depth + 1)
 
     build(np.arange(ds.n, dtype=np.int64), 0)
-    leaf_id = 0
-    for nd in nodes:
-        if nd.rule is None:
-            nd.leaf_id = leaf_id
-            leaf_id += 1
+    _link_preorder(tree.nodes)
     return tree
+
+
+def _link_preorder(nodes: list[TreeNode]) -> None:
+    """Set each node's `left`, `right` and `leaf_id` from the preorder of
+    `nodes`: a left child right after its parent, a right child after its
+    sibling's subtree, leaves numbered in node order. Raises a ParseError
+    unless the nodes form exactly one tree."""
+    if not nodes:
+        raise ParseError("tree document has no nodes")
+    open_slots = []  # (parent, side) of each child still to come, the next one last
+    n_leaves = 0
+    for i, nd in enumerate(nodes):
+        if i > 0:
+            if not open_slots:
+                raise ParseError(f"tree node {i} lies after a whole tree")
+            parent, side = open_slots.pop()
+            setattr(nodes[parent], side, i)
+        if nd.rule is None:
+            nd.leaf_id, n_leaves = n_leaves, n_leaves + 1
+        else:
+            open_slots += [(i, "right"), (i, "left")]
+    if open_slots:
+        parent, side = open_slots[-1]
+        raise ParseError(f"tree node {parent} has no {side} child: the nodes end inside it")
 
 
 def leaf_of_batch(tree: UpliftTree, X: np.ndarray) -> np.ndarray:
@@ -333,14 +349,10 @@ def schema_hash(schema: FeatureSchema) -> str:
 
 def tree_to_jsonable(tree: UpliftTree) -> dict:
     nodes = []
-    for i, nd in enumerate(tree.nodes):
-        # a node is written as its fields with its stats inlined, and its rule
-        # as the rule's fields that are not None
-        doc = asdict(nd)
-        stats = doc.pop("stats")
-        if nd.rule is not None:
-            doc["rule"] = {k: v for k, v in doc["rule"].items() if v is not None}
-        nodes.append({"id": i, **stats, **doc})
+    for nd in tree.nodes:
+        # a node is written as its stats' fields and its rule's fields that are not None
+        rule = nd.rule and {k: v for k, v in asdict(nd.rule).items() if v is not None}
+        nodes.append({**asdict(nd.stats), "rule": rule})
     return {
         "format": TREE_FORMAT,
         **asdict(tree.params),
@@ -352,9 +364,9 @@ def tree_to_jsonable(tree: UpliftTree) -> dict:
 
 @document_errors("tree document")
 def tree_from_jsonable(obj: dict) -> UpliftTree:
-    """Rebuild a tree, rejecting any document whose params are out of range
-    or whose nodes do not form the preorder tree `fit_tree` writes (see
-    `_check_topology`)."""
+    """Rebuild a tree, rejecting any document whose params are out of range,
+    whose nodes do not form one tree in preorder (see `_link_preorder`) or
+    whose rules do not fit the schema (see `_rule_from_jsonable`)."""
     if obj.get("format") != TREE_FORMAT:
         raise ParseError(f"not a tree document (format {obj.get('format')!r})")
     schema = FeatureSchema.from_jsonable(obj["schema"])
@@ -363,60 +375,28 @@ def tree_from_jsonable(obj: dict) -> UpliftTree:
     params = config_from_jsonable(TreeParams, obj)
     nodes = []
     for i, nd in enumerate(obj["nodes"]):
-        if not (_is_int(nd["id"]) and nd["id"] == i):
-            raise ParseError(f"tree node {i} has id {nd['id']!r}")
-        rule = None if nd["rule"] is None else config_from_jsonable(SplitRule, nd["rule"])
-        stats = config_from_jsonable(NodeStats, nd)
-        nodes.append(TreeNode(stats, rule, nd["left"], nd["right"], nd["leaf_id"]))
-    _check_topology(nodes, schema)
+        rule = None if nd["rule"] is None else _rule_from_jsonable(i, nd["rule"], schema)
+        nodes.append(TreeNode(config_from_jsonable(NodeStats, nd), rule))
+    _link_preorder(nodes)
     return UpliftTree(schema=schema, params=params, nodes=nodes)
 
 
-def _check_topology(nodes: list[TreeNode], schema: FeatureSchema) -> None:
-    """Raise a ParseError naming the node unless every child id lies after
-    its parent's, every node but the root has exactly one parent, only leaves
-    have leaf ids (0..n_leaves-1) and only internal nodes children, and every
-    rule tests an existing column of its kind and holds the value its kind
-    compares with (a finite threshold, a code below the cardinality).
-    Children after parents rule out cycles, which would make routing loop
-    forever."""
-    if not nodes:
-        raise ParseError("tree document has no nodes")
-    parents = [0] * len(nodes)
-    leaf_ids = []
-    for i, nd in enumerate(nodes):
-        if nd.rule is None:
-            if not _is_int(nd.leaf_id) or (nd.left, nd.right) != (None, None):
-                raise ParseError(f"tree node {i}: a leaf needs an integer leaf_id and no children")
-            leaf_ids.append(nd.leaf_id)
-            continue
-        if nd.leaf_id is not None:
-            raise ParseError(f"tree node {i}: an internal node has leaf_id {nd.leaf_id!r}")
-        for side, child in (("left", nd.left), ("right", nd.right)):
-            if not (_is_int(child) and i < child < len(nodes)):
-                raise ParseError(
-                    f"tree node {i}: {side} child {child!r} is not a node id in ({i}, {len(nodes)})"
-                )
-            parents[child] += 1
-        f = nd.rule.feature
-        if not 0 <= f < len(schema.columns) or schema.columns[f].kind != nd.rule.kind:
-            raise ParseError(f"tree node {i}: rule feature {f} is not a {nd.rule.kind} column")
-        key = "threshold" if nd.rule.kind == NUMERIC else "code"
-        if getattr(nd.rule, key) is None:
-            raise ParseError(f"tree node {i}: {nd.rule.kind} rule is missing key {key!r}")
-        if nd.rule.kind == NUMERIC and not math.isfinite(nd.rule.threshold):
-            raise ParseError(f"tree node {i}: threshold {nd.rule.threshold} is not finite")
-        if nd.rule.kind == CATEGORICAL and not 0 <= nd.rule.code < schema.columns[f].cardinality:
-            raise ParseError(f"tree node {i}: code {nd.rule.code} is not a code of column {f}")
-    for i in range(1, len(nodes)):
-        if parents[i] != 1:
-            raise ParseError(f"tree node {i} is referenced by {parents[i]} parents, expected 1")
-    if sorted(leaf_ids) != list(range(len(leaf_ids))):
-        raise ParseError(f"tree leaf ids {sorted(leaf_ids)} are not 0..{len(leaf_ids) - 1}")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _rule_from_jsonable(i: int, doc: dict, schema: FeatureSchema) -> SplitRule:
+    """The rule of node `i`; a ParseError naming the node unless it tests an
+    existing column of its kind and holds the value its kind compares with
+    (a finite threshold, a code below the cardinality)."""
+    rule = config_from_jsonable(SplitRule, doc)
+    f = rule.feature
+    if not 0 <= f < len(schema.columns) or schema.columns[f].kind != rule.kind:
+        raise ParseError(f"tree node {i}: rule feature {f} is not a {rule.kind} column")
+    key = "threshold" if rule.kind == NUMERIC else "code"
+    if getattr(rule, key) is None:
+        raise ParseError(f"tree node {i}: {rule.kind} rule is missing key {key!r}")
+    if rule.kind == NUMERIC and not math.isfinite(rule.threshold):
+        raise ParseError(f"tree node {i}: threshold {rule.threshold} is not finite")
+    if rule.kind == CATEGORICAL and not 0 <= rule.code < schema.columns[f].cardinality:
+        raise ParseError(f"tree node {i}: code {rule.code} is not a code of column {f}")
+    return rule
 
 
 def save_tree(tree: UpliftTree, path: str) -> None:

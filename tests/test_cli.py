@@ -439,12 +439,15 @@ def assert_no_child_process_left():
         pytest.param(FAILING_COMPARE, 2, id="failing-cells"),
     ],
 )
-def test_compare_artifacts_do_not_depend_on_the_worker_count(tmp_path, values, n_failed):
+def test_compare_artifacts_do_not_depend_on_the_worker_count(
+    tmp_path, monkeypatch, values, n_failed
+):
     cfg = RunConfig(values)
     artifacts = {}
     for workers in (1, 2, 3):  # 3: more workers than the CPUs of a 2-CPU machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)))
         out = str(tmp_path / f"workers{workers}")
-        report = run_comparison(cfg, out, workers=workers)
+        report = run_comparison(cfg, out)
         assert sum(r.failed for r in report.rows) == n_failed
         artifacts[workers] = file_hashes(out)
     assert artifacts[1] == artifacts[2] == artifacts[3]
@@ -488,9 +491,11 @@ def test_compare_bad_setting_fails_alike_in_workers_and_in_process(tmp_path, cap
 )
 def test_compare_worker_that_dies_is_a_kdsm_error(tmp_path, monkeypatch, worker_code):
     monkeypatch.setattr(cli, "WORKER_CODE", worker_code)
-    cfg = RunConfig(parse_config_file(write_cfg(str(tmp_path))[0]))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    extra = "compare.methods = plain,tm\ncompare.seeds = 1,2\n"
+    cfg = RunConfig(parse_config_file(write_cfg(str(tmp_path), extra=extra)[0]))
     with pytest.raises(KdsmError, match=r"^a compare worker stopped with exit code 3$"):
-        run_comparison(cfg, str(tmp_path / "out"), ["plain", "tm"], [1, 2], workers=2)
+        run_comparison(cfg, str(tmp_path / "out"))
     assert_no_child_process_left()
 
 
@@ -557,24 +562,17 @@ def test_reloaded_predictor_scores_like_the_trained_one(trained_predictors, tmp_
     assert np.array_equal(predict(X), predictor.predict_uplift(X))
 
 
-def test_evaluate_rejects_cyclic_tree_without_hanging(pipeline, tmp_path):
+def test_evaluate_rejects_a_tree_that_ends_inside_a_subtree(pipeline, tmp_path, capsys):
     cfg, out = pipeline
     with open(os.path.join(out, "tree.json"), encoding="utf-8") as fh:
         doc = json.load(fh)
-    doc["nodes"][0]["left"] = 0  # the root lists itself as a child
+    del doc["nodes"][-1]  # the last leaf, a right child
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    # a separate process, so that a routing loop fails the test instead of hanging the run
-    src = os.path.dirname(os.path.dirname(kdsm.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kdsm.cli", "evaluate", "--config", cfg, str(path)],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith(f"error: {path}: tree node 0")
+    assert main(["evaluate", "--config", cfg, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: tree node ")
+    assert err.endswith(" the nodes end inside it\n")
 
 
 @pytest.mark.parametrize("key, value", [("max_depth", 0), ("criterion", "nope")])

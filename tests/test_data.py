@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import json
 import os
 
 import numpy as np
@@ -20,6 +21,7 @@ from kdsm.data import (
     atomic_write,
     gen_synthetic,
     load_csv,
+    load_document,
     save_csv,
     split_dataset,
     subsample_per_arm,
@@ -76,6 +78,26 @@ def test_schema_index_arrays_are_cached_read_only_and_outside_equality():
 def test_schema_document_missing_key_is_a_parse_error():
     with pytest.raises(ParseError, match="'kind'"):
         FeatureSchema.from_jsonable([{"name": "x"}])
+
+
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("cardinality", 2.5, "cardinality 2.5 is not an integer"),
+        ("cardinality", True, "cardinality True is not an integer"),
+        ("categories", "abc", "categories 'abc' is not a list of strings"),
+        ("categories", ["a", 1], r"categories \['a', 1\] is not a list of strings"),
+        ("name", 3, "name 3 is not a string"),
+    ],
+)
+def test_schema_document_value_of_the_wrong_type_is_rejected(tmp_path, key, value, named):
+    # checked, not converted: int(2.5) would load as 2 and tuple("abc") as ("a", "b", "c")
+    doc = make_schema(n_numeric=1, n_categorical=1).to_jsonable()
+    doc[1][key] = value
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{path}: schema has a malformed value .*{named}"):
+        load_document(str(path), FeatureSchema.from_jsonable)
 
 
 def test_schema_rejects_bad_cardinality():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdsm.metrics import (
     auuc,
@@ -156,6 +158,36 @@ def test_brute_force_equivalence_all_ties():
         up_bf, qini_bf = brute_force_curves(preds, t, y, seed)
         assert np.array_equal(uplift_curve(ev).values, up_bf.values)
         assert np.array_equal(qini_curve(ev).values, qini_bf.values)
+
+
+# deterministic examples, and no example database written to the working tree
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def ranked_trials(draw):
+    """Predictions drawn from a few values, so that most rows fall in tie
+    groups, with treatments that hold both arms, outcomes and a tie seed."""
+    n = draw(st.integers(2, 80))
+    levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5))
+    preds = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    t = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    i = draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, n - 2))
+    t[i], t[j + (j >= i)] = 1, 0  # one treated and one control row at distinct places
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return preds, t, y, draw(st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(ranked_trials())
+def test_curves_equal_the_brute_force_recount(case):
+    preds, t, y, tie_seed = case
+    up, qini = curves_for(preds, t, y, tie_seed)
+    up_bf, qini_bf = brute_force_curves(preds, t, y, tie_seed)
+    for curve, expected in ((up, up_bf), (qini, qini_bf)):
+        assert np.array_equal(curve.k, expected.k)
+        assert np.array_equal(curve.values, expected.values)
 
 
 # --- ranking properties ---

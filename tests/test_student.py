@@ -502,6 +502,25 @@ def test_student_document_hidden_sizes_must_be_a_list(tmp_path, hidden, text):
         load_student(str(path))
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("embedding_dim", 8.9, "embedding_dim 8.9 is not an integer"),
+        ("init_seed", True, "init_seed True is not an integer"),
+        ("learning_rate", "0.01", "learning_rate '0.01' is not a number"),
+        ("activation", 1, "activation 1 is not a string"),
+    ],
+)
+def test_student_document_config_value_of_the_wrong_type_is_rejected(tmp_path, key, value, named):
+    # checked, not converted: int(8.9) would load as 8 and int(True) as 1
+    doc = student_to_jsonable(init_student(StudentConfig(hidden_sizes=(4,)), tiny_dataset()))
+    doc["config"][key] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{path}: .*{named}"):
+        load_student(str(path))
+
+
 def test_student_config_validation():
     with pytest.raises(DomainError):
         StudentConfig(hidden_sizes=(0,))

@@ -347,27 +347,36 @@ def _set(path, value):
 @pytest.mark.parametrize(
     "edit, named",
     [
-        pytest.param(_set((0, "left"), 0), "node 0", id="root-is-own-child"),
-        pytest.param(_set((1, "right"), 0), "node 1", id="child-before-parent"),
-        pytest.param(_set((0, "right"), 99), "node 0", id="child-out-of-range"),
-        pytest.param(_set((0, "right"), 1), "node 1", id="two-parents"),
-        pytest.param(_set((1, "right"), 6), "node 5", id="orphan"),
-        pytest.param(_set((3, "leaf_id"), 1), "leaf ids", id="leaf-ids-not-dense"),
+        pytest.param(
+            lambda obj: obj["nodes"].clear(), "^tree document has no nodes$", id="no-nodes"
+        ),
+        pytest.param(
+            lambda obj: obj["nodes"].pop(),
+            "^tree node 8 has no right child: the nodes end inside it$",
+            id="last-leaf-deleted",
+        ),
+        pytest.param(
+            lambda obj: obj["nodes"].append(obj["nodes"][-1]),
+            "^tree node 11 lies after a whole tree$",
+            id="leaf-appended",
+        ),
+        pytest.param(
+            _set((1, "rule"), None),
+            "^tree node 5 lies after a whole tree$",
+            id="internal-rule-null",
+        ),
         pytest.param(_set((0, "rule", "feature"), 2), "node 0", id="no-such-column"),
         pytest.param(_set((0, "rule", "threshold"), float("nan")), "node 0", id="nan-threshold"),
         pytest.param(
             _set((0, "rule"), {"feature": 0, "kind": "numeric"}), "'threshold'", id="missing-key"
         ),
-        pytest.param(_set((2, "id"), 3), "node 2 has id 3", id="id-not-position"),
-        pytest.param(_set((2, "id"), True), "node 2 has id True", id="id-not-an-integer"),
-        pytest.param(_set((3, "left"), 4), "node 3: a leaf", id="leaf-with-child"),
-        pytest.param(_set((0, "leaf_id"), 0), "node 0: an internal node", id="internal-leaf-id"),
     ],
 )
 def test_tree_load_rejects_malformed_topology(edit, named):
     _, tree = fitted_example(n=2_000)
-    assert [nd.left for nd in tree.nodes[:2]] == [1, 2]  # the layout the edits assume
-    assert tree.nodes[1].right == 5 and tree.nodes[3].leaf_id == 0
+    # the layout the edits assume: nodes 0, 1, 2, 6 and 8 are internal
+    assert [i for i, nd in enumerate(tree.nodes) if nd.rule] == [0, 1, 2, 6, 8]
+    assert len(tree.nodes) == 11
     obj = tree_to_jsonable(tree)
     edit(obj)
     with pytest.raises(ParseError, match=named):
@@ -388,6 +397,49 @@ def test_tree_load_rejects_a_categorical_code_outside_its_column():
     obj["nodes"][0]["rule"]["code"] = 99
     with pytest.raises(ParseError, match=r"^tree node 0: code 99 is not a code of column 1$"):
         tree_from_jsonable(obj)
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        pytest.param(_set((0, "n_t"), 8.9), "n_t 8.9 is not an integer", id="n_t-float"),
+        pytest.param(_set((3, "tau_hat"), True), "tau_hat True is not a number", id="tau-bool"),
+        pytest.param(
+            _set((0, "rule", "feature"), True), "feature True is not an integer", id="feature-bool"
+        ),
+    ],
+)
+def test_load_tree_rejects_a_node_value_of_the_wrong_type(tmp_path, edit, named):
+    # checked, not converted: int(8.9) would load as 8 and float(True) as 1.0
+    _, tree = fitted_example(n=2_000)
+    obj = tree_to_jsonable(tree)
+    edit(obj)
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: tree document .*{named}"):
+        load_tree(str(path))
+
+
+def test_tree_document_lists_nodes_in_preorder_without_links():
+    _, tree = fitted_example(n=2_000)
+    obj = tree_to_jsonable(tree)
+    assert obj["format"] == "uplift-tree/v2"
+    stats_keys = ["n", "n_t", "n_c", "pos_t", "pos_c", "tau_hat"]
+    assert all(list(nd) == [*stats_keys, "rule"] for nd in obj["nodes"])
+    # the loader derives the links fit_tree derived, from the order alone
+    links = [(nd.left, nd.right, nd.leaf_id) for nd in tree.nodes]
+    assert [(nd.left, nd.right, nd.leaf_id) for nd in tree_from_jsonable(obj).nodes] == links
+    assert links[:4] == [(1, 6, None), (2, 5, None), (3, 4, None), (None, None, 0)]
+
+
+def test_load_tree_rejects_a_v1_document_naming_its_format(tmp_path):
+    _, tree = fitted_example(n=2_000)
+    obj = tree_to_jsonable(tree)
+    obj["format"] = "uplift-tree/v1"
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ParseError, match=r": not a tree document \(format 'uplift-tree/v1'\)$"):
+        load_tree(str(path))
 
 
 @pytest.mark.parametrize("key, value", [("max_depth", 0), ("criterion", "nope")])

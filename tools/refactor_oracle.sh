@@ -10,7 +10,13 @@
 #   - train for all five methods, plus plain --pair-stream, kdsm
 #     --drop-leftovers and kdss --lambda 0, each to its own --out;
 #   - evaluate on every model and on the tree;
-#   - compare at synth.n=20000, seeds 1,2, 15 epochs;
+#   - compare at synth.n=20000, seeds 1,2, 15 epochs, in worker processes
+#     on a machine with more than one usable CPU;
+#   - the same compare once more under `taskset -c 0`, into its own
+#     directory: with one usable CPU, compare runs its cells in its own
+#     process, so this byte-checks that path next to the worker path.
+#     taskset sets the CPU affinity of that one child process of the oracle
+#     only, nothing of the machine or of any other process;
 #   - a second compare with a failing cell: no treatment effect at
 #     synth.n=3000, methods plain,tm, seeds 1-4, 2 epochs, where seed 4's
 #     cells fail with "AUUC is undefined", so failed rows and medians over
@@ -44,6 +50,7 @@ run_side() {
         "$out/data" "$out/data" >"$cfg"
     printf 'out.dir = %s\nsynth.n = 20000\ncompare.seeds = 1,2\ntrain.max_epochs = 15\n' \
         "$out/compare" >"$cfg.compare"
+    sed "s#^out.dir = .*#out.dir = $out/compare_one_cpu#" "$cfg.compare" >"$cfg.compare_one_cpu"
     {
         printf 'out.dir = %s\n' "$out/compare_failing"
         printf '%s\n' 'synth.n = 3000' 'synth.effect_function = zero' \
@@ -103,6 +110,7 @@ kdss_lambda0 kdss --lambda 0
 VARIANTS
         kdsm evaluate --config "$cfg" "$out/data/tree.json"
         kdsm compare --config "$cfg.compare"
+        PYTHONPATH="$src" taskset -c 0 python3 -m kdsm.cli compare --config "$cfg.compare_one_cpu"
         kdsm compare --config "$cfg.compare_failing"
         kdsm synth --config "$cfg.tuned" --seed 11
         kdsm split --config "$cfg.tuned" --seed 11
