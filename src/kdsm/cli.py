@@ -1,10 +1,11 @@
 """Command-line pipeline: synth, split, fit-tree, train, evaluate, compare.
 
-Configuration is a flat key=value file with dotted namespaces
-(e.g. tree.max_depth=5); every key has a default and a handful of flags
-override their config counterparts. A single --seed fans out deterministically
-to data generation, splitting, model init, training, and tie-breaking, so a
-rerun with the same config and seed writes byte-identical artifacts.
+Configuration is a flat key=value file with dotted namespaces (e.g.
+tree.max_depth=5); every key has one default, on its config dataclass field or
+in DEFAULTS, and a handful of flags override their config counterparts. A single
+--seed fans out deterministically to data generation, splitting, model init,
+training, and tie-breaking, so a rerun with the same config and seed writes
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -26,47 +27,34 @@ from .seeds import derive_seed
 
 TWO_MODEL_FORMAT = "two-model/v1"
 
+# the config dataclass behind each section of keys: key `<section>.<field>`
+# sets that field, and a field with no key set keeps its default
+SECTIONS = {
+    "synth": data_mod.SyntheticConfig,
+    "split": data_mod.SplitRatios,
+    "tree": tree_mod.TreeParams,
+    "student": student.StudentConfig,
+    "train": distill.KdsmHyper,
+}
+# the fields the caller supplies: seeds derived from the master seed, and train.lambda
+SUPPLIED = {"synth.seed", "student.init_seed", "train.kd_weight", "train.master_seed"}
+
+# the keys that are no section field, read by the commands themselves
 DEFAULTS: dict[str, str] = {
     "seed": "1",
     "out.dir": "out",
     "data.dir": "",
-    "synth.n": "50000",
-    "synth.d_numeric": "6",
-    "synth.d_categorical": "2",
-    "synth.base_rate": "0.03",
-    "synth.effect_function": "piecewise-on-two-features",
-    "synth.effect_scale": "1.0",
-    "synth.treatment_fraction": "0.5",
-    "synth.noise_features": "2",
-    "split.train": "0.6",
-    "split.valid": "0.2",
-    "split.test": "0.2",
     "split.subsample_per_arm": "0",
-    "tree.criterion": "ed",
-    "tree.max_depth": "5",
-    "tree.min_samples_per_arm": "100",
-    "tree.min_gain": "0.0",
-    "tree.numeric_split_candidates": "32",
-    "student.hidden_sizes": "64,32",
-    "student.embedding_dim": "8",
-    "student.activation": "relu",
-    "student.optimizer": "adam",
-    "student.momentum": "0.0",
-    "student.beta1": "0.9",
-    "student.beta2": "0.999",
-    "student.eps": "1e-8",
-    "student.learning_rate": "0.01",
-    "student.lr_decay_factor": "0.5",
-    "student.lr_decay_patience": "6",
-    "train.lambda": "0.5",
-    "train.batch_size": "512",
-    "train.max_epochs": "40",
-    "train.early_stop_patience": "12",
+    "train.lambda": str(distill.KdsmHyper.kd_weight),
     "train.drop_leftovers": "false",
     "eval.tie_seed": "",
     "compare.methods": "plain,kdss,kdsm,tm,mom",
     "compare.seeds": "1,2,3,4,5",
 }
+
+# every accepted config key
+KEYS = DEFAULTS.keys() | {f"{p}.{f.name}" for p, c in SECTIONS.items() for f in fields(c)}
+KEYS -= SUPPLIED
 
 METHODS = ("kdsm", "kdss", "plain", "tm", "mom")
 
@@ -83,7 +71,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             key = key.strip()
-            if key not in DEFAULTS:
+            if key not in KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
             out[key] = value.strip()
     return out
@@ -124,16 +112,15 @@ class RunConfig:
         except (KeyError, ValueError):
             raise ConfigError(f"config key {key}={raw!r} is not {what}") from None
 
-    def _section(self, cls, prefix: str, *unkeyed):
-        """`cls` built from the keys `<prefix>.<field>`, each parsed by its
-        field's declared type; the fields with no key take `unkeyed`, in
-        field order."""
-        unkeyed = iter(unkeyed)
-        values = {}
-        for f in fields(cls):
+    def _section(self, prefix: str, **supplied):
+        """The dataclass of section `prefix` built from the `supplied` fields
+        and the keys `<prefix>.<field>` that are set, each parsed by its
+        field's declared type; every other field keeps its default."""
+        for f in fields(SECTIONS[prefix]):
             key = f"{prefix}.{f.name}"
-            values[f.name] = self._get(key, f.type) if key in DEFAULTS else next(unkeyed)
-        return cls(**values)
+            if key in self.values and f.name not in supplied:
+                supplied[f.name] = self._get(key, f.type)
+        return SECTIONS[prefix](**supplied)
 
     @property
     def seed(self) -> int:
@@ -148,20 +135,20 @@ class RunConfig:
         return self._get("data.dir") or self.out_dir
 
     def synthetic_config(self, seed: int) -> data_mod.SyntheticConfig:
-        return self._section(data_mod.SyntheticConfig, "synth", seed)
+        return self._section("synth", seed=seed)
 
     def split_ratios(self) -> data_mod.SplitRatios:
-        return self._section(data_mod.SplitRatios, "split")
+        return self._section("split")
 
     def tree_params(self) -> tree_mod.TreeParams:
-        return self._section(tree_mod.TreeParams, "tree")
+        return self._section("tree")
 
     def student_config(self, init_seed: int) -> student.StudentConfig:
-        return self._section(student.StudentConfig, "student", init_seed)
+        return self._section("student", init_seed=init_seed)
 
     def hyper(self, master_seed: int) -> distill.KdsmHyper:
         kd_weight = self._get("train.lambda", "float")
-        return self._section(distill.KdsmHyper, "train", kd_weight, master_seed)
+        return self._section("train", kd_weight=kd_weight, master_seed=master_seed)
 
     def tie_seed(self, master_seed: int) -> int:
         if self._get("eval.tie_seed") == "":
@@ -196,7 +183,7 @@ def _load_run_config(args) -> RunConfig:
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
     for key, value in vars(args).items():
-        if key in DEFAULTS and value not in (None, ""):
+        if key in KEYS and value not in (None, ""):
             values[key] = str(value)
     return RunConfig(values)
 

@@ -326,14 +326,14 @@ class SyntheticConfig:
     read the first two numeric features, so any further column is noise too).
     """
 
-    n: int
-    d_numeric: int = 2
-    d_categorical: int = 0
-    base_rate: float = 0.1
+    n: int = 50000
+    d_numeric: int = 6
+    d_categorical: int = 2
+    base_rate: float = 0.03
     effect_function: str = "piecewise-on-two-features"
     effect_scale: float = 1.0
     treatment_fraction: float = 0.5
-    noise_features: int = 0
+    noise_features: int = 2
     seed: int = 0
 
     def __post_init__(self):
@@ -353,8 +353,8 @@ class SyntheticConfig:
             )
         if not (0.0 < self.base_rate < 1.0):
             raise DomainError(f"base_rate={self.base_rate} must lie in (0, 1)")
-        if self.effect_scale < 0.0:
-            raise DomainError(f"effect_scale={self.effect_scale} must be >= 0")
+        if not (0.0 <= self.effect_scale < np.inf):
+            raise DomainError(f"effect_scale={self.effect_scale} must be finite and >= 0")
         if not (0.0 < self.treatment_fraction < 1.0):
             raise DomainError(
                 f"treatment_fraction={self.treatment_fraction} must lie in (0, 1)"

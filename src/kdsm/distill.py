@@ -72,13 +72,13 @@ class KdsmHyper:
 
     kd_weight: float = 0.5
     batch_size: int = 512
-    max_epochs: int = 50
-    early_stop_patience: int = 20
+    max_epochs: int = 40
+    early_stop_patience: int = 12
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.kd_weight < 0:
-            raise DomainError(f"kd_weight={self.kd_weight} must be >= 0")
+        if not (0.0 <= self.kd_weight < np.inf):
+            raise DomainError(f"kd_weight={self.kd_weight} must be finite and >= 0")
         if self.batch_size < 1:
             raise DomainError(f"batch_size={self.batch_size} must be >= 1")
         if self.max_epochs < 1:
@@ -360,7 +360,7 @@ def _train_student(
         model = init_student(
             student_cfg, train, head="regression", final_bias=float(mse_targets.mean())
         )
-    track = _Track(model, init_optimizer(student_cfg, model), train, stream, kd_weight, mse_targets)
+    track = _Track(model, init_optimizer(model), train, stream, kd_weight, mse_targets)
     report = _train_loop(
         [track], valid, hyper, model, TrainReport(method=method, kd_weight=kd_weight)
     )
@@ -468,7 +468,7 @@ def train_two_model(
         cfg = replace(student_cfg, init_seed=derive_seed(student_cfg.init_seed, tag))
         model = init_student(cfg, ds)
         stream = _row_stream(ds.n, tags=(tag,))
-        tracks.append(_Track(model, init_optimizer(cfg, model), ds, stream, 0.0))
+        tracks.append(_Track(model, init_optimizer(model), ds, stream, 0.0))
     result = TwoModelResult(tracks[0].model, tracks[1].model)
     report = _train_loop(
         tracks,

@@ -55,8 +55,8 @@ class StudentConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     learning_rate: float = 1e-2
-    lr_decay_factor: float = 0.1
-    lr_decay_patience: int = 3
+    lr_decay_factor: float = 0.5
+    lr_decay_patience: int = 6
     init_seed: int = 0
 
     def __post_init__(self):
@@ -68,8 +68,11 @@ class StudentConfig:
             raise DomainError(f"activation must be 'relu' or 'tanh', got {self.activation!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise DomainError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise DomainError(f"momentum={self.momentum} must lie in [0, 1)")
+        for name in ("momentum", "beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise DomainError(f"{name}={getattr(self, name)} must lie in [0, 1)")
+        if not (0.0 < self.eps < math.inf):
+            raise DomainError(f"eps={self.eps} must be finite and > 0")
         if not (self.learning_rate > 0):
             raise DomainError(f"learning_rate={self.learning_rate} must be > 0")
         if not (0.0 < self.lr_decay_factor < 1.0):
@@ -456,16 +459,16 @@ class OptimizerState:
     """Slot vectors laid out like `StudentModel.params` (SGD velocity in
     `m`; Adam moments in `m` and `v`) plus the current learning rate."""
 
-    kind: str
     lr: float
     step: int
     m: np.ndarray
     v: np.ndarray | None = None
 
 
-def init_optimizer(cfg: StudentConfig, model: StudentModel) -> OptimizerState:
+def init_optimizer(model: StudentModel) -> OptimizerState:
+    """A fresh state for the optimizer of `model.config`."""
+    cfg = model.config
     return OptimizerState(
-        kind=cfg.optimizer,
         lr=cfg.learning_rate,
         step=0,
         m=np.zeros_like(model.params),
@@ -479,7 +482,7 @@ def apply_update(model: StudentModel, grads: np.ndarray, state: OptimizerState) 
     parameters and the state."""
     cfg = model.config
     m = state.m
-    if state.kind == "sgd":
+    if cfg.optimizer == "sgd":
         m *= cfg.momentum
         m += grads
         model.params -= state.lr * m

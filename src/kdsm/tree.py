@@ -101,8 +101,8 @@ class TreeParams:
             raise DomainError(f"max_depth={self.max_depth} must be >= 1")
         if self.min_samples_per_arm < 1:
             raise DomainError(f"min_samples_per_arm={self.min_samples_per_arm} must be >= 1")
-        if self.min_gain < 0:
-            raise DomainError(f"min_gain={self.min_gain} must be >= 0")
+        if not (0.0 <= self.min_gain < math.inf):
+            raise DomainError(f"min_gain={self.min_gain} must be finite and >= 0")
         if self.numeric_split_candidates < 2:
             raise DomainError(
                 f"numeric_split_candidates={self.numeric_split_candidates} must be >= 2"

@@ -122,7 +122,7 @@ def median_of(runs, key):
 
 def test_pair_loss_at_lambda_zero_is_exactly_the_two_bce_terms():
     ds, _ = gen_synthetic(
-        SyntheticConfig(n=400, d_numeric=3, d_categorical=1, base_rate=0.3, seed=11)
+        SyntheticConfig(n=400, d_numeric=3, d_categorical=1, base_rate=0.3, noise_features=0, seed=11)
     )
     t_rows = np.flatnonzero(ds.treatment == 1)
     c_rows = np.flatnonzero(ds.treatment == 0)
@@ -148,7 +148,7 @@ def test_pair_loss_at_lambda_zero_is_exactly_the_two_bce_terms():
 
 def test_lambda_zero_trainer_is_bit_identical_to_plain_on_matched_stream():
     ds, _ = gen_synthetic(
-        SyntheticConfig(n=6000, d_numeric=3, d_categorical=1, base_rate=0.25, seed=21)
+        SyntheticConfig(n=6000, d_numeric=3, d_categorical=1, base_rate=0.25, noise_features=0, seed=21)
     )
     split = split_dataset(ds, SplitRatios(0.6, 0.2, 0.2), 5)
     tree = fit_tree(split.train, TreeParams("ed", 3, 50), 9)
@@ -198,7 +198,7 @@ def kd_pair_batch(ds, t_rows, c_rows, targets, lam):
 
 def test_pair_loss_gradients_match_central_finite_differences():
     ds, _ = gen_synthetic(
-        SyntheticConfig(n=200, d_numeric=3, d_categorical=2, base_rate=0.3, seed=44)
+        SyntheticConfig(n=200, d_numeric=3, d_categorical=2, base_rate=0.3, noise_features=0, seed=44)
     )
     t_rows = np.flatnonzero(ds.treatment == 1)[:20]
     c_rows = np.flatnonzero(ds.treatment == 0)[:20]
@@ -315,8 +315,10 @@ def test_tree_recovers_planted_split_and_leaf_effects():
         SyntheticConfig(
             n=100000,
             d_numeric=2,
+            d_categorical=0,
             base_rate=0.03,
             effect_function="piecewise-on-two-features",
+            noise_features=0,
             seed=505,
         )
     )
@@ -360,6 +362,7 @@ def test_epoch_matching_invariants_and_reshuffle_distinctness():
                 base_rate=0.25,
                 treatment_fraction=(0.4, 0.5, 0.6)[ds_seed % 3],
                 effect_function="piecewise-on-two-features",
+                noise_features=0,
                 seed=derive_seed(66, "ds", ds_seed),
             )
             ds, _ = gen_synthetic(cfg)

@@ -37,7 +37,7 @@ def test_cli_dispatches_every_traced_command():
 
 
 def test_load_predictor_returns_kind_scorer_and_schema(tmp_path):
-    ds, _ = gen_synthetic(SyntheticConfig(n=40, d_numeric=2, d_categorical=1, base_rate=0.3, seed=0))
+    ds, _ = gen_synthetic(SyntheticConfig(n=40, d_numeric=2, d_categorical=1, base_rate=0.3, noise_features=0, seed=0))
     model = init_student(StudentConfig(hidden_sizes=(4,), init_seed=1), ds)
     path = str(tmp_path / "model.json")
     save_student(model, path)

@@ -12,7 +12,7 @@ import pytest
 import kdsm
 from kdsm import cli, distill
 from kdsm.cli import (
-    DEFAULTS,
+    KEYS,
     RunConfig,
     _save_predictor,
     _write_text,
@@ -261,10 +261,18 @@ def test_invalid_base_rate_fails_before_writing(tmp_path, capsys):
         (["compare"], "compare.methods = plain,plain", "config key compare.methods repeats 'plain'"),
         (["compare"], "compare.seeds = 1,1", "config key compare.seeds repeats 1"),
         (["compare"], "compare.seeds = ,", "config key compare.seeds lists nothing"),
+        (
+            ["train", "--method", "plain"],
+            "student.init_seed = 3",
+            "{cfg}:15: unknown config key 'student.init_seed'",
+        ),
+        (["train", "--method", "plain"], "student.beta2 = nan", "beta2=nan must lie in [0, 1)"),
+        (["train", "--method", "kdsm", "--lambda", "nan"], "", "kd_weight=nan must be finite and >= 0"),
     ],
     ids=[
         "max_depth", "learning_rate", "drop_leftovers", "hidden_sizes", "seeds", "methods",
-        "unknown_key", "repeated_method", "repeated_seed", "no_seed",
+        "unknown_key", "repeated_method", "repeated_seed", "no_seed", "supplied_field", "beta2",
+        "nan_lambda",
     ],
 )
 def test_bad_config_value_names_its_key(pipeline, tmp_path, capsys, command, line, message):
@@ -283,7 +291,7 @@ def test_every_section_key_is_a_config_field():
         "student": StudentConfig,
         "train": KdsmHyper,
     }
-    keys = {key for key in DEFAULTS if key.split(".")[0] in sections}
+    keys = {key for key in KEYS if key.split(".")[0] in sections}
     fields = {
         f"{prefix}.{f.name}" for prefix, cls in sections.items() for f in dataclasses.fields(cls)
     }
@@ -292,6 +300,15 @@ def test_every_section_key_is_a_config_field():
     assert fields - keys == {
         "synth.seed", "student.init_seed", "train.kd_weight", "train.master_seed"
     }
+
+
+def test_unset_keys_leave_each_section_at_its_dataclass_defaults():
+    cfg = RunConfig({})
+    assert cfg.synthetic_config(3) == SyntheticConfig(seed=3)
+    assert cfg.split_ratios() == SplitRatios()
+    assert cfg.tree_params() == TreeParams()
+    assert cfg.student_config(4) == StudentConfig(init_seed=4)
+    assert cfg.hyper(5) == KdsmHyper(master_seed=5)
 
 
 def test_train_kdsm_without_tree_names_fit_tree(tmp_path, capsys):
@@ -533,7 +550,9 @@ def test_evaluate_reports_misshaped_model_array(pipeline, tmp_path, capsys):
 def trained_predictors():
     """A tree plus a kdsm, a mom and a tm model, trained in memory."""
     split = split_dataset(
-        gen_synthetic(SyntheticConfig(n=1200, d_numeric=2, d_categorical=1, base_rate=0.3, seed=5))[0],
+        gen_synthetic(
+            SyntheticConfig(n=1200, d_numeric=2, d_categorical=1, base_rate=0.3, noise_features=0, seed=5)
+        )[0],
         SplitRatios(0.6, 0.2, 0.2),
         6,
     )
@@ -589,7 +608,12 @@ def test_evaluate_rejects_a_tree_with_invalid_params(pipeline, tmp_path, capsys,
 
 
 ARTIFACT_WRITERS = {
-    "dataset": lambda p, models: save_csv(gen_synthetic(SyntheticConfig(n=50, d_categorical=1, seed=1))[0], p),
+    "dataset": lambda p, models: save_csv(
+        gen_synthetic(
+            SyntheticConfig(n=50, d_numeric=2, d_categorical=1, base_rate=0.1, noise_features=0, seed=1)
+        )[0],
+        p,
+    ),
     "text": lambda p, models: _write_text(p, "new\n"),
     "two-model": lambda p, models: _save_predictor(models["tm"], p),
     "student": lambda p, models: save_student(models["kdsm"], p),

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import errno
 import json
+import math
 import os
 
 import numpy as np
@@ -132,7 +133,7 @@ def test_validate_catches_nonfinite_feature():
 
 
 def test_gen_synthetic_deterministic():
-    cfg = SyntheticConfig(n=500, d_numeric=3, d_categorical=1, base_rate=0.2, seed=11)
+    cfg = SyntheticConfig(n=500, d_numeric=3, d_categorical=1, base_rate=0.2, noise_features=0, seed=11)
     a, tau_a = gen_synthetic(cfg)
     b, tau_b = gen_synthetic(cfg)
     assert np.array_equal(a.features, b.features)
@@ -144,7 +145,13 @@ def test_gen_synthetic_deterministic():
 def test_gen_synthetic_zero_effect_mean_difference():
     # zero effect: arm outcome rates agree within 3 binomial sigmas
     cfg = SyntheticConfig(
-        n=50_000, d_numeric=2, base_rate=0.1, effect_function="zero", seed=5
+        n=50_000,
+        d_numeric=2,
+        d_categorical=0,
+        base_rate=0.1,
+        effect_function="zero",
+        noise_features=0,
+        seed=5,
     )
     ds, tau = gen_synthetic(cfg)
     assert np.all(tau == 0.0)
@@ -159,8 +166,10 @@ def test_gen_synthetic_piecewise_subgroup_cate():
     cfg = SyntheticConfig(
         n=100_000,
         d_numeric=2,
+        d_categorical=0,
         base_rate=0.1,
         effect_function="piecewise-on-two-features",
+        noise_features=0,
         seed=3,
     )
     ds, tau = gen_synthetic(cfg)
@@ -172,7 +181,7 @@ def test_gen_synthetic_piecewise_subgroup_cate():
 
 
 def test_gen_synthetic_treatment_independent_of_features():
-    cfg = SyntheticConfig(n=20_000, d_numeric=4, base_rate=0.2, seed=9)
+    cfg = SyntheticConfig(n=20_000, d_numeric=4, d_categorical=0, base_rate=0.2, noise_features=0, seed=9)
     ds, _ = gen_synthetic(cfg)
     t = ds.treatment - ds.treatment.mean()
     for j in range(4):
@@ -188,8 +197,16 @@ def test_gen_synthetic_rejects_impossible_probability():
         )
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -0.5])
+def test_synthetic_config_needs_a_finite_effect_scale(scale):
+    with pytest.raises(DomainError, match=r"^effect_scale=.* must be finite and >= 0$"):
+        SyntheticConfig(effect_scale=scale)
+
+
 def test_gen_synthetic_outcome_rate_tracks_config():
-    cfg = SyntheticConfig(n=50_000, d_numeric=2, base_rate=0.03, seed=21)
+    cfg = SyntheticConfig(
+        n=50_000, d_numeric=2, d_categorical=0, base_rate=0.03, noise_features=0, seed=21
+    )
     ds, _ = gen_synthetic(cfg)
     control_rate = ds.outcome[ds.treatment == 0].mean()
     assert abs(control_rate - 0.03) < 0.005

@@ -56,7 +56,13 @@ def dataset_from(features, treatment, outcome):
 
 def synthetic(n, seed, effect="piecewise-on-two-features", base_rate=0.3):
     cfg = SyntheticConfig(
-        n=n, d_numeric=2, base_rate=base_rate, effect_function=effect, seed=seed
+        n=n,
+        d_numeric=2,
+        d_categorical=0,
+        base_rate=base_rate,
+        effect_function=effect,
+        noise_features=0,
+        seed=seed,
     )
     ds, _ = gen_synthetic(cfg)
     return ds
@@ -296,7 +302,9 @@ def test_kdsm_positive_weight_differs_from_plain():
 
 def test_kdsm_drop_leftovers_changes_training():
     # arms are imbalanced, so leftovers exist and dropping them matters
-    cfg = SyntheticConfig(n=600, d_numeric=2, base_rate=0.3, treatment_fraction=0.7, seed=12)
+    cfg = SyntheticConfig(
+        n=600, d_numeric=2, d_categorical=0, base_rate=0.3, treatment_fraction=0.7, noise_features=0, seed=12
+    )
     ds, _ = gen_synthetic(cfg)
     sp = split_dataset(ds, SplitRatios(0.6, 0.2, 0.2), seed=12)
     tree = shallow_tree(sp.train)
@@ -376,6 +384,9 @@ def test_hyper_validation():
         KdsmHyper(batch_size=0)
     with pytest.raises(DomainError):
         KdsmHyper(max_epochs=0)
+    for weight in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"^kd_weight=.* must be finite and >= 0$"):
+            KdsmHyper(kd_weight=weight)
 
 
 # --- two-model baseline ---

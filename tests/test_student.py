@@ -40,7 +40,7 @@ from oracles import batch_loss, bce, forward
 
 def tiny_dataset(n=40, d_numeric=2, d_categorical=0, seed=0):
     cfg = SyntheticConfig(
-        n=n, d_numeric=d_numeric, d_categorical=d_categorical, base_rate=0.3, seed=seed
+        n=n, d_numeric=d_numeric, d_categorical=d_categorical, base_rate=0.3, noise_features=0, seed=seed
     )
     ds, _ = gen_synthetic(cfg)
     return ds
@@ -286,7 +286,7 @@ def test_sgd_zero_gradient_no_change():
     ds = tiny_dataset()
     model = init_student(StudentConfig(optimizer="sgd", momentum=0.0, init_seed=0), ds)
     before = model.params.copy()
-    state = init_optimizer(model.config, model)
+    state = init_optimizer(model)
     apply_update(model, np.zeros_like(model.params), state)
     assert np.array_equal(model.params, before)
 
@@ -298,7 +298,7 @@ def test_sgd_single_step_formula():
     p_before = model.weights[0][0, 0]
     grads = np.zeros_like(model.params)
     param_views(model.config, model.schema, grads)[1][0][0, 0] = 0.37
-    apply_update(model, grads, init_optimizer(cfg, model))
+    apply_update(model, grads, init_optimizer(model))
     assert model.weights[0][0, 0] == pytest.approx(p_before - 0.1 * 0.37, abs=1e-15)
 
 
@@ -309,20 +309,20 @@ def test_adam_first_step_magnitude():
     p_before = model.weights[0][0, 0]
     grads = np.zeros_like(model.params)
     param_views(model.config, model.schema, grads)[1][0][0, 0] = -0.37
-    apply_update(model, grads, init_optimizer(cfg, model))
+    apply_update(model, grads, init_optimizer(model))
     delta = model.weights[0][0, 0] - p_before
     assert 0.9 * cfg.learning_rate <= abs(delta) <= 1.0 * cfg.learning_rate
     assert delta > 0  # steps against the gradient sign
 
 
 def test_loss_descends_under_full_batch_sgd():
-    cfg = SyntheticConfig(n=64, d_numeric=3, base_rate=0.3, seed=10)
+    cfg = SyntheticConfig(n=64, d_numeric=3, d_categorical=0, base_rate=0.3, noise_features=0, seed=10)
     ds, _ = gen_synthetic(cfg)
     scfg = StudentConfig(
         hidden_sizes=(8,), optimizer="sgd", momentum=0.0, learning_rate=0.5, init_seed=6
     )
     model = init_student(scfg, ds)
-    state = init_optimizer(scfg, model)
+    state = init_optimizer(model)
     batch = singles_batch(ds)
     descents = 0
     prev = batch_loss(model, batch).total
@@ -534,12 +534,31 @@ def test_student_config_validation():
         StudentConfig(lr_decay_factor=1.0)
 
 
+@pytest.mark.parametrize(
+    "name, value, bound",
+    [
+        ("beta1", 5.0, r"lie in \[0, 1\)"),
+        ("beta1", math.nan, r"lie in \[0, 1\)"),
+        ("beta2", -1.0, r"lie in \[0, 1\)"),
+        ("beta2", 1.0, r"lie in \[0, 1\)"),
+        ("momentum", math.nan, r"lie in \[0, 1\)"),
+        ("eps", -1.0, "be finite and > 0"),
+        ("eps", 0.0, "be finite and > 0"),
+        ("eps", math.nan, "be finite and > 0"),
+        ("eps", math.inf, "be finite and > 0"),
+    ],
+)
+def test_student_config_checks_adam_settings(name, value, bound):
+    with pytest.raises(DomainError, match=f"^{name}={value} must {bound}$"):
+        StudentConfig(**{name: value})
+
+
 # Trains a kdsm student and a mom regressor on batches of about 1,000 passes
 # and prints the sha256 of both model documents.
 TRAIN_AND_HASH = """
 import hashlib, json
 from kdsm import data, distill, student, tree
-ds, _ = data.gen_synthetic(data.SyntheticConfig(n=4000, seed=1))
+ds, _ = data.gen_synthetic(data.SyntheticConfig(n=4000, d_numeric=2, d_categorical=0, base_rate=0.1, noise_features=0, seed=1))
 split = data.split_dataset(ds, data.SplitRatios(0.6, 0.2, 0.2), 2)
 teacher = tree.fit_tree(split.train, tree.TreeParams(max_depth=3, min_samples_per_arm=50), 3)
 cfg = student.StudentConfig(init_seed=4)

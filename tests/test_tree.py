@@ -119,7 +119,13 @@ def test_kl_value_symmetric_in_children():
 
 def planted_dataset(n=40_000, seed=3):
     cfg = SyntheticConfig(
-        n=n, d_numeric=2, base_rate=0.1, effect_function="piecewise-on-two-features", seed=seed
+        n=n,
+        d_numeric=2,
+        d_categorical=0,
+        base_rate=0.1,
+        effect_function="piecewise-on-two-features",
+        noise_features=0,
+        seed=seed,
     )
     ds, tau = gen_synthetic(cfg)
     return ds, tau
@@ -540,5 +546,8 @@ def test_tree_params_validation():
         TreeParams(max_depth=0)
     with pytest.raises(DomainError):
         TreeParams(min_gain=-0.1)
+    for gain in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"^min_gain=.* must be finite and >= 0$"):
+            TreeParams(min_gain=gain)
     with pytest.raises(DomainError):
         TreeParams(numeric_split_candidates=1)

@@ -24,7 +24,9 @@
 #   - a "tuned" chain (synth, split, fit-tree, train kdsm, evaluate) in its
 #     own directory, whose config sets a non-default value in every section
 #     and whose commands pass every flag (--seed, --criterion kl, --lambda,
-#     --drop-leftovers, --tie-seed, and an empty --out, which is ignored).
+#     --drop-leftovers, --tie-seed, and an empty --out, which is ignored);
+#   - the --help of kdsm and of each of its six commands, one file each,
+#     since every flag's dest must be a config key of the CLI.
 # Prints the number of files compared; exits 0 when both runs match byte
 # for byte, 1 when they differ (the diff goes to stdout), 2 on bad usage.
 # BLAS thread variables such as OPENBLAS_NUM_THREADS pass through to both
@@ -120,6 +122,11 @@ VARIANTS
         kdsm evaluate --config "$cfg.tuned" --out "$out/tuned/flags" --seed 11 --tie-seed 23 \
             "$out/tuned/model_kdsm.json" "$out/tuned/tree.json"
     } | sed "s#$out#OUT#g" >"$out/stdout.txt"
+    local command
+    for command in "" synth split fit-tree train evaluate compare; do
+        # shellcheck disable=SC2086  # an empty command asks for the top-level help
+        kdsm $command --help >"$out/help_${command:-kdsm}.txt"
+    done
 }
 
 run_side "$1" parent
