@@ -44,9 +44,7 @@ DEFAULTS: dict[str, str] = {
     "seed": "1",
     "out.dir": "out",
     "data.dir": "",
-    "split.subsample_per_arm": "0",
     "train.lambda": str(distill.KdsmHyper.kd_weight),
-    "train.drop_leftovers": "false",
     "eval.tie_seed": "",
     "compare.methods": "plain,kdss,kdsm,tm,mom",
     "compare.seeds": "1,2,3,4,5",
@@ -99,6 +97,9 @@ class RunConfig:
     values: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in self.values:
+            if key not in KEYS:
+                raise ConfigError(f"unknown config key {key!r}")
         merged = dict(DEFAULTS)
         merged.update(self.values)
         self.values = merged
@@ -239,9 +240,6 @@ def cmd_split(args) -> int:
     if not os.path.exists(paths["dataset"]):
         raise ConfigError(f"{paths['dataset']} not found; run `kdsm synth` or place a dataset there")
     ds = data_mod.load_csv(paths["dataset"], schema)
-    n_sub = cfg._get("split.subsample_per_arm", "int")
-    if n_sub > 0:
-        ds = data_mod.subsample_per_arm(ds, n_sub, derive_seed(cfg.seed, "subsample"))
     split = data_mod.split_dataset(ds, cfg.split_ratios(), derive_seed(cfg.seed, "split"))
     for w in split.warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -322,14 +320,13 @@ def _train_one(cfg, seed, method, train, valid, tree, pair_stream=False):
     seeds derived from the master seed `seed`."""
     student_cfg = cfg.student_config(derive_seed(seed, "student-init"))
     hyper = cfg.hyper(derive_seed(seed, "train"))
-    drop = cfg._get("train.drop_leftovers", "bool")
     if method == "kdsm":
-        return distill.train_kdsm(train, valid, tree, student_cfg, hyper, drop)
+        return distill.train_kdsm(train, valid, tree, student_cfg, hyper)
     if method == "kdss":
         return distill.train_kdss(train, valid, tree, student_cfg, hyper)
     if method == "plain":
         pair_tree = tree if pair_stream else None
-        return distill.train_plain(train, valid, student_cfg, hyper, pair_tree, drop)
+        return distill.train_plain(train, valid, student_cfg, hyper, pair_tree)
     if method == "tm":
         return distill.train_two_model(train, valid, student_cfg, hyper)
     if method == "mom":

@@ -433,13 +433,13 @@ def load_csv(
     labels; otherwise labels are coded by first appearance (0, 1, ... in
     the order distinct values are first seen) and the discovered dictionary
     is pinned into the returned dataset's schema. Numeric cells must parse
-    as finite floats; treatment/outcome cells must be the literal integers
-    0 or 1. Errors name the row and column; a record the csv module cannot
-    parse raises ParseError naming its line.
+    as finite floats; treatment/outcome cells must be integers that `int()`
+    reads as 0 or 1. Errors name the row and column; a record the csv module
+    cannot parse raises ParseError naming its line.
 
     Rows are read in blocks of CSV_BLOCK_ROWS and converted one column at a
-    time. A block that fails any fast check is converted again row by row,
-    which raises the error of its first bad cell.
+    time. Only a block that does not convert is walked row by row, to raise
+    the error of its first bad cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -482,13 +482,13 @@ def load_csv(
             except csv.Error as e:
                 # the reader failed mid-block: a bad cell before that record
                 # is reported first, as a row-by-row read would
-                _convert_rows(layout, rows, line)
+                _raise_first_error(layout, rows, line)
                 raise ParseError(f"{path}: line {line + len(rows)}: {e}") from None
             if not rows:
                 break
             block = _convert_block(layout, rows)
-            if block is None:
-                block = _convert_rows(layout, rows, line)
+            if block is None:  # then some cell of the block is bad
+                _raise_first_error(layout, rows, line)
             blocks.append(block)
             line += len(rows)
 
@@ -536,10 +536,6 @@ class _CsvLayout:
     pinned: set[str]
 
 
-# the only treatment/outcome spellings the column-wise path accepts
-_BITS = {"0": 0, "1": 1}
-
-
 def _floats(cells: tuple[str, ...]) -> np.ndarray | None:
     try:
         return np.fromiter(map(float, cells), np.float64, len(cells))
@@ -549,10 +545,10 @@ def _floats(cells: tuple[str, ...]) -> np.ndarray | None:
 
 def _convert_block(layout: _CsvLayout, rows: list[list[str]]):
     """(features, treatment, outcome) of a block of rows, converted column
-    by column; None if any cell needs the row-by-row rules (a ragged row, an
-    empty cell, an unparsable or non-finite number, an unknown or
-    overflowing label, a bit other than "0"/"1"). New labels reach
-    `layout.code_maps` only when the whole block converts."""
+    by column; None if any cell breaks a rule of `_raise_first_error` (a
+    ragged row, an empty cell, an unparsable or non-finite number, an unknown
+    or overflowing label, a bit that `int()` does not read as 0 or 1). New
+    labels reach `layout.code_maps` only when the whole block converts."""
     k = len(rows)
     if set(map(len, rows)) != {layout.width}:
         return None
@@ -581,24 +577,23 @@ def _convert_block(layout: _CsvLayout, rows: list[list[str]]):
     bits = []
     for name in (layout.treatment_col, layout.outcome_col):
         try:
-            bits.append(np.fromiter(map(_BITS.__getitem__, cols[layout.pos[name]]), np.int64, k))
-        except KeyError:
+            bits.append(np.fromiter(map(int, cols[layout.pos[name]]), np.int64, k))
+        except (ValueError, OverflowError):  # int64 overflows on a cell like "99999999999999999999"
+            return None
+        if not np.isin(bits[-1], (0, 1)).all():
             return None
     layout.code_maps.update(staged)
     return features, bits[0], bits[1]
 
 
-def _convert_rows(layout: _CsvLayout, rows: list[list[str]], first_line: int):
-    """(features, treatment, outcome) of a block of rows, converted one row
-    at a time; raises for the first bad cell, naming its line and column."""
-    path, pos, code_maps = layout.path, layout.pos, layout.code_maps
-    feat_rows: list[list[float]] = []
-    t_list: list[int] = []
-    y_list: list[int] = []
+def _raise_first_error(layout: _CsvLayout, rows: list[list[str]], first_line: int) -> None:
+    """Walk a block of rows one row at a time and raise for its first bad
+    cell, naming its line and column. `layout` is left as it was."""
+    path, pos = layout.path, layout.pos
+    seen = {name: set(codes) for name, codes in layout.code_maps.items()}  # labels coded so far
     for i, row in enumerate(rows, start=first_line):
         if len(row) != layout.width:
             raise ParseError(f"{path}: line {i} has {len(row)} cells, expected {layout.width}")
-        vals: list[float] = []
         for col in layout.schema.columns:
             cell = row[pos[col.name]]
             if cell == "":
@@ -616,25 +611,19 @@ def _convert_rows(layout: _CsvLayout, rows: list[list[str]], first_line: int):
                     raise DomainError(
                         f"{path}: line {i}, column {col.name!r}: non-finite value {cell!r}"
                     )
-                vals.append(v)
-            else:
-                codes = code_maps[col.name]
-                code = codes.get(cell)
-                if code is None:
-                    if col.name in layout.pinned:
-                        raise DomainError(
-                            f"{path}: line {i}, column {col.name!r}: value {cell!r} is not "
-                            f"one of the declared categories"
-                        )
-                    code = len(codes)
-                    if code >= col.cardinality:
-                        raise DomainError(
-                            f"{path}: line {i}, column {col.name!r}: value {cell!r} exceeds "
-                            f"declared cardinality {col.cardinality}"
-                        )
-                    codes[cell] = code
-                vals.append(float(code))
-        for col_name, sink in ((layout.treatment_col, t_list), (layout.outcome_col, y_list)):
+            elif cell not in seen[col.name]:
+                if col.name in layout.pinned:
+                    raise DomainError(
+                        f"{path}: line {i}, column {col.name!r}: value {cell!r} is not "
+                        f"one of the declared categories"
+                    )
+                if len(seen[col.name]) >= col.cardinality:
+                    raise DomainError(
+                        f"{path}: line {i}, column {col.name!r}: value {cell!r} exceeds "
+                        f"declared cardinality {col.cardinality}"
+                    )
+                seen[col.name].add(cell)
+        for col_name in (layout.treatment_col, layout.outcome_col):
             cell = row[pos[col_name]]
             try:
                 v = int(cell)
@@ -646,10 +635,6 @@ def _convert_rows(layout: _CsvLayout, rows: list[list[str]], first_line: int):
                 raise DomainError(
                     f"{path}: line {i}, column {col_name!r}: value {cell!r} is not 0/1"
                 )
-            sink.append(v)
-        feat_rows.append(vals)
-    features = np.array(feat_rows, dtype=np.float64).reshape(len(rows), len(layout.schema.columns))
-    return features, np.array(t_list, dtype=np.int64), np.array(y_list, dtype=np.int64)
 
 
 def save_csv(
@@ -762,24 +747,3 @@ def split_dataset(ds: Dataset, ratios: SplitRatios, seed: int) -> DatasetSplit:
         warnings=warnings,
     )
 
-
-def subsample_per_arm(ds: Dataset, n_per_arm: int, seed: int) -> Dataset:
-    """Uniform random subsample of `n_per_arm` rows from each treatment arm.
-
-    Intended for rebalancing heavily skewed trials before splitting; the
-    result keeps original row order. Requires both arms to hold at least
-    `n_per_arm` rows.
-    """
-    if n_per_arm < 1:
-        raise DomainError(f"n_per_arm={n_per_arm} must be >= 1")
-    keep: list[np.ndarray] = []
-    for arm in (0, 1):
-        idx = np.flatnonzero(ds.treatment == arm)
-        if idx.size < n_per_arm:
-            raise DomainError(
-                f"arm {arm} has {idx.size} rows; cannot subsample {n_per_arm} per arm"
-            )
-        rng = np.random.default_rng(derive_seed(seed, "subsample-arm", arm))
-        keep.append(rng.choice(idx, size=n_per_arm, replace=False))
-    rows = np.sort(np.concatenate(keep))
-    return ds.subset(rows)

@@ -68,13 +68,15 @@ class EpochPlan:
 
 @dataclass(frozen=True)
 class KdsmHyper:
-    """Training hyperparameters shared by all trainers in this module."""
+    """Training hyperparameters shared by all trainers in this module;
+    `drop_leftovers` is read only by the pair streams of kdsm and plain."""
 
     kd_weight: float = 0.5
     batch_size: int = 512
     max_epochs: int = 40
     early_stop_patience: int = 12
     master_seed: int = 0
+    drop_leftovers: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.kd_weight < np.inf):
@@ -373,17 +375,16 @@ def train_kdsm(
     tree: UpliftTree,
     student_cfg: StudentConfig,
     hyper: KdsmHyper,
-    drop_leftovers: bool = False,
 ) -> tuple[StudentModel, TrainReport]:
     """Distill the tree into a student on freshly matched pairs each epoch.
 
     Pairs contribute two factual BCE terms plus the weighted squared gap
     between the leaf estimate and the pair's predicted uplift; leftovers
-    contribute plain BCE unless dropped. kd_weight == 0 degenerates to
-    plain training on the identical stream, bit for bit.
+    contribute plain BCE unless `hyper.drop_leftovers`. kd_weight == 0
+    degenerates to plain training on the identical stream, bit for bit.
     """
     _check_two_arms(train, "distillation training")
-    stream = _pair_stream(train, tree, drop_leftovers)
+    stream = _pair_stream(train, tree, hyper.drop_leftovers)
     return _train_student("kdsm", train, valid, student_cfg, hyper, stream, hyper.kd_weight)
 
 
@@ -412,7 +413,6 @@ def train_plain(
     student_cfg: StudentConfig,
     hyper: KdsmHyper,
     pair_stream_tree: UpliftTree | None = None,
-    drop_leftovers: bool = False,
 ) -> tuple[StudentModel, TrainReport]:
     """Plain BCE training of the response model, no teacher.
 
@@ -425,7 +425,7 @@ def train_plain(
     if pair_stream_tree is None:
         stream = _row_stream(train.n)
     else:
-        stream = _pair_stream(train, pair_stream_tree, drop_leftovers)
+        stream = _pair_stream(train, pair_stream_tree, hyper.drop_leftovers)
     return _train_student("plain", train, valid, student_cfg, hyper, stream)
 
 

@@ -170,22 +170,25 @@ def _numeric_thresholds(values: np.ndarray, q: int) -> np.ndarray:
     return np.unique((qs[:-1] + qs[1:]) / 2.0)
 
 
-def _candidate_scores(criterion, counts_left, parent: NodeStats):
-    """Scores for candidate splits given per-candidate left counts
-    (columns: n_c, pos_c, n_t, pos_t). Invalid candidates get -inf."""
-    nc_l = counts_left[:, 0].astype(np.float64)
-    pc_l = counts_left[:, 1].astype(np.float64)
-    nt_l = counts_left[:, 2].astype(np.float64)
-    pt_l = counts_left[:, 3].astype(np.float64)
+def _candidate_scores(params: TreeParams, left, parent: NodeStats):
+    """Scores for candidate splits given per-candidate left counts, columns
+    in tyc order (control/neg, control/pos, treated/neg, treated/pos).
+    Candidates that leave a child with fewer than min_samples_per_arm rows
+    of either arm get -inf."""
+    nc_l = (left[:, 0] + left[:, 1]).astype(np.float64)
+    pc_l = left[:, 1].astype(np.float64)
+    nt_l = (left[:, 2] + left[:, 3]).astype(np.float64)
+    pt_l = left[:, 3].astype(np.float64)
     nc_r = parent.n_c - nc_l
     pc_r = parent.pos_c - pc_l
     nt_r = parent.n_t - nt_l
     pt_r = parent.pos_t - pt_l
-    scores = np.full(counts_left.shape[0], -np.inf)
-    v = (nt_l > 0) & (nc_l > 0) & (nt_r > 0) & (nc_r > 0)
+    scores = np.full(left.shape[0], -np.inf)
+    m = params.min_samples_per_arm
+    v = (nt_l >= m) & (nc_l >= m) & (nt_r >= m) & (nc_r >= m)
     if not v.any():
         return scores
-    if criterion == "ed":
+    if params.criterion == "ed":
         tau_l = pt_l[v] / nt_l[v] - pc_l[v] / nc_l[v]
         tau_r = pt_r[v] / nt_r[v] - pc_r[v] / nc_r[v]
         scores[v] = _ed(nt_l[v] + nc_l[v], tau_l, nt_r[v] + nc_r[v], tau_r)
@@ -199,7 +202,6 @@ def _candidate_scores(criterion, counts_left, parent: NodeStats):
 def _best_split(X, t, y, rows, stats: NodeStats, params: TreeParams, schema: FeatureSchema):
     """Best candidate rule at a node, or None. Ties go to the lowest
     (feature index, candidate index)."""
-    m = params.min_samples_per_arm
     t_rows = t[rows]
     y_rows = y[rows]
     tyc = t_rows * 2 + y_rows  # 0: control/neg, 1: control/pos, 2: treated/neg, 3: treated/pos
@@ -230,18 +232,7 @@ def _best_split(X, t, y, rows, stats: NodeStats, params: TreeParams, schema: Fea
             cand_rules = [
                 SplitRule(feature=f, kind=CATEGORICAL, code=int(c)) for c in observed
             ]
-        # columns of `left` follow the tyc encoding above
-        counts_left = np.stack(
-            [left[:, 0] + left[:, 1], left[:, 1], left[:, 2] + left[:, 3], left[:, 3]], axis=1
-        )
-        scores = _candidate_scores(params.criterion, counts_left, stats)
-        size_ok = (
-            (counts_left[:, 0] >= m)
-            & (counts_left[:, 2] >= m)
-            & (stats.n_c - counts_left[:, 0] >= m)
-            & (stats.n_t - counts_left[:, 2] >= m)
-        )
-        scores[~size_ok] = -np.inf
+        scores = _candidate_scores(params, left, stats)
         if not np.isfinite(scores).any():
             continue
         j = int(np.argmax(scores))  # first maximum = lowest candidate index

@@ -23,7 +23,7 @@ from kdsm.cli import (
 )
 from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, load_csv, save_csv, split_dataset
 from kdsm.distill import KdsmHyper, TrainReport, write_train_report
-from kdsm.errors import FitError, KdsmError
+from kdsm.errors import ConfigError, FitError, KdsmError
 from kdsm.metrics import Curve, write_curve_csv
 from kdsm.seeds import derive_seed
 from kdsm.student import StudentConfig, save_student
@@ -296,7 +296,7 @@ def test_every_section_key_is_a_config_field():
         f"{prefix}.{f.name}" for prefix, cls in sections.items() for f in dataclasses.fields(cls)
     }
     # keys read by the commands themselves, and fields the caller supplies
-    assert keys - fields == {"split.subsample_per_arm", "train.lambda", "train.drop_leftovers"}
+    assert keys - fields == {"train.lambda"}
     assert fields - keys == {
         "synth.seed", "student.init_seed", "train.kd_weight", "train.master_seed"
     }
@@ -309,6 +309,11 @@ def test_unset_keys_leave_each_section_at_its_dataclass_defaults():
     assert cfg.tree_params() == TreeParams()
     assert cfg.student_config(4) == StudentConfig(init_seed=4)
     assert cfg.hyper(5) == KdsmHyper(master_seed=5)
+
+
+def test_run_config_names_its_first_unknown_key():
+    with pytest.raises(ConfigError, match="^unknown config key 'synth.nn'$"):
+        RunConfig({"seed": "3", "synth.nn": "500", "bogus": "1"})
 
 
 def test_train_kdsm_without_tree_names_fit_tree(tmp_path, capsys):

@@ -25,7 +25,6 @@ from kdsm.data import (
     load_document,
     save_csv,
     split_dataset,
-    subsample_per_arm,
 )
 from kdsm.errors import DomainError, KdsmError, ParseError, SchemaError
 
@@ -282,17 +281,6 @@ def test_split_ratios_validation():
         SplitRatios(1.0, 0.0, 0.0)
 
 
-def test_subsample_per_arm():
-    ds = make_dataset(400, seed=6)
-    sub = subsample_per_arm(ds, 50, seed=9)
-    assert (sub.treatment == 1).sum() == 50
-    assert (sub.treatment == 0).sum() == 50
-    again = subsample_per_arm(ds, 50, seed=9)
-    assert np.array_equal(sub.features, again.features)
-    with pytest.raises(DomainError):
-        subsample_per_arm(ds, 100_000, seed=9)
-
-
 # --- csv round trip ---
 
 
@@ -475,7 +463,8 @@ def test_csv_save_and_load_match_the_row_oracle(tmp_path_factory, ds):
 
 
 BAD_NUMBERS = ["", "not_a_number", "inf", "-inf", "nan", "1e400", " 1.5 ", "1_0", "0x10"]
-BAD_BITS = ["", "2", "-1", " 1", "1 ", "01", "+1", "0_0", "１", "yes", "1.0"]
+# "99999999999999999999" overflows int64; "-0" loads as 0
+BAD_BITS = ["", "2", "-1", " 1", "1 ", "01", "+1", "0_0", "１", "yes", "1.0", "99999999999999999999", "-0"]
 
 
 @st.composite
@@ -568,8 +557,12 @@ PINNED_3 = FeatureSchema((Column("x0", "numeric"), Column("c0", "categorical", 3
         (set_cell(1, "zz"), PINNED_3, DomainError),
         (set_cell(1, "d"), UNPINNED_3, DomainError),  # a fourth label, first seen in block 2
         (set_cell(2, "2"), UNPINNED_3, DomainError),
+        (set_cell(2, "99999999999999999999"), UNPINNED_3, DomainError),  # overflows int64
     ],
-    ids=["ragged", "empty", "empty_label", "not_a_number", "inf", "unknown_pinned", "overflow", "treatment_2"],
+    ids=[
+        "ragged", "empty", "empty_label", "not_a_number", "inf", "unknown_pinned", "overflow",
+        "treatment_2", "treatment_int64_overflow",
+    ],
 )
 def test_csv_error_in_second_block_matches_the_row_oracle(tmp_path, defect, schema, error):
     path = str(tmp_path / "raw.csv")

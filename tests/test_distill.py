@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -310,7 +311,8 @@ def test_kdsm_drop_leftovers_changes_training():
     tree = shallow_tree(sp.train)
     hyper = KdsmHyper(kd_weight=0.5, batch_size=64, max_epochs=2, early_stop_patience=5, master_seed=13)
     m_keep, _ = train_kdsm(sp.train, sp.valid, tree, FAST, hyper)
-    m_drop, _ = train_kdsm(sp.train, sp.valid, tree, FAST, hyper, drop_leftovers=True)
+    drop = dataclasses.replace(hyper, drop_leftovers=True)
+    m_drop, _ = train_kdsm(sp.train, sp.valid, tree, FAST, drop)
     assert not params_equal(m_keep, m_drop)
 
 

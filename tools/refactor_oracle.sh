@@ -70,7 +70,6 @@ synth.noise_features = 1
 split.train = 0.5
 split.valid = 0.25
 split.test = 0.25
-split.subsample_per_arm = 2500
 tree.max_depth = 3
 tree.min_samples_per_arm = 60
 tree.min_gain = 0.00001
