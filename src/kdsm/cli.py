@@ -154,7 +154,10 @@ class RunConfig:
     def tie_seed(self, master_seed: int) -> int:
         if self._get("eval.tie_seed") == "":
             return derive_seed(master_seed, "eval-ties")
-        return self._get("eval.tie_seed", "int")
+        seed = self._get("eval.tie_seed", "int")
+        if seed < 0:
+            raise ConfigError(f"config key eval.tie_seed={seed} must be >= 0")
+        return seed
 
     def compare_methods(self) -> list[str]:
         methods = [m.strip() for m in self._get("compare.methods").split(",") if m.strip()]
@@ -432,6 +435,7 @@ def run_comparison(cfg: RunConfig, out_dir: str) -> ComparisonReport:
     worker process per usable CPU, at most one per cell, or in this process
     if one CPU is usable; the artifacts are the same at any count."""
     methods, seeds = cfg.compare_methods(), cfg.compare_seeds()
+    cfg.tie_seed(seeds[0])  # a bad eval.tie_seed fails here, not in a cell
     workers = min(len(os.sched_getaffinity(0)), len(methods) * len(seeds))
     # the workers start first, so that their imports overlap the teachers' fits
     with _cell_runner(cfg, workers) as run_cells:

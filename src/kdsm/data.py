@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -434,12 +434,13 @@ def load_csv(
     the order distinct values are first seen) and the discovered dictionary
     is pinned into the returned dataset's schema. Numeric cells must parse
     as finite floats; treatment/outcome cells must be integers that `int()`
-    reads as 0 or 1. Errors name the row and column; a record the csv module
-    cannot parse raises ParseError naming its line.
+    reads as 0 or 1. Errors name the line and column of the first bad cell
+    in row order; a record the csv module cannot parse raises ParseError
+    naming its line.
 
     Rows are read in blocks of CSV_BLOCK_ROWS and converted one column at a
-    time. Only a block that does not convert is walked row by row, to raise
-    the error of its first bad cell.
+    time; only a block that does not convert is bisected for the row of its
+    first bad cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -471,10 +472,9 @@ def load_csv(
                 for c in schema.columns
                 if c.kind == CATEGORICAL
             },
-            pinned={c.name for c in schema.columns if c.categories},
         )
-        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         line = 2  # file line of the first row of the block, as the row rules count it
+        blocks = [_convert_columns(layout, [], line)]  # so an empty file has the right shapes
         while True:
             rows: list[list[str]] = []
             try:
@@ -482,33 +482,18 @@ def load_csv(
             except csv.Error as e:
                 # the reader failed mid-block: a bad cell before that record
                 # is reported first, as a row-by-row read would
-                _raise_first_error(layout, rows, line)
+                _convert_block(layout, rows, line)
                 raise ParseError(f"{path}: line {line + len(rows)}: {e}") from None
             if not rows:
                 break
-            block = _convert_block(layout, rows)
-            if block is None:  # then some cell of the block is bad
-                _raise_first_error(layout, rows, line)
-            blocks.append(block)
+            blocks.append(_convert_block(layout, rows, line))
             line += len(rows)
 
-    if blocks:
-        features, treatment, outcome = (np.concatenate(parts) for parts in zip(*blocks))
-    else:
-        features = np.zeros((0, len(schema.columns)))
-        treatment = np.zeros(0, dtype=np.int64)
-        outcome = np.zeros(0, dtype=np.int64)
-    code_maps, pinned = layout.code_maps, layout.pinned
-    # pin discovered dictionaries so a re-save keeps labels and codes stable
+    features, treatment, outcome = (np.concatenate(parts) for parts in zip(*blocks))
+    # pin discovered dictionaries so a re-save keeps labels and codes stable;
+    # a code map lists its labels in code order
     out_cols = tuple(
-        c
-        if c.kind == NUMERIC or c.name in pinned or not code_maps[c.name]
-        else Column(
-            c.name,
-            c.kind,
-            c.cardinality,
-            tuple(sorted(code_maps[c.name], key=code_maps[c.name].get)),
-        )
+        replace(c, categories=tuple(layout.code_maps[c.name])) if c.kind == CATEGORICAL else c
         for c in schema.columns
     )
     ds = Dataset(
@@ -524,7 +509,8 @@ def load_csv(
 @dataclass
 class _CsvLayout:
     """What converting a block of CSV rows needs: where each column sits and
-    the label-to-code dictionaries discovered so far (updated in place)."""
+    the label-to-code dictionaries coded so far (updated in place). A column
+    with `categories` is pinned: its dictionary never grows."""
 
     path: str
     width: int
@@ -533,108 +519,100 @@ class _CsvLayout:
     treatment_col: str
     outcome_col: str
     code_maps: dict[str, dict[str, int]]
-    pinned: set[str]
 
 
-def _floats(cells: tuple[str, ...]) -> np.ndarray | None:
+def _convert_block(layout: _CsvLayout, rows: list[list[str]], line: int):
+    """(features, treatment, outcome) of a block of rows whose first row is
+    file line `line`; a bad cell raises the error of the first in row order.
+    `_convert_columns` names the first bad cell of the first bad column,
+    which may lie below a bad cell of a later column. So a block that does
+    not convert is bisected for the first row that does not convert after
+    the rows before it, probing only rows after those that did (and whose
+    labels are coded). That row alone, where column order is row order,
+    raises. The probes halve the rows left: the work is linear in the block."""
     try:
-        return np.fromiter(map(float, cells), np.float64, len(cells))
-    except ValueError:
-        return None
+        return _convert_columns(layout, rows, line)
+    except KdsmError:
+        lo, hi = 0, len(rows)  # rows[:lo] converted; rows[lo:hi] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _convert_columns(layout, rows[lo:mid], line + lo)
+            lo = mid
+        except KdsmError:
+            hi = mid
+    _convert_columns(layout, rows[lo:hi], line + lo)  # one row that does not convert: raises
 
 
-def _convert_block(layout: _CsvLayout, rows: list[list[str]]):
-    """(features, treatment, outcome) of a block of rows, converted column
-    by column; None if any cell breaks a rule of `_raise_first_error` (a
-    ragged row, an empty cell, an unparsable or non-finite number, an unknown
-    or overflowing label, a bit that `int()` does not read as 0 or 1). New
-    labels reach `layout.code_maps` only when the whole block converts."""
-    k = len(rows)
-    if set(map(len, rows)) != {layout.width}:
-        return None
-    cols = list(zip(*rows))
+def _convert_columns(layout: _CsvLayout, rows: list[list[str]], line: int):
+    """(features, treatment, outcome) of rows whose first row is file line
+    `line`, converted one column at a time: the features in schema order,
+    then treatment and outcome. Every rule of a CSV cell and its message
+    live here. A ragged row raises first, then the first column that breaks
+    a rule, naming the first cell that breaks the first such rule: for one
+    row, the first bad cell in row order. A column is walked in Python only
+    after its numpy conversion or check has failed. New labels reach
+    `layout.code_maps` only when every row converts."""
+    path, k, width = layout.path, len(rows), layout.width
+    if set(map(len, rows)) - {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise ParseError(f"{path}: line {line + i} has {len(rows[i])} cells, expected {width}")
+
+    def bad(error, i, name, what):
+        return error(f"{path}: line {line + i}, column {name!r}: {what}")
+
+    cols = list(zip(*rows)) or [()] * width
     features = np.empty((k, len(layout.schema.columns)))
     staged: dict[str, dict[str, int]] = {}
     for j, col in enumerate(layout.schema.columns):
-        cells = cols[layout.pos[col.name]]
+        name, cells = col.name, cols[layout.pos[col.name]]
+        parsed = False  # whether every cell parsed as a number, which no empty cell does
         if col.kind == NUMERIC:
-            vals = _floats(cells)
-            if vals is None or not np.isfinite(vals).all():
-                return None
-            features[:, j] = vals
+            with suppress(ValueError):
+                features[:, j] = np.fromiter(map(float, cells), np.float64, k)
+                parsed = True
+        if not parsed and "" in cells:
+            raise bad(ParseError, cells.index(""), name, "missing values are not supported")
+        if col.kind == NUMERIC:
+            for i, cell in enumerate(() if parsed else cells):  # only when a cell did not parse
+                try:
+                    float(cell)
+                except ValueError:
+                    raise bad(ParseError, i, name, f"cannot parse {cell!r} as a number") from None
+            nonfinite = np.flatnonzero(~np.isfinite(features[:, j]))
+            if nonfinite.size:
+                i = nonfinite[0]
+                raise bad(DomainError, i, name, f"non-finite value {cells[i]!r}")
             continue
-        codes = layout.code_maps[col.name]
-        seen = dict.fromkeys(cells)  # distinct labels in order of first appearance
-        if "" in seen:
-            return None
-        new = [label for label in seen if label not in codes]
+        codes = layout.code_maps[name]
+        new = [label for label in dict.fromkeys(cells) if label not in codes]
+        room = 0 if col.categories else col.cardinality - len(codes)
+        if len(new) > room:  # new[room] is the first label without a code
+            what = "is not one of the declared categories"
+            if not col.categories:
+                what = f"exceeds declared cardinality {col.cardinality}"
+            raise bad(DomainError, cells.index(new[room]), name, f"value {new[room]!r} {what}")
         if new:
-            if col.name in layout.pinned or len(codes) + len(new) > col.cardinality:
-                return None
-            codes = {**codes, **{label: len(codes) + i for i, label in enumerate(new)}}
-            staged[col.name] = codes
+            codes = {**codes, **{label: i for i, label in enumerate(new, len(codes))}}
+            staged[name] = codes
         features[:, j] = np.fromiter(map(codes.__getitem__, cells), np.float64, k)
     bits = []
     for name in (layout.treatment_col, layout.outcome_col):
+        cells = cols[layout.pos[name]]
         try:
-            bits.append(np.fromiter(map(int, cols[layout.pos[name]]), np.int64, k))
+            bits.append(np.fromiter(map(int, cells), np.int64, k))
+            clean = np.isin(bits[-1], (0, 1)).all()
         except (ValueError, OverflowError):  # int64 overflows on a cell like "99999999999999999999"
-            return None
-        if not np.isin(bits[-1], (0, 1)).all():
-            return None
-    layout.code_maps.update(staged)
-    return features, bits[0], bits[1]
-
-
-def _raise_first_error(layout: _CsvLayout, rows: list[list[str]], first_line: int) -> None:
-    """Walk a block of rows one row at a time and raise for its first bad
-    cell, naming its line and column. `layout` is left as it was."""
-    path, pos = layout.path, layout.pos
-    seen = {name: set(codes) for name, codes in layout.code_maps.items()}  # labels coded so far
-    for i, row in enumerate(rows, start=first_line):
-        if len(row) != layout.width:
-            raise ParseError(f"{path}: line {i} has {len(row)} cells, expected {layout.width}")
-        for col in layout.schema.columns:
-            cell = row[pos[col.name]]
-            if cell == "":
-                raise ParseError(
-                    f"{path}: line {i}, column {col.name!r}: missing values are not supported"
-                )
-            if col.kind == NUMERIC:
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {i}, column {col.name!r}: cannot parse {cell!r} as a number"
-                    ) from None
-                if not np.isfinite(v):
-                    raise DomainError(
-                        f"{path}: line {i}, column {col.name!r}: non-finite value {cell!r}"
-                    )
-            elif cell not in seen[col.name]:
-                if col.name in layout.pinned:
-                    raise DomainError(
-                        f"{path}: line {i}, column {col.name!r}: value {cell!r} is not "
-                        f"one of the declared categories"
-                    )
-                if len(seen[col.name]) >= col.cardinality:
-                    raise DomainError(
-                        f"{path}: line {i}, column {col.name!r}: value {cell!r} exceeds "
-                        f"declared cardinality {col.cardinality}"
-                    )
-                seen[col.name].add(cell)
-        for col_name in (layout.treatment_col, layout.outcome_col):
-            cell = row[pos[col_name]]
+            clean = False
+        for i, cell in enumerate(() if clean else cells):  # only when a bit is not 0 or 1
             try:
                 v = int(cell)
             except ValueError:
-                raise ParseError(
-                    f"{path}: line {i}, column {col_name!r}: cannot parse {cell!r} as an integer"
-                ) from None
+                raise bad(ParseError, i, name, f"cannot parse {cell!r} as an integer") from None
             if v not in (0, 1):
-                raise DomainError(
-                    f"{path}: line {i}, column {col_name!r}: value {cell!r} is not 0/1"
-                )
+                raise bad(DomainError, i, name, f"value {cell!r} is not 0/1")
+    layout.code_maps.update(staged)
+    return features, bits[0], bits[1]
 
 
 def save_csv(

@@ -533,6 +533,8 @@ def student_from_jsonable(obj: dict) -> StudentModel:
         num_std=_shaped("num_std", obj["num_std"], n_num),
         params=np.zeros(_n_params(cfg, schema)),
     )
+    if not (model.num_std > 0).all():
+        raise ParseError("num_std holds a value that is not > 0")
     for key, views in (
         ("embeddings", model.embeddings),
         ("weights", model.weights),
@@ -547,10 +549,12 @@ def student_from_jsonable(obj: dict) -> StudentModel:
 
 def _shaped(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """`value` as a float64 array, which must have the shape the config and
-    schema give it."""
+    schema give it and hold only finite values."""
     a = np.array(value, dtype=np.float64)
     if a.shape != shape:
         raise ParseError(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ParseError(f"{name} holds a non-finite value")
     return a
 
 

@@ -356,8 +356,9 @@ def tree_to_jsonable(tree: UpliftTree) -> dict:
 @document_errors("tree document")
 def tree_from_jsonable(obj: dict) -> UpliftTree:
     """Rebuild a tree, rejecting any document whose params are out of range,
-    whose nodes do not form one tree in preorder (see `_link_preorder`) or
-    whose rules do not fit the schema (see `_rule_from_jsonable`)."""
+    whose nodes do not form one tree in preorder (see `_link_preorder`),
+    whose rules do not fit the schema (see `_rule_from_jsonable`) or whose
+    tau_hat is not finite."""
     if obj.get("format") != TREE_FORMAT:
         raise ParseError(f"not a tree document (format {obj.get('format')!r})")
     schema = FeatureSchema.from_jsonable(obj["schema"])
@@ -367,7 +368,10 @@ def tree_from_jsonable(obj: dict) -> UpliftTree:
     nodes = []
     for i, nd in enumerate(obj["nodes"]):
         rule = None if nd["rule"] is None else _rule_from_jsonable(i, nd["rule"], schema)
-        nodes.append(TreeNode(config_from_jsonable(NodeStats, nd), rule))
+        stats = config_from_jsonable(NodeStats, nd)
+        if not math.isfinite(stats.tau_hat):
+            raise ParseError(f"tree node {i}: tau_hat {stats.tau_hat} is not finite")
+        nodes.append(TreeNode(stats, rule))
     _link_preorder(nodes)
     return UpliftTree(schema=schema, params=params, nodes=nodes)
 

@@ -268,11 +268,20 @@ def test_invalid_base_rate_fails_before_writing(tmp_path, capsys):
         ),
         (["train", "--method", "plain"], "student.beta2 = nan", "beta2=nan must lie in [0, 1)"),
         (["train", "--method", "kdsm", "--lambda", "nan"], "", "kd_weight=nan must be finite and >= 0"),
+        (["evaluate", "--tie-seed", "-1", "model.json"], "", "config key eval.tie_seed=-1 must be >= 0"),
+        (["compare"], "eval.tie_seed = -1", "config key eval.tie_seed=-1 must be >= 0"),
+        (
+            ["compare"],
+            "eval.tie_seed = -1\ncompare.methods = plain\ncompare.seeds = 1",
+            "config key eval.tie_seed=-1 must be >= 0",
+        ),
+        (["compare"], "eval.tie_seed = 1.5", "config key eval.tie_seed='1.5' is not an integer"),
     ],
     ids=[
         "max_depth", "learning_rate", "drop_leftovers", "hidden_sizes", "seeds", "methods",
         "unknown_key", "repeated_method", "repeated_seed", "no_seed", "supplied_field", "beta2",
-        "nan_lambda",
+        "nan_lambda", "negative_tie_seed_flag", "negative_tie_seed_compare",
+        "negative_tie_seed_one_cell", "fractional_tie_seed_compare",
     ],
 )
 def test_bad_config_value_names_its_key(pipeline, tmp_path, capsys, command, line, message):

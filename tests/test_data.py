@@ -469,49 +469,60 @@ BAD_BITS = ["", "2", "-1", " 1", "1 ", "01", "+1", "0_0", "１", "yes", "1.0", "
 
 @st.composite
 def raw_csvs(draw):
-    """Cells of a CSV file as text: clean values plus a few drawn defects
-    (odd numbers and bits, unknown or empty labels, ragged rows) at drawn rows."""
-    n = draw(st.sampled_from(SIZES[1:]))
+    """A schema, a CSV file's header and cells as text, and a block size.
+    The cells are clean values plus a few drawn defects (odd numbers and
+    bits, unknown or empty labels, ragged rows) at drawn rows. The header
+    lists two numeric and two categorical columns and the bits in a drawn
+    order. A small block size comes with a row count of a few blocks, so
+    labels are coded across blocks and a bad cell in a later column can come
+    before one in an earlier column of the same block."""
+    block = draw(st.sampled_from([1, 2, 3, 8, B]))
+    sizes = SIZES[1:] if block == B else (1, block + 1, 2 * block + 3, 9 * block + 2)
+    n = draw(st.sampled_from(sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cats = draw(st.lists(labels, min_size=2, max_size=4, unique=True))
-    pinned = draw(st.booleans())
-    # unpinned, the cardinality may leave no room for every label
-    card = len(cats) if pinned else max(2, len(cats) + draw(st.integers(-1, 1)))
-    schema = FeatureSchema(
-        (Column("x0", "numeric"), Column("c0", "categorical", card, tuple(cats) if pinned else ()))
-    )
-    rows = [
-        [repr(float(v)), cats[c], str(t), str(y)]
-        for v, c, t, y in zip(
-            rng.standard_normal(n), rng.integers(0, len(cats), n), rng.integers(0, 2, n), rng.integers(0, 2, n)
-        )
-    ]
+    cols, values = [], {}
+    for j in range(2):
+        cols.append(Column(f"x{j}", "numeric"))
+        values[f"x{j}"] = [repr(float(v)) for v in rng.standard_normal(n)]
+    for j in range(2):
+        cats = draw(st.lists(labels, min_size=2, max_size=4, unique=True))
+        pinned = draw(st.booleans())
+        # unpinned, the cardinality may leave no room for every label
+        card = len(cats) if pinned else max(2, len(cats) + draw(st.integers(-1, 1)))
+        cols.append(Column(f"c{j}", "categorical", card, tuple(cats) if pinned else ()))
+        values[f"c{j}"] = [cats[c] for c in rng.integers(0, len(cats), n)]
+    for name in ("treatment", "outcome"):
+        values[name] = [str(b) for b in rng.integers(0, 2, n)]
+    header = draw(st.permutations(list(values)))
+    rows = [list(cells) for cells in zip(*(values[name] for name in header))]
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, n - 1))
-        j = draw(st.integers(0, 4))
-        if j == 4:
+        j = draw(st.integers(0, len(header)))
+        if j == len(header):
             rows[i] = rows[i] + ["extra"] if draw(st.booleans()) else rows[i][:-1]
         elif j >= len(rows[i]):
             continue  # that cell was cut off by an earlier defect
-        elif j == 0:
+        elif header[j][0] == "x":
             rows[i][j] = draw(st.sampled_from(BAD_NUMBERS))
-        elif j == 1:
+        elif header[j][0] == "c":
             rows[i][j] = draw(st.just("") | labels)
         else:
             rows[i][j] = draw(st.sampled_from(BAD_BITS))
-    return schema, rows
+    return FeatureSchema(tuple(cols)), header, rows, block
 
 
 @PROPERTY
 @given(raw_csvs())
 def test_csv_load_matches_the_row_oracle_on_raw_text(tmp_path_factory, case):
-    schema, rows = case
+    schema, header, rows, block = case
     path = str(tmp_path_factory.mktemp("raw") / "raw.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x0", "c0", "treatment", "outcome"])
+        writer.writerow(header)
         writer.writerows(rows)
-    read_like_oracle(path, schema)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_module, "CSV_BLOCK_ROWS", block)
+        read_like_oracle(path, schema)
 
 
 def two_block_rows(defect):

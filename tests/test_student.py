@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -518,6 +519,32 @@ def test_student_document_config_value_of_the_wrong_type_is_rejected(tmp_path, k
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ParseError, match=f"^{path}: .*{named}"):
+        load_student(str(path))
+
+
+@pytest.mark.parametrize(
+    "where, value, named",
+    [
+        (("num_std", 0), 0.0, "num_std holds a value that is not > 0"),
+        (("num_std", 1), -1.0, "num_std holds a value that is not > 0"),
+        (("num_std", 0), math.inf, "num_std holds a non-finite value"),
+        (("num_mean", 1), math.nan, "num_mean holds a non-finite value"),
+        (("embeddings", 0, 2, 1), math.nan, r"embeddings\[0\] holds a non-finite value"),
+        (("weights", 1, 3, 0), math.nan, r"weights\[1\] holds a non-finite value"),
+        (("biases", 0, 2), -math.inf, r"biases\[0\] holds a non-finite value"),
+    ],
+    ids=["zero_std", "negative_std", "inf_std", "nan_mean", "nan_embedding", "nan_weight", "inf_bias"],
+)
+def test_student_document_with_a_bad_array_value_names_the_array(tmp_path, where, value, named):
+    # a fitted model holds none of these: init_student sets a zero std to 1.0
+    model = init_student(StudentConfig(hidden_sizes=(4,)), tiny_dataset(d_categorical=1))
+    doc = target = student_to_jsonable(model)
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {named}$"):
         load_student(str(path))
 
 

@@ -376,6 +376,13 @@ def _set(path, value):
         pytest.param(
             _set((0, "rule"), {"feature": 0, "kind": "numeric"}), "'threshold'", id="missing-key"
         ),
+        # a fitted node has both arms, so its tau_hat is finite
+        pytest.param(
+            _set((3, "tau_hat"), math.nan), "^tree node 3: tau_hat nan is not finite$", id="nan-tau"
+        ),
+        pytest.param(
+            _set((0, "tau_hat"), math.inf), "^tree node 0: tau_hat inf is not finite$", id="inf-tau"
+        ),
     ],
 )
 def test_tree_load_rejects_malformed_topology(edit, named):

@@ -7,6 +7,11 @@
 # artifact and the stdout of every command, with the per-run directory in
 # stdout replaced by OUT:
 #   - synth, split and fit-tree at synth.n=5000, 15 epochs;
+#   - split on a copy of the synthesized dataset.csv with two bad cells in
+#     its first block: an unparsable num_0 on line 3001 and an outcome of 2
+#     on the earlier line 1001, which the error names. Its exit code and
+#     its stderr, with the run directory replaced by OUT, are compared as
+#     files;
 #   - train for all five methods, plus plain --pair-stream, kdsm
 #     --drop-leftovers and kdss --lambda 0, each to its own --out;
 #   - evaluate on every model and on the tree;
@@ -53,6 +58,7 @@ run_side() {
     printf 'out.dir = %s\nsynth.n = 20000\ncompare.seeds = 1,2\ntrain.max_epochs = 15\n' \
         "$out/compare" >"$cfg.compare"
     sed "s#^out.dir = .*#out.dir = $out/compare_one_cpu#" "$cfg.compare" >"$cfg.compare_one_cpu"
+    printf 'out.dir = %s\ndata.dir = %s\n' "$out/bad_csv" "$out/bad_csv" >"$cfg.bad_csv"
     {
         printf 'out.dir = %s\n' "$out/compare_failing"
         printf '%s\n' 'synth.n = 3000' 'synth.effect_function = zero' \
@@ -92,6 +98,17 @@ TUNED
     kdsm() { PYTHONPATH="$src" python3 -m kdsm.cli "$@"; }
     {
         kdsm synth --config "$cfg"
+        mkdir "$out/bad_csv"
+        cp "$out/data/schema.json" "$out/bad_csv/"
+        awk -F, -v OFS=, -v RS='\r\n' -v ORS='\r\n' '
+            NR == 1 { for (i = 1; i <= NF; i++) col[$i] = i }
+            NR == 1001 { $col["outcome"] = 2 }
+            NR == 3001 { $col["num_0"] = "not_a_number" }
+            { print }' "$out/data/dataset.csv" >"$out/bad_csv/dataset.csv"
+        local status=0
+        kdsm split --config "$cfg.bad_csv" 2>"$work/$2.bad_csv.stderr" || status=$?
+        echo "$status" >"$out/bad_csv/split_exit_code.txt"
+        sed "s#$out#OUT#g" "$work/$2.bad_csv.stderr" >"$out/bad_csv/split_stderr.txt"
         kdsm split --config "$cfg"
         kdsm fit-tree --config "$cfg"
         local variant method flags
