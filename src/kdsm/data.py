@@ -154,7 +154,7 @@ def categorical_codes(schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
         i, j = map(int, np.argwhere(bad)[0])
         col = schema.columns[schema.categorical_indices[j]]
         raise DomainError(
-            f"code {vals[i, j]!r} in categorical column {col.name!r} at row {i} is not "
+            f"code {float(vals[i, j])!r} in categorical column {col.name!r} at row {i} is not "
             f"an integer in [0, {col.cardinality})"
         )
     return codes
@@ -178,6 +178,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 def _is_str(v) -> bool:
     return isinstance(v, str)
 
@@ -190,7 +194,7 @@ def _list_of(is_item):
 # and its conversion to the type; an integer is a float too, a boolean neither
 _FIELD_TYPES = {
     "int": (_is_int, "an integer", int),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number", float),
+    "float": (is_number, "a number", float),
     "str": (_is_str, "a string", str),
     "tuple[int, ...]": (_list_of(_is_int), "a list of integers", tuple),
     "tuple[str, ...]": (_list_of(_is_str), "a list of strings", tuple),

@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    Dataset, FeatureSchema, atomic_write, categorical_codes, config_from_jsonable, load_document
+    Dataset, FeatureSchema, atomic_write, categorical_codes, config_from_jsonable, is_number,
+    load_document,
 )
 from .errors import DomainError, ParseError, SchemaError, TrainingError, document_errors
 
@@ -235,26 +236,28 @@ def _checked_features(model: StudentModel, X: np.ndarray) -> np.ndarray:
 
 
 def _assemble_input(model: StudentModel, X: np.ndarray, codes: np.ndarray, T: np.ndarray | None = None):
-    """Build the input layer from X and its `categorical_codes`:
-    standardized numerics, one embedding block per categorical column, then
-    the treatment bit unless T is None."""
+    """Build the input layer of a matrix X, or of one row, from it and its
+    `categorical_codes`: standardized numerics, one embedding block per
+    categorical column, then the treatment bit unless T is None."""
     num_idx = model.schema.numeric_indices
     num_n = num_idx.size
     emb_dim = model.config.embedding_dim
-    d_cov = num_n + codes.shape[1] * emb_dim
-    h0 = np.empty((X.shape[0], d_cov + (T is not None)))
-    h0[:, :num_n] = (X[:, num_idx] - model.num_mean) / model.num_std
-    for j in range(codes.shape[1]):
+    d_cov = num_n + codes.shape[-1] * emb_dim
+    h0 = np.empty(X.shape[:-1] + (d_cov + (T is not None),))
+    # X.T[idx].T gathers columns of a matrix and entries of a row alike, at
+    # the cost of a plain index in both cases
+    h0[..., :num_n] = (X.T[num_idx].T - model.num_mean) / model.num_std
+    for j, e in enumerate(model.embeddings):
         off = num_n + j * emb_dim
-        h0[:, off : off + emb_dim] = model.embeddings[j][codes[:, j]]
+        h0[..., off : off + emb_dim] = e.take(codes[..., j], 0)
     if T is not None:
-        h0[:, d_cov] = T
+        h0[..., d_cov] = T
     return h0
 
 
 def _forward_cached(model: StudentModel, X: np.ndarray, T: np.ndarray):
     """Raw output logits plus the activations needed by backprop (the
-    training path; inference goes through `_score_logits`)."""
+    training path; scoring goes through `_score_logits` or the one-row pass)."""
     X = _checked_features(model, X)
     codes = categorical_codes(model.schema, X)
     h0 = _assemble_input(model, X, codes, np.asarray(T, dtype=np.float64).ravel())
@@ -286,7 +289,6 @@ def _score_logits(model: StudentModel, X: np.ndarray, codes: np.ndarray, arms: t
     out = np.empty((len(arms), n))
     w_cov = model.weights[0][:-1]
     w_t = model.weights[0][-1]
-    relu = model.config.activation == "relu"
     lo = 0
     while lo < n:
         hi = n if n - lo <= SCORE_BLOCK_ROWS + 1 else lo + SCORE_BLOCK_ROWS
@@ -297,23 +299,32 @@ def _score_logits(model: StudentModel, X: np.ndarray, codes: np.ndarray, arms: t
             t = t if np.ndim(t) == 0 else t[lo:hi, None]
             np.add(base, t * w_t, out=h[a * m : (a + 1) * m])
         h += model.biases[0]
-        for w, b in zip(model.weights[1:], model.biases[1:]):
-            if relu:
-                np.maximum(h, 0.0, out=h)
-            else:
-                np.tanh(h, out=h)
-            h = h @ w
-            h += b
+        h = _remaining_layers(model, h)  # frees the wide first layer before the next block
         out[:, lo:hi] = h.reshape(len(arms), m)
         lo = hi
     return out
+
+
+def _remaining_layers(model: StudentModel, h: np.ndarray) -> np.ndarray:
+    """Output logits, shape (rows, 1), of first-layer pre-activations h,
+    which the first activation overwrites."""
+    relu = model.config.activation == "relu"
+    for w, b in zip(model.weights[1:], model.biases[1:]):
+        if relu:
+            np.maximum(h, 0.0, out=h)
+        else:
+            np.tanh(h, out=h)
+        h = h @ w
+        h += b
+    return h
 
 
 def _checked_inputs(model: StudentModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X as float64 plus its categorical codes, after checking its shape,
     finiteness and codes."""
     X = _checked_features(model, X)
-    if not np.isfinite(X).all():
+    # counting costs a fraction of .all() on a single row
+    if np.count_nonzero(np.isfinite(X)) < X.size:
         raise DomainError("non-finite feature value")
     return X, categorical_codes(model.schema, X)
 
@@ -356,7 +367,18 @@ def predict_uplift_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
-    return float(predict_uplift_batch(model, np.asarray(x, dtype=np.float64).reshape(1, -1))[0])
+    """forward(x, 1) - forward(x, 0) of one row, shape (d,) or (1, d): the
+    block pass of `_score_logits` for a single row, without its block
+    bookkeeping, so it equals that row's `predict_uplift_batch` bit for bit."""
+    _require_binary(model, "predict_uplift_student")
+    X, codes = _checked_inputs(model, np.asarray(x, dtype=np.float64).reshape(1, -1))
+    base = _assemble_input(model, X[0], codes[0]) @ model.weights[0][:-1]
+    h = np.empty((2, base.size))
+    np.add(base, model.weights[0][-1], out=h[0])
+    h[1] = base
+    h += model.biases[0]
+    p = _probability(_remaining_layers(model, h))
+    return float(p[0, 0] - p[1, 0])
 
 
 def _bce_vec(y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -549,10 +571,13 @@ def student_from_jsonable(obj: dict) -> StudentModel:
 
 def _shaped(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
     """`value` as a float64 array, which must have the shape the config and
-    schema give it and hold only finite values."""
-    a = np.array(value, dtype=np.float64)
+    schema give it and hold only finite JSON numbers, none converted."""
+    a = np.array(value, dtype=object)
     if a.shape != shape:
         raise ParseError(f"{name} has shape {a.shape}, expected {shape}")
+    if not all(map(is_number, a.flat)):
+        raise ParseError(f"{name} holds a value that is not a number")
+    a = a.astype(np.float64)
     if not np.isfinite(a).all():
         raise ParseError(f"{name} holds a non-finite value")
     return a

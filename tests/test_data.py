@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kdsm.data import (
     SplitRatios,
     SyntheticConfig,
     atomic_write,
+    categorical_codes,
     gen_synthetic,
     load_csv,
     load_document,
@@ -105,6 +107,16 @@ def test_schema_rejects_bad_cardinality():
         Column("c", "categorical", cardinality=1)
     with pytest.raises(SchemaError):
         Column("f", "numeric", cardinality=3)
+
+
+@pytest.mark.parametrize("code, text", [(7.0, "7.0"), (-1.0, "-1.0"), (1.5, "1.5")])
+def test_bad_categorical_code_message_prints_a_plain_float(code, text):
+    # under numpy 2 a repr of the array element would read np.float64(7.0)
+    schema = make_schema(n_numeric=1, n_categorical=1)
+    X = np.array([[0.5, 0.0], [0.5, 2.0], [0.5, 1.0], [0.5, code]])
+    want = f"code {text} in categorical column 'c0' at row 3 is not an integer in [0, 3)"
+    with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+        categorical_codes(schema, X)
 
 
 def test_validate_catches_bad_treatment():

@@ -387,6 +387,45 @@ def test_single_row_score_equals_batch_row(scoring_rows):
         assert abs(predict_uplift_student(model, ds.features[i]) - batch[i]) <= SCORE_TOL
 
 
+@pytest.mark.parametrize("embedding_dim", [1, 3])
+@pytest.mark.parametrize("hidden", [(64, 32), (16, 8), ()])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_single_row_pass_equals_the_batch_row_bit_for_bit(scoring_rows, activation, hidden, embedding_dim):
+    ds = scoring_rows
+    cfg = StudentConfig(hidden_sizes=hidden, embedding_dim=embedding_dim, activation=activation)
+    model = init_student(cfg, ds)
+    # wide weights, so that some logits reach the clamp
+    model.params[...] = np.random.default_rng(25).normal(0.0, 1.5, model.params.size)
+    X = ds.features[:40].copy()
+    X[0, ds.schema.categorical_indices] = 0
+    X[1, ds.schema.categorical_indices] = ds.schema.cardinalities - 1
+    for x in X:
+        want = predict_uplift_batch(model, x[None])[0]
+        for row in (x, x[None]):
+            got = predict_uplift_student(model, row)
+            assert type(got) is float and got == want
+
+
+def test_single_row_pass_raises_what_the_batch_raises(scoring_rows):
+    ds = scoring_rows
+    cfg = StudentConfig(hidden_sizes=(4,), init_seed=26)
+    model = init_student(cfg, ds)
+    j = int(ds.schema.categorical_indices[0])
+    assert ds.schema.columns[j].cardinality == 4
+    rows = [ds.features[0, :-1]]
+    for col, value in ((0, math.nan), (1, math.inf), (j, -1.0), (j, 4.0), (j, 1.5)):
+        rows.append(ds.features[0].copy())
+        rows[-1][col] = value
+    for x in rows:
+        with pytest.raises(KdsmError) as from_batch:
+            predict_uplift_batch(model, x[None])
+        with pytest.raises(type(from_batch.value), match=f"^{re.escape(str(from_batch.value))}$"):
+            predict_uplift_student(model, x)
+    regression = init_student(cfg, ds, head="regression", final_bias=0.0)
+    with pytest.raises(DomainError, match="^predict_uplift_student needs a binary-head model$"):
+        predict_uplift_student(regression, ds.features[0])
+
+
 def test_scoring_rejects_misshaped_input():
     ds = tiny_dataset()
     model = init_student(StudentConfig(init_seed=2), ds)
@@ -532,11 +571,18 @@ def test_student_document_config_value_of_the_wrong_type_is_rejected(tmp_path, k
         (("embeddings", 0, 2, 1), math.nan, r"embeddings\[0\] holds a non-finite value"),
         (("weights", 1, 3, 0), math.nan, r"weights\[1\] holds a non-finite value"),
         (("biases", 0, 2), -math.inf, r"biases\[0\] holds a non-finite value"),
+        (("num_mean", 0), "0.25", "num_mean holds a value that is not a number"),
+        (("weights", 0, 0, 0), True, r"weights\[0\] holds a value that is not a number"),
+        (("embeddings", 0, 1, 2), None, r"embeddings\[0\] holds a value that is not a number"),
     ],
-    ids=["zero_std", "negative_std", "inf_std", "nan_mean", "nan_embedding", "nan_weight", "inf_bias"],
+    ids=[
+        "zero_std", "negative_std", "inf_std", "nan_mean", "nan_embedding", "nan_weight", "inf_bias",
+        "string_mean", "boolean_weight", "null_embedding",
+    ],
 )
 def test_student_document_with_a_bad_array_value_names_the_array(tmp_path, where, value, named):
-    # a fitted model holds none of these: init_student sets a zero std to 1.0
+    # a fitted model holds none of these: init_student sets a zero std to 1.0;
+    # a string, boolean or null is checked, not converted to 0.25, 1.0 or nan
     model = init_student(StudentConfig(hidden_sizes=(4,)), tiny_dataset(d_categorical=1))
     doc = target = student_to_jsonable(model)
     for key in where[:-1]:

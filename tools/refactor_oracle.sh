@@ -30,6 +30,11 @@
 #     own directory, whose config sets a non-default value in every section
 #     and whose commands pass every flag (--seed, --criterion kl, --lambda,
 #     --drop-leftovers, --tie-seed, and an empty --out, which is ignored);
+#   - predict_uplift_student, one call per row of test.csv, with the kdsm
+#     model of the default chain and with that of the tuned chain (tanh,
+#     hidden 12,6, embedding 3): each call's repr, one per line, goes to
+#     single_row_uplift.txt beside the model, so the one-row scoring path is
+#     compared to the last bit;
 #   - the --help of kdsm and of each of its six commands, one file each,
 #     since every flag's dest must be a config key of the CLI.
 # Prints the number of files compared; exits 0 when both runs match byte
@@ -138,6 +143,21 @@ VARIANTS
         kdsm evaluate --config "$cfg.tuned" --out "$out/tuned/flags" --seed 11 --tie-seed 23 \
             "$out/tuned/model_kdsm.json" "$out/tuned/tree.json"
     } | sed "s#$out#OUT#g" >"$out/stdout.txt"
+    local model_dir data_dir
+    while read -r model_dir data_dir; do
+        PYTHONPATH="$src" python3 - "$out/$model_dir/model_kdsm.json" "$out/$data_dir/test.csv" \
+            >"$out/$model_dir/single_row_uplift.txt" <<'SCORE'
+import sys
+from kdsm.data import load_csv
+from kdsm.student import load_student, predict_uplift_student
+model = load_student(sys.argv[1])
+for row in load_csv(sys.argv[2], model.schema).features:
+    print(repr(predict_uplift_student(model, row)))
+SCORE
+    done <<'CHAINS'
+kdsm data
+tuned tuned
+CHAINS
     local command
     for command in "" synth split fit-tree train evaluate compare; do
         # shellcheck disable=SC2086  # an empty command asks for the top-level help
