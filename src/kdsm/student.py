@@ -369,7 +369,7 @@ def predict_uplift_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
 def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
     """forward(x, 1) - forward(x, 0) of one row, shape (d,) or (1, d): the
     block pass of `_score_logits` for a single row, without its block
-    bookkeeping, so it equals that row's `predict_uplift_batch` bit for bit."""
+    bookkeeping, so it equals `predict_uplift_batch(model, x[None])[0]` bit for bit."""
     _require_binary(model, "predict_uplift_student")
     X, codes = _checked_inputs(model, np.asarray(x, dtype=np.float64).reshape(1, -1))
     base = _assemble_input(model, X[0], codes[0]) @ model.weights[0][:-1]

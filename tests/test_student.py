@@ -394,7 +394,7 @@ def test_single_row_pass_equals_the_batch_row_bit_for_bit(scoring_rows, activati
     ds = scoring_rows
     cfg = StudentConfig(hidden_sizes=hidden, embedding_dim=embedding_dim, activation=activation)
     model = init_student(cfg, ds)
-    # wide weights, so that some logits reach the clamp
+    # wide weights, so that the relu stacks push some logits past the clamp
     model.params[...] = np.random.default_rng(25).normal(0.0, 1.5, model.params.size)
     X = ds.features[:40].copy()
     X[0, ds.schema.categorical_indices] = 0
