@@ -75,21 +75,6 @@ def parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-# per declared field type: how a config value is parsed, and what it must be
-_PARSERS = {
-    "int": (int, "an integer"),
-    "float": (float, "a number"),
-    "str": (str, "a string"),
-    "bool": (lambda v: _BOOLS[v.lower()], "a boolean"),
-    "tuple[int, ...]": (
-        lambda v: tuple(int(h) for h in v.split(",") if h.strip()),
-        "a comma list of integers",
-    ),
-}
-
-
 @dataclass
 class RunConfig:
     """Typed view over the merged (defaults, file, flags) key space."""
@@ -106,11 +91,12 @@ class RunConfig:
 
     def _get(self, key: str, kind: str = "str"):
         """The value of `key`, parsed as a field of type `kind`."""
-        parse, what = _PARSERS[kind]
+        _, what, _, parse = data_mod._FIELD_TYPES[kind]
         raw = self.values[key]
         try:
             return parse(raw)
         except (KeyError, ValueError):
+            what = what.replace("a list", "a comma list")  # as config text writes a list
             raise ConfigError(f"config key {key}={raw!r} is not {what}") from None
 
     def _section(self, prefix: str, **supplied):
@@ -160,7 +146,7 @@ class RunConfig:
         return seed
 
     def compare_methods(self) -> list[str]:
-        methods = [m.strip() for m in self._get("compare.methods").split(",") if m.strip()]
+        methods = list(self._get("compare.methods", "tuple[str, ...]"))
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} in compare.methods")
@@ -282,9 +268,7 @@ def _save_predictor(obj, path: str) -> None:
             "treated": student.student_to_jsonable(obj.treated_model),
             "control": student.student_to_jsonable(obj.control_model),
         }
-        with data_mod.atomic_write(path) as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+        _write_text(path, json.dumps(doc) + "\n")
     else:
         student.save_student(obj, path)
 
@@ -349,8 +333,6 @@ def cmd_train(args) -> int:
                 f"--method {method} needs a fitted tree at {tree_path}; run `kdsm fit-tree` first"
             )
         teacher = tree_mod.load_tree(tree_path)
-        if teacher.schema != train.schema:
-            raise ConfigError("tree schema does not match the training data schema")
     model, report = _train_one(cfg, cfg.seed, method, train, valid, teacher, args.pair_stream)
     os.makedirs(cfg.out_dir, exist_ok=True)
     model_path = os.path.join(cfg.out_dir, f"model_{method}.json")

@@ -34,16 +34,20 @@ SYNTHETIC_CARDINALITY = 4
 #: file.
 CSV_BLOCK_ROWS = 8192
 
-#: Built-in treatment-effect shapes for the synthetic generator. All of them
-#: depend on at most the first two numeric features; every other column is
-#: noise by construction.
-EFFECT_FUNCTIONS = ("zero", "piecewise-on-two-features", "linear-clipped")
-
-#: (min effect, max effect) attained by each built-in shape.
-EFFECT_RANGES = {
-    "zero": (0.0, 0.0),
-    "piecewise-on-two-features": (0.0, 0.1),
-    "linear-clipped": (-0.1, 0.1),
+#: Built-in treatment-effect shapes for the synthetic generator, by name:
+#: the (min, max) effect each attains, and its per-row effect on a synthetic
+#: feature matrix. A shape reads at most columns 0 and 1, the first two
+#: numeric features; every other column is noise by construction.
+EFFECTS = {
+    "zero": ((0.0, 0.0), lambda X: np.zeros(X.shape[0])),
+    "piecewise-on-two-features": (
+        (0.0, 0.1),
+        lambda X: np.where(X[:, 0] > 0.5, 0.1, np.where(X[:, 1] > 0.5, 0.05, 0.0)),
+    ),
+    "linear-clipped": (
+        (-0.1, 0.1),
+        lambda X: np.clip(0.4 * (X[:, 0] - 0.5) + 0.2 * (X[:, 1] - 0.5), -0.1, 0.1),
+    ),
 }
 
 
@@ -52,11 +56,12 @@ class Column:
     """One feature column: a name plus a kind.
 
     Numeric columns hold finite floats. Categorical columns hold integer
-    codes in [0, cardinality); `cardinality` must be >= 2 and is 0 for
-    numeric columns. `categories` optionally pins the label-to-code
-    dictionary (label of code i at position i); when absent, CSV ingestion
-    discovers one by first appearance. Pinning keeps codes consistent
-    across files written and re-read by the pipeline.
+    codes in [0, cardinality); `cardinality` must lie in [2, 2**53], the
+    most codes a float64 cell holds exactly, and is 0 for numeric columns.
+    `categories` optionally pins the label-to-code dictionary (label of
+    code i at position i); when absent, CSV ingestion discovers one by
+    first appearance. Pinning keeps codes consistent across files written
+    and re-read by the pipeline.
     """
 
     name: str
@@ -71,6 +76,8 @@ class Column:
             raise SchemaError(
                 f"categorical column {self.name!r} needs cardinality >= 2, got {self.cardinality}"
             )
+        if self.cardinality > 2**53:
+            raise SchemaError(f"column {self.name!r}: cardinality {self.cardinality} exceeds 2**53")
         if self.kind == NUMERIC and self.cardinality != 0:
             raise SchemaError(f"numeric column {self.name!r} must have cardinality 0")
         if self.kind == NUMERIC and self.categories:
@@ -182,22 +189,30 @@ def is_number(v) -> bool:
     return _is_int(v) or isinstance(v, float)
 
 
-def _is_str(v) -> bool:
-    return isinstance(v, str)
+def _is(kind):
+    return lambda v: isinstance(v, kind)
 
 
 def _list_of(is_item):
     return lambda v: isinstance(v, (list, tuple)) and all(map(is_item, v))
 
 
+def _comma_list(parse):
+    return lambda v: tuple(parse(h) for h in v.split(",") if h.strip())
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
 # per declared field type: whether a document value is one, what it must be,
-# and its conversion to the type; an integer is a float too, a boolean neither
+# its conversion to the type, and the parser of a config-text value; an
+# integer is a float too, a boolean neither
 _FIELD_TYPES = {
-    "int": (_is_int, "an integer", int),
-    "float": (is_number, "a number", float),
-    "str": (_is_str, "a string", str),
-    "tuple[int, ...]": (_list_of(_is_int), "a list of integers", tuple),
-    "tuple[str, ...]": (_list_of(_is_str), "a list of strings", tuple),
+    "int": (_is_int, "an integer", int, int),
+    "float": (is_number, "a number", float, float),
+    "str": (_is(str), "a string", str, str),
+    "bool": (_is(bool), "a boolean", bool, lambda v: _BOOLS[v.lower()]),
+    "tuple[int, ...]": (_list_of(_is_int), "a list of integers", tuple, _comma_list(int)),
+    "tuple[str, ...]": (_list_of(_is(str)), "a list of strings", tuple, _comma_list(str.strip)),
 }
 
 
@@ -209,7 +224,7 @@ def config_from_jsonable(cls, obj: dict):
     values = {}
     for f in fields(cls):
         if f.default is not None or f.name in obj:
-            is_type, what, convert = _FIELD_TYPES[f.type.removesuffix(" | None")]
+            is_type, what, convert, _ = _FIELD_TYPES[f.type.removesuffix(" | None")]
             if not is_type(obj[f.name]):
                 raise TypeError(f"{f.name} {obj[f.name]!r} is not {what}")
             values[f.name] = convert(obj[f.name])
@@ -217,7 +232,7 @@ def config_from_jsonable(cls, obj: dict):
 
 
 @contextmanager
-def atomic_write(path: str, newline: str | None = None):
+def atomic_write(path: str):
     """Open a UTF-8 text file that replaces `path` only when the block
     completes. Writes go to a temporary file beside `path`, which
     `os.replace` moves over it on success and which is deleted on any
@@ -225,7 +240,7 @@ def atomic_write(path: str, newline: str | None = None):
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -325,7 +340,7 @@ class SyntheticConfig:
     Numeric features are U[0,1], categorical features are uniform codes,
     treatment is Bernoulli(treatment_fraction) independent of features, and
     the outcome is Bernoulli(base_rate + treatment * effect(x)). The effect
-    shape is one of EFFECT_FUNCTIONS; `noise_features` adds that many extra
+    shape is a key of EFFECTS; `noise_features` adds that many extra
     numeric columns which never influence the outcome (the named shapes only
     read the first two numeric features, so any further column is noise too).
     """
@@ -345,10 +360,10 @@ class SyntheticConfig:
             raise DomainError(f"n={self.n} must be >= 1")
         if self.d_numeric < 0 or self.d_categorical < 0 or self.noise_features < 0:
             raise DomainError("feature counts must be non-negative")
-        if self.effect_function not in EFFECT_FUNCTIONS:
+        if self.effect_function not in EFFECTS:
             raise DomainError(
                 f"unknown effect_function {self.effect_function!r}; "
-                f"expected one of {EFFECT_FUNCTIONS}"
+                f"expected one of {tuple(EFFECTS)}"
             )
         if self.effect_function != "zero" and self.d_numeric < 2:
             raise DomainError(
@@ -363,26 +378,12 @@ class SyntheticConfig:
             raise DomainError(
                 f"treatment_fraction={self.treatment_fraction} must lie in (0, 1)"
             )
-        lo, hi = (self.effect_scale * e for e in EFFECT_RANGES[self.effect_function])
+        lo, hi = (self.effect_scale * e for e in EFFECTS[self.effect_function][0])
         if self.base_rate + hi > 1.0 or self.base_rate + lo < 0.0:
             raise DomainError(
                 f"base_rate={self.base_rate} with effect range [{lo}, {hi}] leaves "
                 f"outcome probabilities outside [0, 1]"
             )
-
-
-def effect_values(name: str, features: np.ndarray) -> np.ndarray:
-    """Per-row treatment effect of a built-in shape on a synthetic feature
-    matrix (reads columns 0 and 1, the first two numeric features)."""
-    if name == "zero":
-        return np.zeros(features.shape[0])
-    f0 = features[:, 0]
-    f1 = features[:, 1]
-    if name == "piecewise-on-two-features":
-        return np.where(f0 > 0.5, 0.1, np.where(f1 > 0.5, 0.05, 0.0))
-    if name == "linear-clipped":
-        return np.clip(0.4 * (f0 - 0.5) + 0.2 * (f1 - 0.5), -0.1, 0.1)
-    raise DomainError(f"unknown effect_function {name!r}")
 
 
 def gen_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
@@ -415,7 +416,7 @@ def gen_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     features = np.concatenate(blocks, axis=1) if blocks else np.zeros((n, 0))
     schema = FeatureSchema(tuple(cols))
     treatment = (rng.random(n) < cfg.treatment_fraction).astype(np.int64)
-    tau = cfg.effect_scale * effect_values(cfg.effect_function, features)
+    tau = cfg.effect_scale * EFFECTS[cfg.effect_function][1](features)
     p = cfg.base_rate + treatment * tau
     outcome = (rng.random(n) < p).astype(np.int64)
 
@@ -619,12 +620,7 @@ def _convert_columns(layout: _CsvLayout, rows: list[list[str]], line: int):
     return features, bits[0], bits[1]
 
 
-def save_csv(
-    ds: Dataset,
-    path: str,
-    treatment_col: str = "treatment",
-    outcome_col: str = "outcome",
-) -> None:
+def save_csv(ds: Dataset, path: str) -> None:
     """Write a dataset as CSV (features, then treatment and outcome columns).
 
     Numeric cells use shortest exact float representation, so a written file
@@ -651,8 +647,8 @@ def save_csv(
                 f"code {codes[i, k]} in categorical column {ds.schema.columns[j].name!r} at row "
                 f"{i} has no label: the column pins {names.size} categories"
             )
-    with atomic_write(path, newline="") as fh:
-        csv.writer(fh).writerow(ds.schema.names + [treatment_col, outcome_col])
+    with atomic_write(path) as fh:
+        csv.writer(fh).writerow(ds.schema.names + ["treatment", "outcome"])
         for a in range(0, ds.n, CSV_BLOCK_ROWS):
             block = ds.features[a : a + CSV_BLOCK_ROWS]
             cols = []

@@ -41,11 +41,10 @@ class UndefinedMetricError(MetricError):
 
 @contextmanager
 def document_errors(what: str):
-    """Report a missing key or a value of the wrong type met while building
-    an object from parsed JSON as a ParseError naming `what`."""
+    """Report a missing key or a bad value met in parsed JSON as a ParseError naming `what`."""
     try:
         yield
     except KeyError as e:
         raise ParseError(f"{what} is missing key {e.args[0]!r}") from None
-    except (AttributeError, TypeError, ValueError) as e:
+    except (AttributeError, OverflowError, TypeError, ValueError) as e:
         raise ParseError(f"{what} has a malformed value ({e})") from None

@@ -72,10 +72,9 @@ class StudentConfig:
         for name in ("momentum", "beta1", "beta2"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise DomainError(f"{name}={getattr(self, name)} must lie in [0, 1)")
-        if not (0.0 < self.eps < math.inf):
-            raise DomainError(f"eps={self.eps} must be finite and > 0")
-        if not (self.learning_rate > 0):
-            raise DomainError(f"learning_rate={self.learning_rate} must be > 0")
+        for name in ("eps", "learning_rate"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise DomainError(f"{name}={getattr(self, name)} must be finite and > 0")
         if not (0.0 < self.lr_decay_factor < 1.0):
             raise DomainError(f"lr_decay_factor={self.lr_decay_factor} must lie in (0, 1)")
         if self.lr_decay_patience < 1:
@@ -334,14 +333,10 @@ def _require_binary(model: StudentModel, fn: str) -> None:
         raise DomainError(f"{fn} needs a binary-head model")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def _probability(z_raw: np.ndarray) -> np.ndarray:
-    # the same clamp as np.clip, at half its call cost on the few-element
-    # arrays of single-row scoring
-    return _sigmoid(np.minimum(np.maximum(z_raw, -LOGIT_CLAMP), LOGIT_CLAMP))
+    # the same clamp as np.clip, NaN included, at half its call cost on the
+    # few-element arrays of single-row scoring
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z_raw, -LOGIT_CLAMP), LOGIT_CLAMP)))
 
 
 def forward_batch(model: StudentModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -396,8 +391,7 @@ def backward(model: StudentModel, batch: LossBatch) -> tuple[np.ndarray, LossPar
     the parameter if any gradient is non-finite.
     """
     z_raw, hs, ss, codes = _forward_cached(model, batch.X, batch.T)
-    z = np.clip(z_raw, -LOGIT_CLAMP, LOGIT_CLAMP)
-    p = _sigmoid(z)
+    p = _probability(z_raw)
 
     in_band = (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
     dz = batch.bce_weight * (p - batch.y) * in_band
@@ -577,7 +571,8 @@ def _shaped(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
         raise ParseError(f"{name} has shape {a.shape}, expected {shape}")
     if not all(map(is_number, a.flat)):
         raise ParseError(f"{name} holds a value that is not a number")
-    a = a.astype(np.float64)
+    with document_errors(name):  # an integer too large for a float
+        a = a.astype(np.float64)
     if not np.isfinite(a).all():
         raise ParseError(f"{name} holds a non-finite value")
     return a

@@ -276,12 +276,17 @@ def test_invalid_base_rate_fails_before_writing(tmp_path, capsys):
             "config key eval.tie_seed=-1 must be >= 0",
         ),
         (["compare"], "eval.tie_seed = 1.5", "config key eval.tie_seed='1.5' is not an integer"),
+        (
+            ["train", "--method", "plain"],
+            "student.learning_rate = inf",
+            "learning_rate=inf must be finite and > 0",
+        ),
     ],
     ids=[
         "max_depth", "learning_rate", "drop_leftovers", "hidden_sizes", "seeds", "methods",
         "unknown_key", "repeated_method", "repeated_seed", "no_seed", "supplied_field", "beta2",
         "nan_lambda", "negative_tie_seed_flag", "negative_tie_seed_compare",
-        "negative_tie_seed_one_cell", "fractional_tie_seed_compare",
+        "negative_tie_seed_one_cell", "fractional_tie_seed_compare", "inf_learning_rate",
     ],
 )
 def test_bad_config_value_names_its_key(pipeline, tmp_path, capsys, command, line, message):
@@ -376,6 +381,33 @@ def test_split_reports_an_oversized_csv_field(tmp_path, capsys):
         fh.write("f0,treatment,outcome\n0.5,1,0\n" + "9" * 200_000 + ",0,1\n")
     assert main(["split", "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith(f"error: {dataset}: line 3: field larger than field limit")
+
+
+def test_split_rejects_a_cardinality_above_2_53(tmp_path, capsys):
+    cfg, out = write_cfg(str(tmp_path))
+    os.makedirs(out)
+    schema = os.path.join(out, "schema.json")
+    with open(schema, "w", encoding="utf-8") as fh:
+        json.dump([{"name": "c0", "kind": "categorical", "cardinality": 10**400}], fh)
+    assert main(["split", "--config", cfg]) == 1
+    named = f"column 'c0': cardinality {10**400} exceeds 2**53"
+    assert capsys.readouterr().err == f"error: {schema}: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["kdsm"], ["kdss"], ["plain", "--pair-stream"]], ids=["kdsm", "kdss", "pair_stream"]
+)
+def test_train_rejects_a_tree_of_another_schema_before_writing(pipeline, tmp_path, capsys, argv):
+    _, out = pipeline
+    cfg2, out2 = write_cfg(str(tmp_path), extra="synth.d_numeric = 3\n")
+    assert main(["synth", "--config", cfg2]) == 0
+    assert main(["split", "--config", cfg2]) == 0
+    shutil.copy(os.path.join(out, "tree.json"), out2)
+    before = sorted(os.listdir(out2))
+    capsys.readouterr()
+    assert main(["train", "--config", cfg2, "--method", *argv]) == 1
+    assert capsys.readouterr().err == "error: tree and training data have different schemas\n"
+    assert sorted(os.listdir(out2)) == before
 
 
 def test_evaluate_rejects_schema_mismatch(pipeline, tmp_path, capsys):

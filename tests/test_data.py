@@ -15,6 +15,7 @@ import oracles
 from kdsm import data as data_module
 from kdsm.data import (
     CSV_BLOCK_ROWS,
+    EFFECTS,
     Column,
     Dataset,
     FeatureSchema,
@@ -100,6 +101,20 @@ def test_schema_document_value_of_the_wrong_type_is_rejected(tmp_path, key, valu
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ParseError, match=f"^{path}: schema has a malformed value .*{named}"):
         load_document(str(path), FeatureSchema.from_jsonable)
+
+
+def test_schema_document_with_a_cardinality_above_2_53_names_the_column(tmp_path):
+    # a float64 cell holds every code of 2**53 categories exactly, but not more
+    doc = make_schema(n_numeric=1, n_categorical=1).to_jsonable()
+    doc[1]["cardinality"] = 2**53
+    assert FeatureSchema.from_jsonable(doc).cardinalities.tolist() == [2**53]
+    for card in (2**53 + 1, 10**400):
+        doc[1]["cardinality"] = card
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        named = f"column 'c0': cardinality {card} exceeds 2**53"
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {named}')}$"):
+            load_document(str(path), FeatureSchema.from_jsonable)
 
 
 def test_schema_rejects_bad_cardinality():
@@ -206,6 +221,57 @@ def test_gen_synthetic_rejects_impossible_probability():
         SyntheticConfig(
             n=100, d_numeric=2, base_rate=0.95, effect_function="piecewise-on-two-features", seed=0
         )
+
+
+@pytest.mark.parametrize(
+    "name, rows, tau",
+    [
+        ("zero", [[0.9, 0.9], [0.1, 0.2]], [0.0, 0.0]),
+        (
+            "piecewise-on-two-features",
+            [[0.9, 0.1], [0.9, 0.9], [0.2, 0.7], [0.2, 0.3], [0.5, 0.5]],
+            [0.1, 0.1, 0.05, 0.0, 0.0],
+        ),
+        # 0.4 * (f0 - 0.5) + 0.2 * (f1 - 0.5), clipped to [-0.1, 0.1]
+        (
+            "linear-clipped",
+            [[0.9, 0.9], [0.5, 0.75], [0.5, 0.5], [0.25, 0.5], [0.1, 0.1]],
+            [0.1, 0.05, 0.0, -0.1, -0.1],
+        ),
+    ],
+)
+def test_effect_shape_per_row_tau_at_hand_computed_points(name, rows, tau):
+    (lo, hi), effect = EFFECTS[name]
+    assert effect(np.array(rows)).tolist() == pytest.approx(tau, abs=1e-15)
+    assert lo == min(tau) and hi == max(tau)  # each range is attained
+
+
+@pytest.mark.parametrize("name", ["piecewise-on-two-features", "linear-clipped"])
+def test_gen_synthetic_tau_is_the_scaled_shape_of_its_features(name):
+    cfg = SyntheticConfig(
+        n=2_000, d_numeric=2, base_rate=0.3, effect_function=name, effect_scale=1.5, seed=4
+    )
+    ds, tau = gen_synthetic(cfg)
+    assert np.array_equal(tau, 1.5 * EFFECTS[name][1](ds.features))
+    assert np.unique(tau).size > 1
+
+
+def test_zero_effect_needs_no_numeric_column():
+    cfg = SyntheticConfig(
+        n=50, d_numeric=0, d_categorical=1, effect_function="zero", noise_features=0
+    )
+    ds, tau = gen_synthetic(cfg)
+    assert ds.schema.numeric_indices.size == 0
+    assert tau.tolist() == [0.0] * 50
+
+
+def test_unknown_effect_function_lists_the_shapes():
+    message = (
+        "unknown effect_function 'cubic'; "
+        "expected one of ('zero', 'piecewise-on-two-features', 'linear-clipped')"
+    )
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SyntheticConfig(effect_function="cubic")
 
 
 @pytest.mark.parametrize("scale", [math.nan, math.inf, -0.5])

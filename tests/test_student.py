@@ -549,6 +549,12 @@ def test_student_document_hidden_sizes_must_be_a_list(tmp_path, hidden, text):
         ("init_seed", True, "init_seed True is not an integer"),
         ("learning_rate", "0.01", "learning_rate '0.01' is not a number"),
         ("activation", 1, "activation 1 is not a string"),
+        pytest.param(
+            "learning_rate",
+            10**400,
+            r"malformed value \(int too large to convert to float\)$",
+            id="learning_rate-huge_integer",
+        ),
     ],
 )
 def test_student_document_config_value_of_the_wrong_type_is_rejected(tmp_path, key, value, named):
@@ -574,10 +580,15 @@ def test_student_document_config_value_of_the_wrong_type_is_rejected(tmp_path, k
         (("num_mean", 0), "0.25", "num_mean holds a value that is not a number"),
         (("weights", 0, 0, 0), True, r"weights\[0\] holds a value that is not a number"),
         (("embeddings", 0, 1, 2), None, r"embeddings\[0\] holds a value that is not a number"),
+        (
+            ("num_mean", 1),
+            10**400,
+            r"num_mean has a malformed value \(int too large to convert to float\)",
+        ),
     ],
     ids=[
         "zero_std", "negative_std", "inf_std", "nan_mean", "nan_embedding", "nan_weight", "inf_bias",
-        "string_mean", "boolean_weight", "null_embedding",
+        "string_mean", "boolean_weight", "null_embedding", "huge_integer_mean",
     ],
 )
 def test_student_document_with_a_bad_array_value_names_the_array(tmp_path, where, value, named):
@@ -619,6 +630,9 @@ def test_student_config_validation():
         ("eps", 0.0, "be finite and > 0"),
         ("eps", math.nan, "be finite and > 0"),
         ("eps", math.inf, "be finite and > 0"),
+        ("learning_rate", 0.0, "be finite and > 0"),
+        ("learning_rate", math.nan, "be finite and > 0"),
+        ("learning_rate", math.inf, "be finite and > 0"),
     ],
 )
 def test_student_config_checks_adam_settings(name, value, bound):

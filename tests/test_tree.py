@@ -420,6 +420,15 @@ def test_tree_load_rejects_a_categorical_code_outside_its_column():
         pytest.param(
             _set((0, "rule", "feature"), True), "feature True is not an integer", id="feature-bool"
         ),
+        pytest.param(
+            _set((3, "tau_hat"), 10**400), r"value \(int too large to convert to float\)$",
+            id="tau-huge",
+        ),
+        pytest.param(
+            lambda obj: obj.update(min_gain=10**400),
+            r"value \(int too large to convert to float\)$",
+            id="min_gain-huge",
+        ),
     ],
 )
 def test_load_tree_rejects_a_node_value_of_the_wrong_type(tmp_path, edit, named):

@@ -7,6 +7,10 @@
 # artifact and the stdout of every command, with the per-run directory in
 # stdout replaced by OUT:
 #   - synth, split and fit-tree at synth.n=5000, 15 epochs;
+#   - synth at synth.n=5000 with synth.effect_function = linear-clipped and
+#     synth.base_rate = 0.2 (that shape's effects reach -0.1, so it needs a
+#     base rate >= 0.1), into its own directory, so the dataset.csv and
+#     true_cate.csv of a second effect shape are compared;
 #   - split on a copy of the synthesized dataset.csv with two bad cells in
 #     its first block: an unparsable num_0 on line 3001 and an outcome of 2
 #     on the earlier line 1001, which the error names. Its exit code and
@@ -63,6 +67,10 @@ run_side() {
     printf 'out.dir = %s\nsynth.n = 20000\ncompare.seeds = 1,2\ntrain.max_epochs = 15\n' \
         "$out/compare" >"$cfg.compare"
     sed "s#^out.dir = .*#out.dir = $out/compare_one_cpu#" "$cfg.compare" >"$cfg.compare_one_cpu"
+    {
+        printf 'out.dir = %s\n' "$out/linear_clipped"
+        printf '%s\n' 'synth.n = 5000' 'synth.effect_function = linear-clipped' 'synth.base_rate = 0.2'
+    } >"$cfg.linear_clipped"
     printf 'out.dir = %s\ndata.dir = %s\n' "$out/bad_csv" "$out/bad_csv" >"$cfg.bad_csv"
     {
         printf 'out.dir = %s\n' "$out/compare_failing"
@@ -103,6 +111,7 @@ TUNED
     kdsm() { PYTHONPATH="$src" python3 -m kdsm.cli "$@"; }
     {
         kdsm synth --config "$cfg"
+        kdsm synth --config "$cfg.linear_clipped"
         mkdir "$out/bad_csv"
         cp "$out/data/schema.json" "$out/bad_csv/"
         awk -F, -v OFS=, -v RS='\r\n' -v ORS='\r\n' '
