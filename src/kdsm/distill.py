@@ -119,34 +119,34 @@ def match_pairs(train: Dataset, tree: UpliftTree, epoch_seed: int) -> EpochPlan:
     rows become leftovers. Every training row lands in exactly one pair or
     in the leftovers. Deterministic given (train, tree, epoch_seed).
     """
+    return _matched(_leaf_arms(train, tree), tree.leaf_tau(), epoch_seed)
+
+
+def _leaf_arms(train: Dataset, tree: UpliftTree) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The treated and the control rows of every teacher leaf, in leaf_id
+    order, each in row order."""
     if tree.schema != train.schema:
         raise SchemaError("tree and training data have different schemas")
     leaf_ids = leaf_of_batch(tree, train.features)
-    treated_parts: list[np.ndarray] = []
-    control_parts: list[np.ndarray] = []
-    leaf_parts: list[np.ndarray] = []
-    leftover_parts: list[np.ndarray] = []
+    arms = []
     for leaf in range(tree.n_leaves):
         rows = np.flatnonzero(leaf_ids == leaf)
-        tr = rows[train.treatment[rows] == 1]
-        co = rows[train.treatment[rows] == 0]
+        arms.append((rows[train.treatment[rows] == 1], rows[train.treatment[rows] == 0]))
+    return arms
+
+
+def _matched(arms: list, leaf_tau: np.ndarray, epoch_seed: int) -> EpochPlan:
+    """`match_pairs` on the `_leaf_arms` of a training set and the leaves'
+    effect estimates."""
+    pairs, leftovers = [], []
+    for leaf, (tr, co) in enumerate(arms):
         rng = np.random.default_rng(derive_seed(epoch_seed, "leaf", leaf))
-        tr = rng.permutation(tr)
-        co = rng.permutation(co)
+        tr, co = rng.permutation(tr), rng.permutation(co)
         k = min(tr.size, co.size)
-        treated_parts.append(tr[:k])
-        control_parts.append(co[:k])
-        leaf_parts.append(np.full(k, leaf, dtype=np.int64))
-        leftover_parts.append(tr[k:])
-        leftover_parts.append(co[k:])
-    leafs = np.concatenate(leaf_parts)
-    return EpochPlan(
-        treated=np.concatenate(treated_parts),
-        control=np.concatenate(control_parts),
-        leaf_ids=leafs,
-        teacher_uplift=tree.leaf_tau()[leafs],
-        leftovers=np.concatenate(leftover_parts),
-    )
+        pairs.append((tr[:k], co[:k], np.full(k, leaf, dtype=np.int64)))
+        leftovers += [tr[k:], co[k:]]
+    treated, control, leafs = map(np.concatenate, zip(*pairs))
+    return EpochPlan(treated, control, leafs, leaf_tau[leafs], np.concatenate(leftovers))
 
 
 @dataclass
@@ -174,10 +174,13 @@ class _Units:
 def _pair_stream(train: Dataset, tree: UpliftTree, drop_leftovers: bool):
     """Epoch seed -> that epoch's pairs matched in the tree's leaves, with
     the leaves' effect estimates as targets, plus the leftovers as
-    singletons unless dropped, shuffled together."""
+    singletons unless dropped, shuffled together. Routes the rows through
+    the tree once; an epoch only permutes each leaf's arms."""
+    arms = _leaf_arms(train, tree)
+    leaf_tau = tree.leaf_tau()
 
     def build(epoch_seed: int) -> _Units:
-        plan = match_pairs(train, tree, epoch_seed)
+        plan = _matched(arms, leaf_tau, epoch_seed)
         rest = plan.leftovers[:0] if drop_leftovers else plan.leftovers
         units = _Units(
             np.concatenate([plan.treated, rest]),

@@ -51,11 +51,16 @@ class Curve:
 
 def _check_eval_inputs(predictions, treatment, outcome):
     predictions = np.asarray(predictions, dtype=np.float64)
-    treatment = np.asarray(treatment, dtype=np.int64)
-    outcome = np.asarray(outcome, dtype=np.int64)
-    n = predictions.shape[0]
-    if predictions.ndim != 1 or treatment.shape != (n,) or outcome.shape != (n,):
+    treatment = np.asarray(treatment, dtype=np.float64)
+    outcome = np.asarray(outcome, dtype=np.float64)
+    if predictions.ndim != 1 or not predictions.shape == treatment.shape == outcome.shape:
         raise MetricError("predictions, treatment, outcome must be 1-d arrays of equal length")
+    n = predictions.shape[0]
+    for name, values in (("treatment", treatment), ("outcome", outcome)):
+        bad = np.flatnonzero((values != 0.0) & (values != 1.0))
+        if bad.size:
+            raise MetricError(f"{name} at position {bad[0]} is {float(values[bad[0]])!r}, not 0 or 1")
+    treatment, outcome = treatment.astype(np.int64), outcome.astype(np.int64)
     if n < 2:
         raise MetricError(f"need at least 2 subjects to rank, got {n}")
     if not np.isfinite(predictions).all():
@@ -152,7 +157,7 @@ def evaluate_predictions(predictions, treatment, outcome, tie_seed: int = 0) -> 
 
 def write_curve_csv(curve: Curve, path: str) -> None:
     """Write a curve as `k,value` CSV with exact float representation."""
+    values = curve.values.astype(np.float64).tolist()
+    rows = "".join([f"{k},{v!r}\n" for k, v in zip(curve.k.tolist(), values)])
     with atomic_write(path) as fh:
-        fh.write("k,value\n")
-        for k, v in zip(curve.k, curve.values):
-            fh.write(f"{int(k)},{repr(float(v))}\n")
+        fh.write("k,value\n" + rows)

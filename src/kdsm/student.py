@@ -36,9 +36,9 @@ from .errors import DomainError, ParseError, SchemaError, TrainingError, documen
 MODEL_FORMAT = "student-model/v1"
 LOGIT_CLAMP = 30.0
 PROB_EPS = 1e-7
-#: Rows per block of the inference routine; fixes its working memory at a
-#: few MB whatever the number of rows scored.
-SCORE_BLOCK_ROWS = 8192
+#: Rows per block of the inference routine; keeps a block's layer arrays in
+#: L2 cache and fixes its working memory whatever the number of rows scored.
+SCORE_BLOCK_ROWS = 1024
 #: Rows per chunk of a weight gradient's batch sum, whose BLAS bits vary with its thread count.
 GRAD_CHUNK_ROWS = 128
 
@@ -278,8 +278,9 @@ def _score_logits(model: StudentModel, X: np.ndarray, codes: np.ndarray, arms: t
     codes, under each treatment input in `arms` (a scalar, or one value per
     row); shape (len(arms), n).
 
-    Rows go through in blocks of SCORE_BLOCK_ROWS, so memory stays bounded
-    whatever n is; a 1-row tail joins the block before it. Per block the
+    Rows go through in blocks of SCORE_BLOCK_ROWS, rounded up to a multiple
+    of 4; a 1-row tail joins the block before it. Each layer writes into one
+    buffer per call, so memory stays bounded whatever n is. Per block the
     treatment-free part of the first layer is computed once and shared by
     all arms, which are then stacked and run through the remaining layers
     in one pass.
@@ -288,32 +289,40 @@ def _score_logits(model: StudentModel, X: np.ndarray, codes: np.ndarray, arms: t
     out = np.empty((len(arms), n))
     w_cov = model.weights[0][:-1]
     w_t = model.weights[0][-1]
+    # BLAS takes a matrix-vector product four rows at a time and the rows
+    # past the last four another way, and a 1-row product another way again:
+    # so every row gets the same bits whatever the block size
+    block = -(-SCORE_BLOCK_ROWS // 4) * 4
+    rows = min(n, block + 1)
+    bufs = [np.empty((len(arms) * rows, w.shape[1])) for w in model.weights]
     lo = 0
     while lo < n:
-        hi = n if n - lo <= SCORE_BLOCK_ROWS + 1 else lo + SCORE_BLOCK_ROWS
+        hi = n if n - lo <= block + 1 else lo + block
         m = hi - lo
-        base = _assemble_input(model, X[lo:hi], codes[lo:hi]) @ w_cov
-        h = np.empty((len(arms) * m, base.shape[1]))
-        for a, t in enumerate(arms):
+        h = bufs[0][: len(arms) * m]
+        # the last arm's rows take the shared product, which the others add to first
+        base = np.matmul(_assemble_input(model, X[lo:hi], codes[lo:hi]), w_cov, out=h[-m:])
+        for a, t in reversed(list(enumerate(arms))):
             t = t if np.ndim(t) == 0 else t[lo:hi, None]
             np.add(base, t * w_t, out=h[a * m : (a + 1) * m])
         h += model.biases[0]
-        h = _remaining_layers(model, h)  # frees the wide first layer before the next block
-        out[:, lo:hi] = h.reshape(len(arms), m)
+        out[:, lo:hi] = _remaining_layers(model, h, bufs[1:]).reshape(len(arms), m)
         lo = hi
     return out
 
 
-def _remaining_layers(model: StudentModel, h: np.ndarray) -> np.ndarray:
+def _remaining_layers(model: StudentModel, h: np.ndarray, bufs: list | None = None) -> np.ndarray:
     """Output logits, shape (rows, 1), of first-layer pre-activations h,
-    which the first activation overwrites."""
+    which the first activation overwrites. Given `bufs`, one array per
+    later layer with at least as many rows as h, each layer writes into the
+    leading rows of its own."""
     relu = model.config.activation == "relu"
-    for w, b in zip(model.weights[1:], model.biases[1:]):
+    for i, (w, b) in enumerate(zip(model.weights[1:], model.biases[1:])):
         if relu:
             np.maximum(h, 0.0, out=h)
         else:
             np.tanh(h, out=h)
-        h = h @ w
+        h = h @ w if bufs is None else np.matmul(h, w, out=bufs[i][: len(h)])
         h += b
     return h
 

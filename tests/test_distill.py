@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kdsm import distill
 from kdsm.data import (
     Column,
     Dataset,
@@ -16,6 +17,7 @@ from kdsm.data import (
 from kdsm.distill import (
     KdsmHyper,
     _assemble_batch,
+    _pair_stream,
     _Units,
     TwoModelResult,
     format_train_report,
@@ -160,6 +162,29 @@ def test_match_pairs_schema_mismatch():
     other = dataset_from(np.random.default_rng(0).random((50, 3)), [1, 0] * 25, [0, 1] * 25)
     with pytest.raises(SchemaError):
         match_pairs(other, tree, epoch_seed=0)
+
+
+def test_pair_stream_routes_the_rows_once_and_builds_each_epochs_plan(monkeypatch):
+    ds = synthetic(600, seed=4)
+    tree = shallow_tree(ds)
+    seeds = (0, 5, 11)
+    plans = {s: match_pairs(ds, tree, s) for s in seeds}
+    routed = []
+    monkeypatch.setattr(distill, "leaf_of_batch", lambda *a: routed.append(1) or leaf_of_batch(*a))
+    for drop in (False, True):
+        stream = _pair_stream(ds, tree, drop)
+        for s in seeds:
+            plan = plans[s]
+            rest = plan.leftovers[:0] if drop else plan.leftovers
+            want = _Units(
+                np.concatenate([plan.treated, rest]),
+                np.concatenate([plan.control, np.full(rest.size, -1)]),
+                np.concatenate([plan.teacher_uplift, np.full(rest.size, np.nan)]),
+            ).shuffled(derive_seed(s, "stream"))
+            got = stream(s)
+            assert np.array_equal(got.a, want.a) and np.array_equal(got.b, want.b)
+            assert np.array_equal(got.u, want.u, equal_nan=True)
+    assert len(routed) == 2  # once per stream, not once per epoch
 
 
 # --- batch assembly ---

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdsm.metrics import (
+    Curve,
     auuc,
     evaluate_predictions,
     qini_coefficient,
@@ -295,6 +298,34 @@ def test_rank_eval_rejects_bad_inputs():
         rank_eval(np.array([1.0, 2.0]), np.array([1, 1]), np.array([0, 1]), 0)
     with pytest.raises(MetricError):
         rank_eval(np.array([np.nan, 2.0]), np.array([1, 0]), np.array([0, 1]), 0)
+    with pytest.raises(MetricError, match="must be 1-d arrays of equal length"):
+        rank_eval(1.0, 1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "column, values, message",
+    [
+        ("treatment", [1, 0, 2, 0, 1, 0], "treatment at position 2 is 2.0, not 0 or 1"),
+        ("treatment", [1, 0, 1, 0, 1.7, 0], "treatment at position 4 is 1.7, not 0 or 1"),
+        ("treatment", [1, 0, -1, 0, 1, 0], "treatment at position 2 is -1.0, not 0 or 1"),
+        ("treatment", [1, 0, 1, 0, 1, np.nan], "treatment at position 5 is nan, not 0 or 1"),
+        ("outcome", [0, 3, 0, 0, 1, 0], "outcome at position 1 is 3.0, not 0 or 1"),
+        ("outcome", [0, 1, 0, 0.5, 1, 2], "outcome at position 3 is 0.5, not 0 or 1"),
+    ],
+)
+def test_rank_eval_names_the_first_value_that_is_not_0_or_1(column, values, message):
+    args = {"treatment": [1, 0, 1, 0, 1, 0], "outcome": [1, 0, 0, 1, 1, 0], column: values}
+    for evaluate in (rank_eval, evaluate_predictions):
+        with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+            evaluate(np.arange(6.0), np.array(args["treatment"]), np.array(args["outcome"]))
+
+
+def test_rank_eval_takes_0_and_1_as_integers_floats_and_bools():
+    t, y = np.array([1, 0, 1, 0, 1, 0]), np.array([1, 0, 0, 1, 1, 0])
+    want = evaluate_predictions(np.arange(6.0), t, y)
+    for cast in (np.int8, np.int64, np.float32, np.float64, bool):
+        assert evaluate_predictions(np.arange(6.0), t.astype(cast), y.astype(cast)) == want
+    assert evaluate_predictions(np.arange(6.0), t.tolist(), y.tolist()) == want
 
 
 def test_evaluate_predictions_summary_fields():
@@ -315,3 +346,9 @@ def test_curve_csv_round_trip(tmp_path):
     back = read_curve_csv(str(path))
     assert np.array_equal(back.k, up.k)
     assert np.array_equal(back.values, up.values)
+
+
+def test_curve_csv_bytes_for_signed_zero_subnormal_and_large_values(tmp_path):
+    path = tmp_path / "curve.csv"
+    write_curve_csv(Curve(np.arange(1, 6), np.array([-0.0, 5e-324, 0.1, 1e16, 2.0])), str(path))
+    assert path.read_bytes() == b"k,value\n1,-0.0\n2,5e-324\n3,0.1\n4,1e+16\n5,2.0\n"

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -377,6 +378,82 @@ def test_blocked_scoring_matches_unblocked_oracle(scoring_rows, activation, hidd
         assert np.max(np.abs(got - oracle_prob(model, X, T[:n]))) <= SCORE_TOL, n
         got = raw_output_batch(reg, X)
         assert np.max(np.abs(got - oracle_logits(reg, X, zeros))) <= SCORE_TOL, n
+
+
+# Hashes every score of the three batch entry points, for relu and tanh
+# students with hidden (64, 32) and (), at each block size given on the
+# command line; the row counts cross the block boundaries of 1,024 and 8,192.
+BLOCKED_SCORES = """
+import hashlib, sys
+import numpy as np
+import pytest
+from kdsm import student
+from kdsm.data import SyntheticConfig, gen_synthetic
+
+cfg = SyntheticConfig(n=16387, d_numeric=2, d_categorical=2, base_rate=0.3, noise_features=0, seed=21)
+ds, _ = gen_synthetic(cfg)
+T = np.random.default_rng(23).integers(0, 2, ds.n).astype(np.float64)
+for block in map(int, sys.argv[1:]):
+    digest = hashlib.sha256()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(student, "SCORE_BLOCK_ROWS", block)
+        for activation in ("relu", "tanh"):
+            for hidden in ((64, 32), ()):
+                model_cfg = student.StudentConfig(hidden_sizes=hidden, embedding_dim=3, activation=activation)
+                model = student.init_student(model_cfg, ds)
+                model.params[...] = np.random.default_rng(25).normal(0.0, 0.5, model.params.size)
+                reg = student.init_student(model_cfg, ds, head="regression", final_bias=0.0)
+                reg.params[...] = model.params
+                for n in (1, 2, 3, 5, 1025, 2051, 8193, 16387):
+                    X = ds.features[:n]
+                    digest.update(student.predict_uplift_batch(model, X).tobytes())
+                    digest.update(student.forward_batch(model, X, T[:n]).tobytes())
+                    digest.update(student.raw_output_batch(reg, X).tobytes())
+    print(block, digest.hexdigest())
+"""
+
+
+def test_blocked_scoring_is_bit_identical_across_block_sizes_and_blas_threads():
+    src = os.path.dirname(os.path.dirname(kdsm.__file__))
+    blocks = {"1": ["1", "2", "3", "7", "1024", "8192"], "2": ["1", "2", "3", "7", "1024"]}
+    procs = {}
+    for threads, sizes in blocks.items():
+        blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", BLOCKED_SCORES, *sizes],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src, **blas),
+        )
+    digests = {}
+    for threads, proc in procs.items():
+        stdout, stderr = proc.communicate(timeout=300)
+        assert proc.returncode == 0, stderr
+        for line in stdout.splitlines():
+            block, digest = line.split()
+            digests[threads, block] = digest
+    # at two threads BLAS splits the matrix-vector product of a block of
+    # 8,193 rows' two arms between the threads, which changes the bits of a
+    # few rows, so blocks that large are compared at one thread only
+    assert len(digests) == 11 and len(set(digests.values())) == 1, digests
+
+
+def test_batch_scoring_memory_is_bounded_by_the_block():
+    ds = tiny_dataset(n=50_000, d_categorical=2, seed=27)
+    model = init_student(StudentConfig(), ds)
+    predict_uplift_batch(model, ds.features[:10])
+    tracemalloc.start()
+    try:
+        predict_uplift_batch(model, ds.features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # per row: both arms' logits and probabilities, the uplift and the codes
+    per_row = 8 * (2 + 2 + 1 + ds.schema.categorical_indices.size)
+    # per block row: the input layer, and both arms' outputs of every layer
+    per_block_row = 8 * (model.weights[0].shape[0] + 2 * sum(w.shape[1] for w in model.weights))
+    assert peak - per_row * ds.n <= 2 * per_block_row * (SCORE_BLOCK_ROWS + 1)
 
 
 def test_single_row_score_equals_batch_row(scoring_rows):

@@ -39,6 +39,10 @@
 #     hidden 12,6, embedding 3): each call's repr, one per line, goes to
 #     single_row_uplift.txt beside the model, so the one-row scoring path is
 #     compared to the last bit;
+#   - predict_uplift_batch on 20,000 fresh synthetic rows (the default
+#     synth settings at seed 7), with the kdsm model of the default chain:
+#     one repr per row goes to batch_uplift.txt beside the model, so a batch
+#     of many scoring blocks is compared to the last bit;
 #   - the --help of kdsm and of each of its six commands, one file each,
 #     since every flag's dest must be a config key of the CLI.
 # Prints the number of files compared; exits 0 when both runs match byte
@@ -167,6 +171,17 @@ SCORE
 kdsm data
 tuned tuned
 CHAINS
+    PYTHONPATH="$src" python3 - "$out/kdsm/model_kdsm.json" >"$out/kdsm/batch_uplift.txt" <<'SCORE'
+import sys
+from dataclasses import replace
+from kdsm.cli import RunConfig
+from kdsm.data import gen_synthetic
+from kdsm.student import load_student, predict_uplift_batch
+model = load_student(sys.argv[1])
+rows, _ = gen_synthetic(replace(RunConfig().synthetic_config(7), n=20000))
+for uplift in predict_uplift_batch(model, rows.features).tolist():
+    print(repr(uplift))
+SCORE
     local command
     for command in "" synth split fit-tree train evaluate compare; do
         # shellcheck disable=SC2086  # an empty command asks for the top-level help
