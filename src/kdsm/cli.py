@@ -302,7 +302,7 @@ def _predictor_from_jsonable(obj: dict):
     return kind, predictor.predict_uplift, predictor.schema
 
 
-def _train_one(cfg, seed, method, train, valid, tree, pair_stream=False):
+def _train_one(cfg, seed, method, train, valid, tree):
     """Train `method` with the student and training settings of `cfg`, their
     seeds derived from the master seed `seed`."""
     student_cfg = cfg.student_config(derive_seed(seed, "student-init"))
@@ -312,8 +312,7 @@ def _train_one(cfg, seed, method, train, valid, tree, pair_stream=False):
     if method == "kdss":
         return distill.train_kdss(train, valid, tree, student_cfg, hyper)
     if method == "plain":
-        pair_tree = tree if pair_stream else None
-        return distill.train_plain(train, valid, student_cfg, hyper, pair_tree)
+        return distill.train_plain(train, valid, student_cfg, hyper)
     if method == "tm":
         return distill.train_two_model(train, valid, student_cfg, hyper)
     if method == "mom":
@@ -326,14 +325,14 @@ def cmd_train(args) -> int:
     method = args.method
     train, valid = _load_split(cfg, ("train", "valid"))
     teacher = None
-    if method in ("kdsm", "kdss") or (method == "plain" and args.pair_stream):
+    if method in ("kdsm", "kdss"):
         tree_path = _dataset_paths(cfg.data_dir)["tree"]
         if not os.path.exists(tree_path):
             raise ConfigError(
                 f"--method {method} needs a fitted tree at {tree_path}; run `kdsm fit-tree` first"
             )
         teacher = tree_mod.load_tree(tree_path)
-    model, report = _train_one(cfg, cfg.seed, method, train, valid, teacher, args.pair_stream)
+    model, report = _train_one(cfg, cfg.seed, method, train, valid, teacher)
     os.makedirs(cfg.out_dir, exist_ok=True)
     model_path = os.path.join(cfg.out_dir, f"model_{method}.json")
     _save_predictor(model, model_path)
@@ -569,11 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         "train", "train a student or baseline", "--seed", "--lambda", "--drop-leftovers"
     )
     train.add_argument("--method", required=True, choices=METHODS)
-    train.add_argument(
-        "--pair-stream",
-        action="store_true",
-        help="plain only: consume the tree's pair-grouped stream",
-    )
     evaluate = command(
         "evaluate", "rank the test split and report metrics", "--seed", "--tie-seed"
     )

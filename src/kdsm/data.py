@@ -149,6 +149,24 @@ class FeatureSchema:
         return cls(tuple(config_from_jsonable(Column, d) for d in columns))
 
 
+def checked_features(schema: FeatureSchema, X) -> tuple[np.ndarray, np.ndarray]:
+    """X as float64 plus its `categorical_codes`, after checking it against
+    `schema`: one row per subject and one column per schema column, every
+    value finite, every categorical cell a code of its column. Raises
+    SchemaError for a shape that does not match and DomainError naming the
+    column and row of the first bad value."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(schema.columns):
+        raise SchemaError(
+            f"feature matrix has shape {X.shape}, schema expects (*, {len(schema.columns)})"
+        )
+    # counting costs a fraction of .all() on a single row
+    if np.count_nonzero(np.isfinite(X)) < X.size:
+        i, j = map(int, np.argwhere(~np.isfinite(X))[0])
+        raise DomainError(f"non-finite value in column {schema.columns[j].name!r} at row {i}")
+    return X, categorical_codes(schema, X)
+
+
 def categorical_codes(schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
     """The categorical columns of the finite feature matrix X as int64 codes,
     one column each. Raises DomainError naming the column and row of the
@@ -287,12 +305,8 @@ class Dataset:
 
     def validate(self) -> None:
         """Check every dataset invariant; raise on the first violation."""
+        checked_features(self.schema, self.features)
         n = self.features.shape[0]
-        if self.features.ndim != 2 or self.features.shape[1] != len(self.schema.columns):
-            raise SchemaError(
-                f"feature matrix shape {self.features.shape} does not match schema "
-                f"({len(self.schema.columns)} columns)"
-            )
         if self.treatment.shape != (n,) or self.outcome.shape != (n,):
             raise DomainError("treatment/outcome length does not match feature rows")
         for arr, what in ((self.treatment, "treatment"), (self.outcome, "outcome")):
@@ -300,12 +314,6 @@ class Dataset:
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
                 raise DomainError(f"{what} value {arr[i]!r} at row {i} is not 0/1")
-        if not np.isfinite(self.features).all():
-            i, j = map(int, np.argwhere(~np.isfinite(self.features))[0])
-            raise DomainError(
-                f"non-finite value in column {self.schema.columns[j].name!r} at row {i}"
-            )
-        categorical_codes(self.schema, self.features)
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         """New dataset containing `rows` (indices) in the given order."""
@@ -444,7 +452,7 @@ def load_csv(
     naming its line.
 
     Rows are read in blocks of CSV_BLOCK_ROWS and converted one column at a
-    time; only a block that does not convert is bisected for the row of its
+    time; only a block that does not convert is walked row by row for its
     first bad cell.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -531,22 +539,15 @@ def _convert_block(layout: _CsvLayout, rows: list[list[str]], line: int):
     file line `line`; a bad cell raises the error of the first in row order.
     `_convert_columns` names the first bad cell of the first bad column,
     which may lie below a bad cell of a later column. So a block that does
-    not convert is bisected for the first row that does not convert after
-    the rows before it, probing only rows after those that did (and whose
-    labels are coded). That row alone, where column order is row order,
-    raises. The probes halve the rows left: the work is linear in the block."""
+    not convert is converted again one row at a time, each row coding its
+    labels, and the first row that does not convert, where column order is
+    row order, raises."""
     try:
         return _convert_columns(layout, rows, line)
     except KdsmError:
-        lo, hi = 0, len(rows)  # rows[:lo] converted; rows[lo:hi] do not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            _convert_columns(layout, rows[lo:mid], line + lo)
-            lo = mid
-        except KdsmError:
-            hi = mid
-    _convert_columns(layout, rows[lo:hi], line + lo)  # one row that does not convert: raises
+        for i in range(len(rows)):
+            _convert_columns(layout, rows[i : i + 1], line + i)
+        raise
 
 
 def _convert_columns(layout: _CsvLayout, rows: list[list[str]], line: int):

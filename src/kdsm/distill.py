@@ -450,8 +450,9 @@ class TwoModelResult:
 
     def predict_uplift(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        return forward_batch(self.treated_model, X, np.ones(X.shape[0])) - forward_batch(
-            self.control_model, X, np.zeros(X.shape[0])
+        # X.shape[:1] is () for a scalar X, which forward_batch then rejects
+        return forward_batch(self.treated_model, X, np.ones(X.shape[:1])) - forward_batch(
+            self.control_model, X, np.zeros(X.shape[:1])
         )
 
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    Dataset, FeatureSchema, atomic_write, categorical_codes, config_from_jsonable, is_number,
+    Dataset, FeatureSchema, atomic_write, checked_features, config_from_jsonable, is_number,
     load_document,
 )
 from .errors import DomainError, ParseError, SchemaError, TrainingError, document_errors
@@ -224,19 +224,9 @@ def init_student(
     return model
 
 
-def _checked_features(model: StudentModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(model.schema.columns):
-        raise SchemaError(
-            f"feature matrix has shape {X.shape}, schema expects "
-            f"(*, {len(model.schema.columns)})"
-        )
-    return X
-
-
 def _assemble_input(model: StudentModel, X: np.ndarray, codes: np.ndarray, T: np.ndarray | None = None):
     """Build the input layer of a matrix X, or of one row, from it and its
-    `categorical_codes`: standardized numerics, one embedding block per
+    categorical codes: standardized numerics, one embedding block per
     categorical column, then the treatment bit unless T is None."""
     num_idx = model.schema.numeric_indices
     num_n = num_idx.size
@@ -255,22 +245,18 @@ def _assemble_input(model: StudentModel, X: np.ndarray, codes: np.ndarray, T: np
 
 
 def _forward_cached(model: StudentModel, X: np.ndarray, T: np.ndarray):
-    """Raw output logits plus the activations needed by backprop (the
-    training path; scoring goes through `_score_logits` or the one-row pass)."""
-    X = _checked_features(model, X)
-    codes = categorical_codes(model.schema, X)
+    """Raw output logits plus the input of each layer, which backprop needs
+    (the training path; scoring goes through `_score_logits` or the one-row
+    pass), and the categorical codes."""
+    X, codes = checked_features(model.schema, X)
     h0 = _assemble_input(model, X, codes, np.asarray(T, dtype=np.float64).ravel())
-    hs = [h0]
-    ss = []
-    h = h0
-    n_layers = len(model.weights)
-    for l in range(n_layers - 1):
-        s = h @ model.weights[l] + model.biases[l]
-        h = np.maximum(s, 0.0) if model.config.activation == "relu" else np.tanh(s)
-        ss.append(s)
-        hs.append(h)
-    z_raw = (h @ model.weights[-1]).ravel() + model.biases[-1][0]
-    return z_raw, hs, ss, codes
+    h = h0 @ model.weights[0]
+    h += model.biases[0]
+    bufs = [np.empty((len(h), w.shape[1])) for w in model.weights[1:]]
+    z_raw = _remaining_layers(model, h, bufs).ravel()
+    # the activations ran in place: h and every buffer but the output's hold
+    # the input of the next layer
+    return z_raw, [h0, h, *bufs[:-1]][: len(model.weights)], codes
 
 
 def _score_logits(model: StudentModel, X: np.ndarray, codes: np.ndarray, arms: tuple) -> np.ndarray:
@@ -327,16 +313,6 @@ def _remaining_layers(model: StudentModel, h: np.ndarray, bufs: list | None = No
     return h
 
 
-def _checked_inputs(model: StudentModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X as float64 plus its categorical codes, after checking its shape,
-    finiteness and codes."""
-    X = _checked_features(model, X)
-    # counting costs a fraction of .all() on a single row
-    if np.count_nonzero(np.isfinite(X)) < X.size:
-        raise DomainError("non-finite feature value")
-    return X, categorical_codes(model.schema, X)
-
-
 def _require_binary(model: StudentModel, fn: str) -> None:
     if model.head != "binary":
         raise DomainError(f"{fn} needs a binary-head model")
@@ -351,7 +327,7 @@ def _probability(z_raw: np.ndarray) -> np.ndarray:
 def forward_batch(model: StudentModel, X: np.ndarray, T: np.ndarray) -> np.ndarray:
     """Predicted outcome probability per row (binary head)."""
     _require_binary(model, "forward_batch")
-    X, codes = _checked_inputs(model, X)
+    X, codes = checked_features(model.schema, X)
     T = np.asarray(T, dtype=np.float64).ravel()
     if T.size != X.shape[0]:
         raise SchemaError(f"{T.size} treatment values for {X.shape[0]} feature rows")
@@ -360,13 +336,13 @@ def forward_batch(model: StudentModel, X: np.ndarray, T: np.ndarray) -> np.ndarr
 
 def raw_output_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
     """Unclamped linear output per row (regression head; treatment input 0)."""
-    return _score_logits(model, *_checked_inputs(model, X), (0.0,))[0]
+    return _score_logits(model, *checked_features(model.schema, X), (0.0,))[0]
 
 
 def predict_uplift_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
     """forward(x, 1) - forward(x, 0) per row, both arms in one pass."""
     _require_binary(model, "predict_uplift_batch")
-    p = _probability(_score_logits(model, *_checked_inputs(model, X), (1.0, 0.0)))
+    p = _probability(_score_logits(model, *checked_features(model.schema, X), (1.0, 0.0)))
     return p[0] - p[1]
 
 
@@ -375,7 +351,7 @@ def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
     block pass of `_score_logits` for a single row, without its block
     bookkeeping, so it equals `predict_uplift_batch(model, x[None])[0]` bit for bit."""
     _require_binary(model, "predict_uplift_student")
-    X, codes = _checked_inputs(model, np.asarray(x, dtype=np.float64).reshape(1, -1))
+    X, codes = checked_features(model.schema, np.asarray(x, dtype=np.float64).reshape(1, -1))
     base = _assemble_input(model, X[0], codes[0]) @ model.weights[0][:-1]
     h = np.empty((2, base.size))
     np.add(base, model.weights[0][-1], out=h[0])
@@ -399,7 +375,7 @@ def backward(model: StudentModel, batch: LossBatch) -> tuple[np.ndarray, LossPar
     contribute zero through the clamped term. Raises TrainingError naming
     the parameter if any gradient is non-finite.
     """
-    z_raw, hs, ss, codes = _forward_cached(model, batch.X, batch.T)
+    z_raw, hs, codes = _forward_cached(model, batch.X, batch.T)
     p = _probability(z_raw)
 
     in_band = (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
@@ -422,7 +398,7 @@ def backward(model: StudentModel, batch: LossBatch) -> tuple[np.ndarray, LossPar
     dz = dz * (np.abs(z_raw) < LOGIT_CLAMP)
     dz /= batch.n_units
 
-    grads = _backprop(model, hs, ss, codes, dz)
+    grads = _backprop(model, hs, codes, dz)
     n = batch.n_units
     return grads, LossParts(total / n, hard / n, soft / n)
 
@@ -435,15 +411,15 @@ def backward_mse(
 ) -> tuple[np.ndarray, LossParts]:
     """Gradient of mean squared error of the raw output against `targets`
     (regression head), and that loss; reduction divides by n_units."""
-    z_raw, hs, ss, codes = _forward_cached(model, X, np.zeros(X.shape[0]))
+    z_raw, hs, codes = _forward_cached(model, X, np.zeros(X.shape[0]))
     resid = z_raw - targets
     dz = 2.0 * resid / n_units
-    grads = _backprop(model, hs, ss, codes, dz)
+    grads = _backprop(model, hs, codes, dz)
     loss = float(np.sum(resid**2)) / n_units
     return grads, LossParts(loss, loss, 0.0)
 
 
-def _backprop(model: StudentModel, hs, ss, codes, dz: np.ndarray) -> np.ndarray:
+def _backprop(model: StudentModel, hs, codes, dz: np.ndarray) -> np.ndarray:
     """Propagate per-pass output gradients dz through the stack into one
     flat gradient laid out like `model.params`. Raises TrainingError naming
     the parameter if any entry is non-finite."""
@@ -458,7 +434,7 @@ def _backprop(model: StudentModel, hs, ss, codes, dz: np.ndarray) -> np.ndarray:
         g = g @ model.weights[l].T
         if l > 0:
             if model.config.activation == "relu":
-                g = g * (ss[l - 1] > 0.0)
+                g = g * (hs[l] > 0.0)
             else:
                 g = g * (1.0 - hs[l] ** 2)
     # g now holds the gradient at the input layer; route embedding blocks.

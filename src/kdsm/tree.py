@@ -26,7 +26,8 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .data import (
-    CATEGORICAL, NUMERIC, Dataset, FeatureSchema, atomic_write, config_from_jsonable, load_document
+    CATEGORICAL, NUMERIC, Dataset, FeatureSchema, atomic_write, checked_features,
+    config_from_jsonable, load_document,
 )
 from .errors import DomainError, FitError, ParseError, SchemaError, document_errors
 
@@ -305,13 +306,8 @@ def _link_preorder(nodes: list[TreeNode]) -> None:
 
 
 def leaf_of_batch(tree: UpliftTree, X: np.ndarray) -> np.ndarray:
-    """Leaf id reached by each row of X."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != len(tree.schema.columns):
-        raise SchemaError(
-            f"feature matrix has {X.shape[1] if X.ndim == 2 else '?'} columns, "
-            f"schema expects {len(tree.schema.columns)}"
-        )
+    """Leaf id reached by each row of X, which `checked_features` checks."""
+    X, _ = checked_features(tree.schema, X)
     out = np.empty(X.shape[0], dtype=np.int64)
     stack = [(0, np.arange(X.shape[0], dtype=np.int64))]
     while stack:

@@ -46,7 +46,7 @@ def bce(y: float, y_hat: float) -> float:
 
 def batch_loss(model: StudentModel, batch: LossBatch) -> LossParts:
     """Loss of a batch without gradients; same reduction as `backward`."""
-    z_raw, _, _, _ = _forward_cached(model, batch.X, batch.T)
+    z_raw, _, _ = _forward_cached(model, batch.X, batch.T)
     p = _probability(z_raw)
     hard = float(np.sum(batch.bce_weight * _bce_vec(batch.y, p)))
     if batch.lam != 0.0 and batch.kd_pairs.shape[0]:

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from kdsm.cli import (
 )
 from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, load_csv, save_csv, split_dataset
 from kdsm.distill import KdsmHyper, TrainReport, write_train_report
-from kdsm.errors import ConfigError, FitError, KdsmError
+from kdsm.errors import ConfigError, DomainError, FitError, KdsmError, SchemaError
 from kdsm.metrics import Curve, write_curve_csv
 from kdsm.seeds import derive_seed
 from kdsm.student import StudentConfig, save_student
@@ -196,20 +198,6 @@ def test_true_cate_and_split_indices_keep_their_bytes(tmp_path):
     for name in ("train", "valid", "test"):
         lines.append(f"{name}: " + " ".join(str(int(i)) for i in split.indices[name]))
     assert read_bytes(os.path.join(out, "split_indices.txt")) == ("\n".join(lines) + "\n").encode()
-
-
-def test_plain_pair_stream_equals_kdsm_at_zero_weight(tmp_path):
-    cfg, out = write_cfg(str(tmp_path))
-    assert main(["synth", "--config", cfg]) == 0
-    assert main(["split", "--config", cfg]) == 0
-    assert main(["fit-tree", "--config", cfg]) == 0
-    assert main(["train", "--config", cfg, "--method", "kdsm", "--lambda", "0"]) == 0
-    assert main(["train", "--config", cfg, "--method", "plain", "--pair-stream"]) == 0
-    with open(os.path.join(out, "model_kdsm.json"), "rb") as fh:
-        kdsm_bytes = fh.read()
-    with open(os.path.join(out, "model_plain.json"), "rb") as fh:
-        plain_bytes = fh.read()
-    assert kdsm_bytes == plain_bytes
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
@@ -394,10 +382,8 @@ def test_split_rejects_a_cardinality_above_2_53(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {schema}: {named}\n"
 
 
-@pytest.mark.parametrize(
-    "argv", [["kdsm"], ["kdss"], ["plain", "--pair-stream"]], ids=["kdsm", "kdss", "pair_stream"]
-)
-def test_train_rejects_a_tree_of_another_schema_before_writing(pipeline, tmp_path, capsys, argv):
+@pytest.mark.parametrize("method", ["kdsm", "kdss"])
+def test_train_rejects_a_tree_of_another_schema_before_writing(pipeline, tmp_path, capsys, method):
     _, out = pipeline
     cfg2, out2 = write_cfg(str(tmp_path), extra="synth.d_numeric = 3\n")
     assert main(["synth", "--config", cfg2]) == 0
@@ -405,7 +391,7 @@ def test_train_rejects_a_tree_of_another_schema_before_writing(pipeline, tmp_pat
     shutil.copy(os.path.join(out, "tree.json"), out2)
     before = sorted(os.listdir(out2))
     capsys.readouterr()
-    assert main(["train", "--config", cfg2, "--method", *argv]) == 1
+    assert main(["train", "--config", cfg2, "--method", method]) == 1
     assert capsys.readouterr().err == "error: tree and training data have different schemas\n"
     assert sorted(os.listdir(out2)) == before
 
@@ -625,6 +611,39 @@ def test_reloaded_predictor_scores_like_the_trained_one(trained_predictors, tmp_
     loaded_kind, predict, schema = load_predictor(path)
     assert loaded_kind == kind and schema == predictor.schema
     assert np.array_equal(predict(X), predictor.predict_uplift(X))
+
+
+def _not_a_code(text):
+    return f"code {text} in categorical column 'cat_0' at row 1 is not an integer in [0, 4)"
+
+
+@pytest.mark.parametrize(
+    "column, value, error, message",
+    [
+        ("num_0", math.nan, DomainError, "non-finite value in column 'num_0' at row 1"),
+        ("num_0", math.inf, DomainError, "non-finite value in column 'num_0' at row 1"),
+        ("cat_0", 7.0, DomainError, _not_a_code("7.0")),
+        ("cat_0", 1.5, DomainError, _not_a_code("1.5")),
+        ("cat_0", -1.0, DomainError, _not_a_code("-1.0")),
+        # with no column, `value` maps the matrix to the input
+        (None, lambda X: X[:, :-1], SchemaError, "feature matrix has shape (3, 2), schema expects (*, 3)"),
+        (None, lambda X: 1.0, SchemaError, "feature matrix has shape (), schema expects (*, 3)"),
+    ],
+    ids=["nan", "inf", "code_7", "code_1.5", "code_-1", "one_column_short", "scalar"],
+)
+@pytest.mark.parametrize("method", ["tree", "kdsm", "mom", "tm"])
+def test_every_predictor_rejects_a_bad_feature_matrix_alike(
+    trained_predictors, method, column, value, error, message
+):
+    X, predictors = trained_predictors
+    predictor = predictors[method]
+    X = X[:3].copy()
+    if column is None:
+        X = value(X)
+    else:
+        X[1, predictor.schema.names.index(column)] = value
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        predictor.predict_uplift(X)
 
 
 def test_evaluate_rejects_a_tree_that_ends_inside_a_subtree(pipeline, tmp_path, capsys):

@@ -16,7 +16,7 @@
 #     on the earlier line 1001, which the error names. Its exit code and
 #     its stderr, with the run directory replaced by OUT, are compared as
 #     files;
-#   - train for all five methods, plus plain --pair-stream, kdsm
+#   - train for all five methods, plus kdsm --lambda 0, kdsm
 #     --drop-leftovers and kdss --lambda 0, each to its own --out;
 #   - evaluate on every model and on the tree;
 #   - compare at synth.n=20000, seeds 1,2, 15 epochs, in worker processes
@@ -140,7 +140,7 @@ kdss kdss
 plain plain
 tm tm
 mom mom
-plain_pair_stream plain --pair-stream
+kdsm_lambda0 kdsm --lambda 0
 kdsm_drop_leftovers kdsm --drop-leftovers
 kdss_lambda0 kdss --lambda 0
 VARIANTS
