@@ -61,17 +61,21 @@ def parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value lines; blank lines and #-comments ignored."""
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key not in KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = value.strip()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ConfigError(data_mod.not_utf8(path)) from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = value.strip()
     return out
 
 

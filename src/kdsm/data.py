@@ -9,6 +9,7 @@ Missing values are not supported anywhere; ingestion rejects them.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -33,6 +34,10 @@ SYNTHETIC_CARDINALITY = 4
 #: converted one column at a time, so memory grows with the block, not the
 #: file.
 CSV_BLOCK_ROWS = 8192
+
+#: The treatment and outcome columns of every CSV file, written after the
+#: features; no feature column may take either name.
+BITS = ("treatment", "outcome")
 
 #: Built-in treatment-effect shapes for the synthetic generator, by name:
 #: the (min, max) effect each attains, and its per-row effect on a synthetic
@@ -94,7 +99,8 @@ class Column:
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Ordered feature columns. Column names must be unique and non-empty."""
+    """Ordered feature columns. Column names must be unique, non-empty and
+    not one of BITS."""
 
     columns: tuple[Column, ...]
 
@@ -105,6 +111,9 @@ class FeatureSchema:
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate column name(s): {dupes}")
+        reserved = [n for n in names if n in BITS]
+        if reserved:
+            raise SchemaError(f"column name {reserved[0]!r} is reserved for a CSV bit column")
 
     @property
     def names(self) -> list[str]:
@@ -197,6 +206,18 @@ def load_document(path: str, parse):
         return parse(obj)
     except KdsmError as e:
         raise type(e)(f"{path}: {e}") from None
+
+
+def not_utf8(path: str) -> str:
+    """The error message for the file at `path`, which is not UTF-8 text:
+    the line of its first bad byte and why it is bad."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        return f"{path}: line {line}: not UTF-8 text ({e.reason})"
 
 
 def _is_int(v) -> bool:
@@ -433,13 +454,9 @@ def gen_synthetic(cfg: SyntheticConfig) -> tuple[Dataset, np.ndarray]:
     return ds, tau
 
 
-def load_csv(
-    path: str,
-    schema: FeatureSchema,
-    treatment_col: str = "treatment",
-    outcome_col: str = "outcome",
-) -> Dataset:
-    """Read a CSV file into a Dataset under the given schema.
+def load_csv(path: str, schema: FeatureSchema) -> Dataset:
+    """Read a CSV file into a Dataset under the given schema; its header
+    names every schema column and the two BITS columns, in any order.
 
     Categorical values may be arbitrary strings. A column with pinned
     `categories` maps each label to its fixed code and rejects unknown
@@ -449,7 +466,8 @@ def load_csv(
     as finite floats; treatment/outcome cells must be integers that `int()`
     reads as 0 or 1. Errors name the line and column of the first bad cell
     in row order; a record the csv module cannot parse raises ParseError
-    naming its line.
+    naming its line, and text that is not UTF-8 the line of its first bad
+    byte.
 
     Rows are read in blocks of CSV_BLOCK_ROWS and converted one column at a
     time; only a block that does not convert is walked row by row for its
@@ -461,33 +479,21 @@ def load_csv(
             header = next(reader, None)
         except csv.Error as e:
             raise ParseError(f"{path}: line 1: {e}") from None
+        except UnicodeDecodeError:
+            raise ParseError(not_utf8(path)) from None
         if header is None:
             raise ParseError(f"{path}: empty file")
-        required = schema.names + [treatment_col, outcome_col]
         dupes = sorted({c for c in header if header.count(c) > 1})
         if dupes:
             raise SchemaError(f"{path}: column {dupes[0]!r} appears more than once in the header")
-        for c in (treatment_col, outcome_col):
-            if required.count(c) > 1:
-                raise SchemaError(f"{path}: column {c!r} cannot be both a feature and the treatment or outcome")
-        missing = [c for c in required if c not in header]
+        missing = [c for c in schema.names + list(BITS) if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing column(s) {missing}")
-        layout = _CsvLayout(
-            path=path,
-            width=len(header),
-            schema=schema,
-            pos={name: header.index(name) for name in required},
-            treatment_col=treatment_col,
-            outcome_col=outcome_col,
-            code_maps={
-                c.name: {label: i for i, label in enumerate(c.categories)}
-                for c in schema.columns
-                if c.kind == CATEGORICAL
-            },
-        )
+        categorical = [schema.columns[j] for j in schema.categorical_indices]
+        code_maps = {c.name: {v: i for i, v in enumerate(c.categories)} for c in categorical}
+        convert = functools.partial(_convert_columns, path, header, schema, code_maps)
         line = 2  # file line of the first row of the block, as the row rules count it
-        blocks = [_convert_columns(layout, [], line)]  # so an empty file has the right shapes
+        blocks = [convert([], line)]  # so an empty file has the right shapes
         while True:
             rows: list[list[str]] = []
             try:
@@ -495,71 +501,55 @@ def load_csv(
             except csv.Error as e:
                 # the reader failed mid-block: a bad cell before that record
                 # is reported first, as a row-by-row read would
-                _convert_block(layout, rows, line)
+                _convert_block(convert, rows, line)
                 raise ParseError(f"{path}: line {line + len(rows)}: {e}") from None
+            except UnicodeDecodeError:
+                raise ParseError(not_utf8(path)) from None
             if not rows:
                 break
-            blocks.append(_convert_block(layout, rows, line))
+            blocks.append(_convert_block(convert, rows, line))
             line += len(rows)
 
     features, treatment, outcome = (np.concatenate(parts) for parts in zip(*blocks))
     # pin discovered dictionaries so a re-save keeps labels and codes stable;
     # a code map lists its labels in code order
     out_cols = tuple(
-        replace(c, categories=tuple(layout.code_maps[c.name])) if c.kind == CATEGORICAL else c
+        replace(c, categories=tuple(code_maps[c.name])) if c.kind == CATEGORICAL else c
         for c in schema.columns
     )
-    ds = Dataset(
-        schema=FeatureSchema(out_cols),
-        features=features,
-        treatment=treatment,
-        outcome=outcome,
-    )
+    ds = Dataset(FeatureSchema(out_cols), features, treatment, outcome)
     ds.validate()
     return ds
 
 
-@dataclass
-class _CsvLayout:
-    """What converting a block of CSV rows needs: where each column sits and
-    the label-to-code dictionaries coded so far (updated in place). A column
-    with `categories` is pinned: its dictionary never grows."""
-
-    path: str
-    width: int
-    schema: FeatureSchema
-    pos: dict[str, int]
-    treatment_col: str
-    outcome_col: str
-    code_maps: dict[str, dict[str, int]]
-
-
-def _convert_block(layout: _CsvLayout, rows: list[list[str]], line: int):
+def _convert_block(convert, rows: list[list[str]], line: int):
     """(features, treatment, outcome) of a block of rows whose first row is
-    file line `line`; a bad cell raises the error of the first in row order.
-    `_convert_columns` names the first bad cell of the first bad column,
-    which may lie below a bad cell of a later column. So a block that does
-    not convert is converted again one row at a time, each row coding its
-    labels, and the first row that does not convert, where column order is
-    row order, raises."""
+    file line `line`, by `convert`, `_convert_columns` bound to its file; a
+    bad cell raises the error of the first in row order. `convert` names the
+    first bad cell of the first bad column, which may lie below a bad cell
+    of a later column. So a block that does not convert is converted again
+    one row at a time, each row coding its labels, and the first row that
+    does not convert, where column order is row order, raises."""
     try:
-        return _convert_columns(layout, rows, line)
+        return convert(rows, line)
     except KdsmError:
         for i in range(len(rows)):
-            _convert_columns(layout, rows[i : i + 1], line + i)
+            convert(rows[i : i + 1], line + i)
         raise
 
 
-def _convert_columns(layout: _CsvLayout, rows: list[list[str]], line: int):
-    """(features, treatment, outcome) of rows whose first row is file line
-    `line`, converted one column at a time: the features in schema order,
-    then treatment and outcome. Every rule of a CSV cell and its message
-    live here. A ragged row raises first, then the first column that breaks
-    a rule, naming the first cell that breaks the first such rule: for one
-    row, the first bad cell in row order. A column is walked in Python only
-    after its numpy conversion or check has failed. New labels reach
-    `layout.code_maps` only when every row converts."""
-    path, k, width = layout.path, len(rows), layout.width
+def _convert_columns(path, header, schema, code_maps, rows: list[list[str]], line: int):
+    """(features, treatment, outcome) of rows whose first row is line `line`
+    of the CSV file `path` with `header`, converted one column at a time:
+    the features in `schema` order, then the BITS. Every rule of a CSV cell
+    and its message live here. A ragged row raises first, then the first
+    column that breaks a rule, naming the first cell that breaks the first
+    such rule: for one row, the first bad cell in row order. A column is
+    walked in Python only after its numpy conversion or check has failed.
+    `code_maps` holds each categorical column's label-to-code dictionary
+    coded so far; new labels reach it only when every row converts, and
+    never for a column with `categories`, which is pinned."""
+    k, width = len(rows), len(header)
     if set(map(len, rows)) - {width}:
         i = next(i for i, row in enumerate(rows) if len(row) != width)
         raise ParseError(f"{path}: line {line + i} has {len(rows[i])} cells, expected {width}")
@@ -568,10 +558,10 @@ def _convert_columns(layout: _CsvLayout, rows: list[list[str]], line: int):
         return error(f"{path}: line {line + i}, column {name!r}: {what}")
 
     cols = list(zip(*rows)) or [()] * width
-    features = np.empty((k, len(layout.schema.columns)))
+    features = np.empty((k, len(schema.columns)))
     staged: dict[str, dict[str, int]] = {}
-    for j, col in enumerate(layout.schema.columns):
-        name, cells = col.name, cols[layout.pos[col.name]]
+    for j, col in enumerate(schema.columns):
+        name, cells = col.name, cols[header.index(col.name)]
         parsed = False  # whether every cell parsed as a number, which no empty cell does
         if col.kind == NUMERIC:
             with suppress(ValueError):
@@ -590,7 +580,7 @@ def _convert_columns(layout: _CsvLayout, rows: list[list[str]], line: int):
                 i = nonfinite[0]
                 raise bad(DomainError, i, name, f"non-finite value {cells[i]!r}")
             continue
-        codes = layout.code_maps[name]
+        codes = code_maps[name]
         new = [label for label in dict.fromkeys(cells) if label not in codes]
         room = 0 if col.categories else col.cardinality - len(codes)
         if len(new) > room:  # new[room] is the first label without a code
@@ -603,8 +593,8 @@ def _convert_columns(layout: _CsvLayout, rows: list[list[str]], line: int):
             staged[name] = codes
         features[:, j] = np.fromiter(map(codes.__getitem__, cells), np.float64, k)
     bits = []
-    for name in (layout.treatment_col, layout.outcome_col):
-        cells = cols[layout.pos[name]]
+    for name in BITS:
+        cells = cols[header.index(name)]
         try:
             bits.append(np.fromiter(map(int, cells), np.int64, k))
             clean = np.isin(bits[-1], (0, 1)).all()
@@ -617,12 +607,12 @@ def _convert_columns(layout: _CsvLayout, rows: list[list[str]], line: int):
                 raise bad(ParseError, i, name, f"cannot parse {cell!r} as an integer") from None
             if v not in (0, 1):
                 raise bad(DomainError, i, name, f"value {cell!r} is not 0/1")
-    layout.code_maps.update(staged)
+    code_maps.update(staged)
     return features, bits[0], bits[1]
 
 
 def save_csv(ds: Dataset, path: str) -> None:
-    """Write a dataset as CSV (features, then treatment and outcome columns).
+    """Write a dataset as CSV (features, then the BITS columns).
 
     Numeric cells use shortest exact float representation, so a written file
     re-reads to bit-identical values; reruns produce byte-identical files.
@@ -649,7 +639,7 @@ def save_csv(ds: Dataset, path: str) -> None:
                 f"{i} has no label: the column pins {names.size} categories"
             )
     with atomic_write(path) as fh:
-        csv.writer(fh).writerow(ds.schema.names + ["treatment", "outcome"])
+        csv.writer(fh).writerow(ds.schema.names + list(BITS))
         for a in range(0, ds.n, CSV_BLOCK_ROWS):
             block = ds.features[a : a + CSV_BLOCK_ROWS]
             cols = []

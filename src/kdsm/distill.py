@@ -240,34 +240,32 @@ def _assemble_batch(ds: Dataset, units: _Units, start: int, stop: int, kd_weight
 
 @dataclass
 class _Track:
-    """One (model, optimizer, data, stream) trained inside the shared loop."""
+    """One (model, optimizer, stream, loss step) trained inside the shared
+    loop: `build_units(epoch_seed)` gives an epoch's _Units, and
+    `step(units, start, stop)` the (grads, LossParts) of units[start:stop]."""
 
     model: StudentModel
     opt: OptimizerState
-    ds: Dataset
-    build_units: object  # epoch_seed -> _Units
-    kd_weight: float
-    mse_targets: np.ndarray | None = None
+    build_units: object
+    step: object
+
+
+def _bce_track(model: StudentModel, ds: Dataset, stream, kd_weight: float) -> _Track:
+    """A track of `model` on `ds` with the BCE and soft terms of `_assemble_batch`."""
+
+    def step(units, start, stop):  # `backward` by module name, which a tracer rebinds
+        return backward(model, _assemble_batch(ds, units, start, stop, kd_weight))
+
+    return _Track(model, init_optimizer(model), stream, step)
 
 
 def _run_epoch(track: _Track, epoch_seed: int, batch_size: int) -> tuple[float, float, int]:
     units = track.build_units(epoch_seed)
-    hard_sum = 0.0
-    soft_sum = 0.0
+    hard_sum = soft_sum = 0.0
     n_units = len(units)
     for start in range(0, n_units, batch_size):
         stop = min(start + batch_size, n_units)
-        if track.mse_targets is not None:
-            rows = units.a[start:stop]
-            grads, parts = backward_mse(
-                track.model,
-                track.ds.features[rows],
-                track.mse_targets[rows],
-                n_units=stop - start,
-            )
-        else:
-            batch = _assemble_batch(track.ds, units, start, stop, track.kd_weight)
-            grads, parts = backward(track.model, batch)
+        grads, parts = track.step(units, start, stop)
         apply_update(track.model, grads, track.opt)
         hard_sum += parts.hard * (stop - start)
         soft_sum += parts.soft * (stop - start)
@@ -354,21 +352,12 @@ def _train_student(
     hyper: KdsmHyper,
     stream,
     kd_weight: float = 0.0,
-    mse_targets: np.ndarray | None = None,
 ) -> tuple[StudentModel, TrainReport]:
     """Train one student on `stream` (epoch seed -> _Units) in the shared
-    loop, with soft weight `kd_weight`. Given `mse_targets`, the student is
-    a regressor of them whose final bias starts at their mean."""
-    if mse_targets is None:
-        model = init_student(student_cfg, train)
-    else:
-        model = init_student(
-            student_cfg, train, head="regression", final_bias=float(mse_targets.mean())
-        )
-    track = _Track(model, init_optimizer(model), train, stream, kd_weight, mse_targets)
-    report = _train_loop(
-        [track], valid, hyper, model, TrainReport(method=method, kd_weight=kd_weight)
-    )
+    loop, with soft weight `kd_weight`."""
+    model = init_student(student_cfg, train)
+    track = _bce_track(model, train, stream, kd_weight)
+    report = _train_loop([track], valid, hyper, model, TrainReport(method, kd_weight))
     return model, report
 
 
@@ -472,15 +461,9 @@ def train_two_model(
         cfg = replace(student_cfg, init_seed=derive_seed(student_cfg.init_seed, tag))
         model = init_student(cfg, ds)
         stream = _row_stream(ds.n, tags=(tag,))
-        tracks.append(_Track(model, init_optimizer(model), ds, stream, 0.0))
+        tracks.append(_bce_track(model, ds, stream, 0.0))
     result = TwoModelResult(tracks[0].model, tracks[1].model)
-    report = _train_loop(
-        tracks,
-        valid,
-        hyper,
-        predictor=result,
-        report=TrainReport(method="tm", kd_weight=0.0),
-    )
+    report = _train_loop(tracks, valid, hyper, result, TrainReport("tm", kd_weight=0.0))
     return result, report
 
 
@@ -505,8 +488,15 @@ def train_mom(
     regressor of Y*; its raw output is the uplift prediction. The final bias
     starts at the mean transformed outcome (the pooled effect estimate)."""
     targets = transformed_outcome(train)
-    stream = _row_stream(train.n)
-    return _train_student("mom", train, valid, student_cfg, hyper, stream, mse_targets=targets)
+    model = init_student(student_cfg, train, head="regression", final_bias=float(targets.mean()))
+
+    def step(units, start, stop):  # `backward_mse` by module name, which a tracer rebinds
+        rows = units.a[start:stop]
+        return backward_mse(model, train.features[rows], targets[rows], n_units=stop - start)
+
+    track = _Track(model, init_optimizer(model), _row_stream(train.n), step)
+    report = _train_loop([track], valid, hyper, model, TrainReport("mom", kd_weight=0.0))
+    return model, report
 
 
 def format_train_report(report: TrainReport) -> str:

@@ -12,9 +12,11 @@ import os
 
 import numpy as np
 
-from kdsm import cli
-from kdsm.data import SyntheticConfig, gen_synthetic
+from kdsm import cli, distill
+from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, split_dataset
+from kdsm.distill import KdsmHyper
 from kdsm.student import StudentConfig, init_student, save_student
+from kdsm.tree import TreeParams, fit_tree
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -34,6 +36,29 @@ def test_every_traced_target_is_a_module_level_function():
 
 def test_cli_dispatches_every_traced_command():
     assert set(load_tracer().CLI_COMMANDS) <= set(cli.COMMANDS)
+
+
+def test_the_tracer_sees_every_training_step():
+    # the tracer rebinds module names only, so a trainer that reached
+    # backward or backward_mse any other way would take untraced steps
+    synth = SyntheticConfig(n=800, d_numeric=2, d_categorical=1, base_rate=0.3, noise_features=0, seed=0)
+    split = split_dataset(gen_synthetic(synth)[0], SplitRatios(), 0)
+    tree = fit_tree(split.train, TreeParams(max_depth=2, min_samples_per_arm=20))
+    cfg = StudentConfig(hidden_sizes=(4,), init_seed=1)
+    hyper = KdsmHyper(batch_size=64, max_epochs=2)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        distill.train_kdsm(split.train, split.valid, tree, cfg, hyper)
+        distill.train_two_model(split.train, split.valid, cfg, hyper)
+        distill.train_mom(split.train, split.valid, cfg, hyper)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    for trainer in ("train_kdsm", "train_two_model", "train_mom"):
+        assert f"distill.{trainer}" in names
+    steps = names.count("student.backward") + names.count("student.backward_mse")
+    assert names.count("student.apply_update") == steps > 0
 
 
 def test_load_predictor_returns_kind_scorer_and_schema(tmp_path):

@@ -371,6 +371,31 @@ def test_split_reports_an_oversized_csv_field(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {dataset}: line 3: field larger than field limit")
 
 
+def test_split_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    cfg, out = write_cfg(str(tmp_path))
+    os.makedirs(out)
+    with open(os.path.join(out, "schema.json"), "w", encoding="utf-8") as fh:
+        json.dump([{"name": "f0", "kind": "numeric"}], fh)
+    dataset = os.path.join(out, "dataset.csv")
+    with open(dataset, "wb") as fh:
+        fh.write(b"f0,treatment,outcome\n" + b"0.5,1,0\n" * 4 + b"0.\xe9,0,1\n")
+    assert main(["split", "--config", cfg]) == 1
+    named = f"{dataset}: line 6: not UTF-8 text (invalid continuation byte)"
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not os.path.exists(os.path.join(out, "train.csv"))
+
+
+def test_config_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path, capsys):
+    cfg, out = write_cfg(str(tmp_path))
+    with open(cfg, "ab") as fh:
+        fh.write(b"# caf\xe9\n")
+    lines = BASE_CFG.count("\n") + 2  # the base, out.dir and the comment
+    assert main(["synth", "--config", cfg]) == 1
+    named = f"{cfg}: line {lines}: not UTF-8 text (invalid continuation byte)"
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not os.path.exists(out)
+
+
 def test_split_rejects_a_cardinality_above_2_53(tmp_path, capsys):
     cfg, out = write_cfg(str(tmp_path))
     os.makedirs(out)

@@ -446,12 +446,29 @@ def test_csv_rejects_duplicate_header_name(tmp_path):
         load_csv(str(path), schema)
 
 
-def test_csv_rejects_treatment_column_named_like_a_feature(tmp_path):
+def test_schema_rejects_the_csv_bit_column_names(tmp_path):
+    # save_csv writes both after the features, so a feature of either name
+    # would repeat in the header and the file would not load back
+    for name in ("treatment", "outcome"):
+        with pytest.raises(SchemaError, match=f"^column name '{name}' is reserved"):
+            FeatureSchema(columns=(Column("f0", "numeric"), Column(name, "numeric")))
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps([{"name": name, "kind": "numeric"}]), encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: column name '{name}'"):
+            load_document(str(path), FeatureSchema.from_jsonable)
+
+
+@pytest.mark.parametrize("line", [6, 3000])
+def test_csv_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path, line):
+    # line 3000 lies past the reader's first decoded chunk, so the header
+    # reads and the error comes from a block
     path = tmp_path / "raw.csv"
-    path.write_text("f0,outcome\n1,1\n")
+    rows = [b"0.5,1,0\n"] * (line - 2) + [b"0.\xe9,0,1\n", b"0.5,1,0\n"]
+    path.write_bytes(b"f0,treatment,outcome\n" + b"".join(rows))
     schema = FeatureSchema(columns=(Column("f0", "numeric"),))
-    with pytest.raises(SchemaError, match="'f0'"):
-        load_csv(str(path), schema, treatment_col="f0")
+    named = f"{path}: line {line}: not UTF-8 text (invalid continuation byte)"
+    with pytest.raises(ParseError, match=f"^{re.escape(named)}$"):
+        load_csv(str(path), schema)
 
 
 # --- blocked csv against the row-by-row oracle ---
