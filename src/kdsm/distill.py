@@ -33,6 +33,7 @@ from .seeds import derive_seed
 from .student import (
     LossBatch,
     OptimizerState,
+    StepBuffers,
     StudentConfig,
     StudentModel,
     apply_update,
@@ -252,9 +253,10 @@ class _Track:
 
 def _bce_track(model: StudentModel, ds: Dataset, stream, kd_weight: float) -> _Track:
     """A track of `model` on `ds` with the BCE and soft terms of `_assemble_batch`."""
+    bufs = StepBuffers(model)
 
     def step(units, start, stop):  # `backward` by module name, which a tracer rebinds
-        return backward(model, _assemble_batch(ds, units, start, stop, kd_weight))
+        return backward(model, _assemble_batch(ds, units, start, stop, kd_weight), bufs)
 
     return _Track(model, init_optimizer(model), stream, step)
 
@@ -489,10 +491,11 @@ def train_mom(
     starts at the mean transformed outcome (the pooled effect estimate)."""
     targets = transformed_outcome(train)
     model = init_student(student_cfg, train, head="regression", final_bias=float(targets.mean()))
+    bufs = StepBuffers(model)
 
     def step(units, start, stop):  # `backward_mse` by module name, which a tracer rebinds
         rows = units.a[start:stop]
-        return backward_mse(model, train.features[rows], targets[rows], n_units=stop - start)
+        return backward_mse(model, train.features[rows], targets[rows], stop - start, bufs)
 
     track = _Track(model, init_optimizer(model), _row_stream(train.n), step)
     report = _train_loop([track], valid, hyper, model, TrainReport("mom", kd_weight=0.0))

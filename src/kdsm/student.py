@@ -224,7 +224,7 @@ def init_student(
     return model
 
 
-def _assemble_input(model: StudentModel, X: np.ndarray, codes: np.ndarray, T: np.ndarray | None = None):
+def _assemble_input(model: StudentModel, X: np.ndarray, codes: np.ndarray, T: np.ndarray | None = None, out=None):
     """Build the input layer of a matrix X, or of one row, from it and its
     categorical codes: standardized numerics, one embedding block per
     categorical column, then the treatment bit unless T is None."""
@@ -232,7 +232,7 @@ def _assemble_input(model: StudentModel, X: np.ndarray, codes: np.ndarray, T: np
     num_n = num_idx.size
     emb_dim = model.config.embedding_dim
     d_cov = num_n + codes.shape[-1] * emb_dim
-    h0 = np.empty(X.shape[:-1] + (d_cov + (T is not None),))
+    h0 = np.empty(X.shape[:-1] + (d_cov + (T is not None),)) if out is None else out
     # X.T[idx].T gathers columns of a matrix and entries of a row alike, at
     # the cost of a plain index in both cases
     h0[..., :num_n] = (X.T[num_idx].T - model.num_mean) / model.num_std
@@ -244,19 +244,37 @@ def _assemble_input(model: StudentModel, X: np.ndarray, codes: np.ndarray, T: np
     return h0
 
 
-def _forward_cached(model: StudentModel, X: np.ndarray, T: np.ndarray):
+class StepBuffers:
+    """What one track's training steps write into: the flat gradient with its
+    `param_views`; every layer's input, the output and every hidden layer's
+    input gradient, in arrays that grow to the largest step, not the batch size."""
+
+    def __init__(self, model: StudentModel):
+        self.grads = np.empty_like(model.params)
+        self.grad_views = param_views(model.config, model.schema, self.grads)
+        dims = [w.shape[0] for w in model.weights]
+        self.widths = [*dims, 1, *dims[1:]]
+        self.arrays = [np.empty((0, d)) for d in self.widths]
+
+    def rows(self, n: int):
+        """The leading n rows of each array: layer inputs, output, input gradients."""
+        if self.arrays[0].shape[0] < n:
+            self.arrays = [np.empty((n, d)) for d in self.widths]
+        return [a[:n] for a in self.arrays]
+
+
+def _forward_cached(model: StudentModel, X: np.ndarray, T: np.ndarray, bufs: StepBuffers):
     """Raw output logits plus the input of each layer, which backprop needs
     (the training path; scoring goes through `_score_logits` or the one-row
-    pass), and the categorical codes."""
+    pass), and the categorical codes; every layer is written into `bufs`."""
     X, codes = checked_features(model.schema, X)
-    h0 = _assemble_input(model, X, codes, np.asarray(T, dtype=np.float64).ravel())
-    h = h0 @ model.weights[0]
+    hs = bufs.rows(X.shape[0])[: len(model.weights) + 1]
+    _assemble_input(model, X, codes, np.asarray(T, dtype=np.float64).ravel(), out=hs[0])
+    h = np.matmul(hs[0], model.weights[0], out=hs[1])
     h += model.biases[0]
-    bufs = [np.empty((len(h), w.shape[1])) for w in model.weights[1:]]
-    z_raw = _remaining_layers(model, h, bufs).ravel()
-    # the activations ran in place: h and every buffer but the output's hold
-    # the input of the next layer
-    return z_raw, [h0, h, *bufs[:-1]][: len(model.weights)], codes
+    z_raw = _remaining_layers(model, h, hs[2:]).ravel()
+    # the activations ran in place, so each array but the output holds its layer's input
+    return z_raw, hs[:-1], codes
 
 
 def _score_logits(model: StudentModel, X: np.ndarray, codes: np.ndarray, arms: tuple) -> np.ndarray:
@@ -366,16 +384,18 @@ def _bce_vec(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
-def backward(model: StudentModel, batch: LossBatch) -> tuple[np.ndarray, LossParts]:
+def backward(model: StudentModel, batch: LossBatch, bufs: StepBuffers | None = None) -> tuple[np.ndarray, LossParts]:
     """Exact analytic gradient of the batch loss, one entry per entry of
     `model.params`, and the batch's losses.
 
     The gradient respects the forward path's clamps: passes whose logit sits
     outside [-30, 30], or whose probability is pinned by the BCE clamp,
     contribute zero through the clamped term. Raises TrainingError naming
-    the parameter if any gradient is non-finite.
+    the parameter if any gradient is non-finite. Runs through `bufs` (fresh ones
+    when None, same bits) and returns `bufs.grads`, which the next step overwrites.
     """
-    z_raw, hs, codes = _forward_cached(model, batch.X, batch.T)
+    bufs = StepBuffers(model) if bufs is None else bufs
+    z_raw, hs, codes = _forward_cached(model, batch.X, batch.T, bufs)
     p = _probability(z_raw)
 
     in_band = (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
@@ -398,7 +418,7 @@ def backward(model: StudentModel, batch: LossBatch) -> tuple[np.ndarray, LossPar
     dz = dz * (np.abs(z_raw) < LOGIT_CLAMP)
     dz /= batch.n_units
 
-    grads = _backprop(model, hs, codes, dz)
+    grads = _backprop(model, hs, codes, dz, bufs)
     n = batch.n_units
     return grads, LossParts(total / n, hard / n, soft / n)
 
@@ -408,35 +428,43 @@ def backward_mse(
     X: np.ndarray,
     targets: np.ndarray,
     n_units: int,
+    bufs: StepBuffers | None = None,
 ) -> tuple[np.ndarray, LossParts]:
     """Gradient of mean squared error of the raw output against `targets`
-    (regression head), and that loss; reduction divides by n_units."""
-    z_raw, hs, codes = _forward_cached(model, X, np.zeros(X.shape[0]))
+    (regression head), and that loss; reduction divides by n_units; `bufs` as in `backward`."""
+    bufs = StepBuffers(model) if bufs is None else bufs
+    z_raw, hs, codes = _forward_cached(model, X, np.zeros(X.shape[0]), bufs)
     resid = z_raw - targets
     dz = 2.0 * resid / n_units
-    grads = _backprop(model, hs, codes, dz)
+    grads = _backprop(model, hs, codes, dz, bufs)
     loss = float(np.sum(resid**2)) / n_units
     return grads, LossParts(loss, loss, 0.0)
 
 
-def _backprop(model: StudentModel, hs, codes, dz: np.ndarray) -> np.ndarray:
-    """Propagate per-pass output gradients dz through the stack into one
-    flat gradient laid out like `model.params`. Raises TrainingError naming
-    the parameter if any entry is non-finite."""
-    grads = np.empty_like(model.params)
-    g_emb, g_w, g_b = param_views(model.config, model.schema, grads)
+def _backprop(model: StudentModel, hs, codes, dz: np.ndarray, bufs: StepBuffers) -> np.ndarray:
+    """Propagate per-pass output gradients dz through the stack into
+    `bufs.grads`, laid out like `model.params`, overwriting each input in
+    `hs` once read by its activation mask, or at layer 0 by its gradient.
+    Raises TrainingError naming the parameter if any entry is non-finite."""
+    g_emb, g_w, g_b = bufs.grad_views
+    backs = bufs.rows(dz.shape[0])[len(model.weights) + 1 :]
     g = dz[:, None]
     for l in range(len(model.weights) - 1, -1, -1):
-        g_w[l][...] = hs[l][:GRAD_CHUNK_ROWS].T @ g[:GRAD_CHUNK_ROWS]
+        np.matmul(hs[l][:GRAD_CHUNK_ROWS].T, g[:GRAD_CHUNK_ROWS], out=g_w[l])
         for lo in range(GRAD_CHUNK_ROWS, g.shape[0], GRAD_CHUNK_ROWS):
             g_w[l] += hs[l][lo : lo + GRAD_CHUNK_ROWS].T @ g[lo : lo + GRAD_CHUNK_ROWS]
         g_b[l][...] = g.sum(axis=0)
-        g = g @ model.weights[l].T
         if l > 0:
+            g = np.matmul(g, model.weights[l].T, out=backs[l - 1])
             if model.config.activation == "relu":
-                g = g * (hs[l] > 0.0)
+                np.greater(hs[l], 0.0, out=hs[l])
             else:
-                g = g * (1.0 - hs[l] ** 2)
+                np.subtract(1.0, np.square(hs[l], out=hs[l]), out=hs[l])
+            g *= hs[l]
+        elif model.embeddings:
+            # all columns, though only the embeddings' are read: OpenBLAS picks its
+            # kernel by shape, so fewer columns round otherwise at some batch sizes
+            g = np.matmul(g, model.weights[0].T, out=hs[0])
     # g now holds the gradient at the input layer; route embedding blocks.
     # bincount sums each cell's contributions in row order from 0, exactly
     # as an unbuffered scatter-add would.
@@ -447,22 +475,24 @@ def _backprop(model: StudentModel, hs, codes, dz: np.ndarray) -> np.ndarray:
         block = g[:, num_n + j * emb_dim : num_n + (j + 1) * emb_dim]
         cells = (codes[:, j, None] * emb_dim + cols).ravel()
         g_emb[j][...] = np.bincount(cells, weights=block.ravel(), minlength=emb.size).reshape(emb.shape)
-    if not np.isfinite(grads).all():
+    if not np.isfinite(bufs.grads).all():
         for name, views in (("embedding", g_emb), ("weights", g_w), ("biases", g_b)):
             for i, view in enumerate(views):
                 if not np.isfinite(view).all():
                     raise TrainingError(f"non-finite gradient in {name}[{i}]")
-    return grads
+    return bufs.grads
 
 
 @dataclass
 class OptimizerState:
     """Slot vectors laid out like `StudentModel.params` (SGD velocity in
-    `m`; Adam moments in `m` and `v`) plus the current learning rate."""
+    `m`; Adam moments in `m` and `v`), two rows of scratch the update writes
+    through, and the current learning rate."""
 
     lr: float
     step: int
     m: np.ndarray
+    scratch: np.ndarray
     v: np.ndarray | None = None
 
 
@@ -473,6 +503,7 @@ def init_optimizer(model: StudentModel) -> OptimizerState:
         lr=cfg.learning_rate,
         step=0,
         m=np.zeros_like(model.params),
+        scratch=np.empty((2, model.params.size)),
         v=np.zeros_like(model.params) if cfg.optimizer == "adam" else None,
     )
 
@@ -483,20 +514,26 @@ def apply_update(model: StudentModel, grads: np.ndarray, state: OptimizerState) 
     parameters and the state."""
     cfg = model.config
     m = state.m
+    s, t = state.scratch
+    # `params -= lr * m` (sgd) or `lr * (m / bc1) / (sqrt(v / bc2) + eps)` (adam), in that order
     if cfg.optimizer == "sgd":
         m *= cfg.momentum
         m += grads
-        model.params -= state.lr * m
+        model.params -= np.multiply(state.lr, m, out=s)
     else:
         state.step += 1
         bc1 = 1.0 - cfg.beta1**state.step
         bc2 = 1.0 - cfg.beta2**state.step
         v = state.v
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * grads
+        m += np.multiply(1.0 - cfg.beta1, grads, out=s)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * grads * grads
-        model.params -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        np.multiply(1.0 - cfg.beta2, grads, out=s)
+        v += np.multiply(s, grads, out=s)
+        np.multiply(state.lr, np.divide(m, bc1, out=s), out=s)
+        np.sqrt(np.divide(v, bc2, out=t), out=t)
+        t += cfg.eps
+        model.params -= np.divide(s, t, out=s)
 
 
 def clone_params(model: StudentModel) -> np.ndarray:

@@ -20,6 +20,8 @@ from kdsm.student import (
     PROB_EPS,
     LossBatch,
     LossParts,
+    OptimizerState,
+    StepBuffers,
     StudentModel,
     _bce_vec,
     _forward_cached,
@@ -46,7 +48,7 @@ def bce(y: float, y_hat: float) -> float:
 
 def batch_loss(model: StudentModel, batch: LossBatch) -> LossParts:
     """Loss of a batch without gradients; same reduction as `backward`."""
-    z_raw, _, _ = _forward_cached(model, batch.X, batch.T)
+    z_raw, _, _ = _forward_cached(model, batch.X, batch.T, StepBuffers(model))
     p = _probability(z_raw)
     hard = float(np.sum(batch.bce_weight * _bce_vec(batch.y, p)))
     if batch.lam != 0.0 and batch.kd_pairs.shape[0]:
@@ -57,6 +59,24 @@ def batch_loss(model: StudentModel, batch: LossBatch) -> LossParts:
         soft = 0.0
         total = hard / batch.n_units
     return LossParts(total, hard / batch.n_units, soft / batch.n_units)
+
+
+def apply_update(model: StudentModel, grads: np.ndarray, state: OptimizerState) -> None:
+    """`student.apply_update` written as out-of-place array expressions."""
+    cfg = model.config
+    if cfg.optimizer == "sgd":
+        state.m *= cfg.momentum
+        state.m += grads
+        model.params -= state.lr * state.m
+    else:
+        state.step += 1
+        bc1 = 1.0 - cfg.beta1**state.step
+        bc2 = 1.0 - cfg.beta2**state.step
+        state.m *= cfg.beta1
+        state.m += (1.0 - cfg.beta1) * grads
+        state.v *= cfg.beta2
+        state.v += (1.0 - cfg.beta2) * grads * grads
+        model.params -= state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + cfg.eps)
 
 
 # --- distillation ---

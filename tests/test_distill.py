@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdsm import distill
 from kdsm.data import (
@@ -33,6 +35,7 @@ from kdsm.errors import DomainError, FitError, SchemaError
 from kdsm.metrics import auuc, rank_eval
 from kdsm.seeds import derive_seed
 from kdsm.student import (
+    StepBuffers,
     StudentConfig,
     forward_batch,
     init_student,
@@ -494,3 +497,69 @@ def test_mom_zero_effect_centers_near_zero():
     preds = raw_output_batch(model, sp.valid.features)
     assert abs(float(preds.mean())) < 0.03
     assert report.method == "mom"
+
+
+# --- training steps through per-track buffers ---
+
+
+@st.composite
+def step_cases(draw):
+    """A small trial with 0-2 categorical columns, and a student and batch
+    size drawn from the shapes and settings whose steps take different code."""
+    synth = SyntheticConfig(
+        n=150,
+        d_numeric=2,
+        d_categorical=draw(st.integers(0, 2)),
+        base_rate=0.3,
+        noise_features=0,
+        seed=draw(st.integers(0, 2**16)),
+    )
+    cfg = StudentConfig(
+        hidden_sizes=draw(st.sampled_from([(), (4,), (12, 6)])),
+        embedding_dim=draw(st.integers(1, 3)),
+        activation=draw(st.sampled_from(["relu", "tanh"])),
+        optimizer=draw(st.sampled_from(["sgd", "adam"])),
+        momentum=0.5,
+        init_seed=draw(st.integers(0, 2**16)),
+    )
+    return synth, cfg, draw(st.sampled_from([1, 7, 64, 2**40]))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(step_cases())
+def test_every_training_step_through_the_tracks_buffers_equals_a_fresh_step(case):
+    synth, cfg, batch_size = case
+    split = split_dataset(gen_synthetic(synth)[0], SplitRatios(0.6, 0.2, 0.2), seed=synth.seed)
+    tree = shallow_tree(split.train, min_arm=5)
+    hyper = KdsmHyper(kd_weight=0.5, batch_size=batch_size, max_epochs=2, master_seed=synth.seed)
+    real_backward, real_backward_mse = distill.backward, distill.backward_mse
+    passes = {}  # id of each track's buffers -> (buffers, passes of every step)
+
+    def checked(got, want, bufs, n_passes):
+        # the track's buffers hold the previous step's arrays, the fresh ones nothing
+        assert isinstance(bufs, StepBuffers)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        passes.setdefault(id(bufs), (bufs, []))[1].append(n_passes)
+        return got
+
+    def backward(model, batch, bufs):
+        got = real_backward(model, batch, bufs)
+        return checked((got[0].copy(), got[1]), real_backward(model, batch), bufs, batch.X.shape[0])
+
+    def backward_mse(model, X, targets, n_units, bufs):
+        got = real_backward_mse(model, X, targets, n_units, bufs)
+        want = real_backward_mse(model, X, targets, n_units)
+        return checked((got[0].copy(), got[1]), want, bufs, X.shape[0])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distill, "backward", backward)
+        mp.setattr(distill, "backward_mse", backward_mse)
+        train_kdsm(split.train, split.valid, tree, cfg, hyper)
+        train_kdss(split.train, split.valid, tree, cfg, hyper)
+        train_plain(split.train, split.valid, cfg, hyper)
+        train_two_model(split.train, split.valid, cfg, hyper)
+        train_mom(split.train, split.valid, cfg, hyper)
+    # one set of buffers per track (tm has two), each as deep as its largest step
+    assert len(passes) == 6
+    for bufs, steps in passes.values():
+        assert all(a.shape[0] == max(steps) for a in bufs.arrays)

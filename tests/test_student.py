@@ -35,8 +35,9 @@ from kdsm.student import (
     student_from_jsonable,
     student_to_jsonable,
 )
-from kdsm.student import _forward_cached
+from kdsm.student import StepBuffers, _forward_cached
 from kdsm.tree import TreeParams, fit_tree
+import oracles
 from oracles import batch_loss, bce, forward
 
 
@@ -317,6 +318,23 @@ def test_adam_first_step_magnitude():
     assert delta > 0  # steps against the gradient sign
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_update_through_the_scratch_equals_the_out_of_place_update(optimizer):
+    ds = tiny_dataset(d_categorical=1)
+    cfg = StudentConfig(optimizer=optimizer, momentum=0.9, learning_rate=0.05, init_seed=0)
+    model, reference = init_student(cfg, ds), init_student(cfg, ds)
+    state, ref_state = init_optimizer(model), init_optimizer(reference)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        grads = rng.standard_normal(model.params.size)
+        apply_update(model, grads, state)
+        oracles.apply_update(reference, grads, ref_state)
+        assert np.array_equal(model.params, reference.params)
+        assert np.array_equal(state.m, ref_state.m) and state.step == ref_state.step
+        if optimizer == "adam":
+            assert np.array_equal(state.v, ref_state.v)
+
+
 def test_loss_descends_under_full_batch_sgd():
     cfg = SyntheticConfig(n=64, d_numeric=3, d_categorical=0, base_rate=0.3, noise_features=0, seed=10)
     ds, _ = gen_synthetic(cfg)
@@ -349,7 +367,7 @@ B = SCORE_BLOCK_ROWS
 
 def oracle_logits(model, X, T):
     """Unblocked logits: the training forward over the whole input."""
-    return _forward_cached(model, X, T)[0]
+    return _forward_cached(model, X, T, StepBuffers(model))[0]
 
 
 def oracle_prob(model, X, T):
@@ -721,21 +739,31 @@ def test_student_config_checks_adam_settings(name, value, bound):
         StudentConfig(**{name: value})
 
 
-# Trains a kdsm student and a mom regressor on batches of about 1,000 passes
-# and prints the sha256 of both model documents.
+# Trains every trainer (kdsm, kdss, plain, both tm arms, mom) on batches of
+# about 1,000 passes, with a relu student on numeric data and with a relu and
+# a tanh student on data with two categorical columns, and prints the sha256
+# of each model document.
 TRAIN_AND_HASH = """
 import hashlib, json
 from kdsm import data, distill, student, tree
-ds, _ = data.gen_synthetic(data.SyntheticConfig(n=4000, d_numeric=2, d_categorical=0, base_rate=0.1, noise_features=0, seed=1))
-split = data.split_dataset(ds, data.SplitRatios(0.6, 0.2, 0.2), 2)
-teacher = tree.fit_tree(split.train, tree.TreeParams(max_depth=3, min_samples_per_arm=50), 3)
-cfg = student.StudentConfig(init_seed=4)
 hyper = distill.KdsmHyper(max_epochs=2, early_stop_patience=2, master_seed=5)
-kdsm, _ = distill.train_kdsm(split.train, split.valid, teacher, cfg, hyper)
-mom, _ = distill.train_mom(split.train, split.valid, cfg, hyper)
-for model in (kdsm, mom):
-    doc = json.dumps(student.student_to_jsonable(model))
-    print(hashlib.sha256(doc.encode()).hexdigest())
+for d_categorical, activation in ((0, "relu"), (2, "relu"), (2, "tanh")):
+    synth = data.SyntheticConfig(n=4000, d_numeric=2, d_categorical=d_categorical, base_rate=0.1, noise_features=0, seed=1)
+    split = data.split_dataset(data.gen_synthetic(synth)[0], data.SplitRatios(0.6, 0.2, 0.2), 2)
+    teacher = tree.fit_tree(split.train, tree.TreeParams(max_depth=3, min_samples_per_arm=50), 3)
+    cfg = student.StudentConfig(activation=activation, init_seed=4)
+    tm, _ = distill.train_two_model(split.train, split.valid, cfg, hyper)
+    models = [
+        distill.train_kdsm(split.train, split.valid, teacher, cfg, hyper)[0],
+        distill.train_kdss(split.train, split.valid, teacher, cfg, hyper)[0],
+        distill.train_plain(split.train, split.valid, cfg, hyper)[0],
+        tm.treated_model,
+        tm.control_model,
+        distill.train_mom(split.train, split.valid, cfg, hyper)[0],
+    ]
+    for model in models:
+        doc = json.dumps(student.student_to_jsonable(model))
+        print(hashlib.sha256(doc.encode()).hexdigest())
 """
 
 
@@ -753,6 +781,7 @@ def test_training_is_bit_identical_at_one_and_two_blas_threads():
         )
         assert proc.returncode == 0, proc.stderr
         hashes[threads] = proc.stdout
+    assert len(hashes["1"].split()) == 18
     assert hashes["1"] == hashes["2"]
 
 

@@ -11,7 +11,8 @@ its raw repeat wall times and environment from the result file it writes
 under perfbench/results/ of its checkout.
 
 The pairs and their summary go to BENCH_<tag>_<sha>.json at the root of
-this repository, <sha> being the change's short commit id; runs of other
+this repository, <sha> being the change's short commit id, with "-dirty"
+appended when a tracked file of that checkout differs from it; runs of other
 workloads are merged into the same file. Per metric the summary gives the
 parent's and the change's quartiles and median, the change's median
 relative to the parent's, and in how many pairs the change was better, by
@@ -34,11 +35,15 @@ SIDES = ("parent", "change")
 
 
 def short_sha(checkout: str) -> str:
-    out = subprocess.run(
-        ["git", "-C", checkout, "rev-parse", "--short", "HEAD"],
-        capture_output=True, text=True, check=True,
-    )
-    return out.stdout.strip()
+    """The checkout's short commit id, with "-dirty" appended when a tracked
+    file differs from that commit, so an uncommitted tree is never labelled
+    as the commit it started from."""
+    def git(*args: str) -> str:
+        out = subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True, check=True)
+        return out.stdout.strip()
+
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    return git("rev-parse", "--short", "HEAD") + ("-dirty" if dirty else "")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:

@@ -34,6 +34,11 @@
 #     own directory, whose config sets a non-default value in every section
 #     and whose commands pass every flag (--seed, --criterion kl, --lambda,
 #     --drop-leftovers, --tie-seed, and an empty --out, which is ignored);
+#   - a "bare" chain in its own directory with no categorical column and no
+#     hidden layer (synth.d_categorical = 0, an empty student.hidden_sizes):
+#     synth, split and fit-tree at synth.n=5000, then train and evaluate
+#     each of the five methods, so the students without embeddings and
+#     without hidden layers are compared too;
 #   - predict_uplift_student, one call per row of test.csv, with the kdsm
 #     model of the default chain and with that of the tuned chain (tanh,
 #     hidden 12,6, embedding 3): each call's repr, one per line, goes to
@@ -81,6 +86,9 @@ run_side() {
         printf '%s\n' 'synth.n = 3000' 'synth.effect_function = zero' \
             'compare.methods = plain,tm' 'compare.seeds = 1,2,3,4' 'train.max_epochs = 2'
     } >"$cfg.compare_failing"
+    printf 'out.dir = %s\ndata.dir = %s\n' "$out/bare" "$out/bare" >"$cfg.bare"
+    printf '%s\n' 'synth.n = 5000' 'synth.d_categorical = 0' 'student.hidden_sizes =' \
+        'train.max_epochs = 15' >>"$cfg.bare"
     printf 'out.dir = %s\ndata.dir = %s\n' "$out/tuned" "$out/tuned" >"$cfg.tuned"
     cat >>"$cfg.tuned" <<'TUNED'
 seed = 5
@@ -155,6 +163,13 @@ VARIANTS
         kdsm evaluate --config "$cfg.tuned" --out "" "$out/tuned/model_kdsm.json"
         kdsm evaluate --config "$cfg.tuned" --out "$out/tuned/flags" --seed 11 --tie-seed 23 \
             "$out/tuned/model_kdsm.json" "$out/tuned/tree.json"
+        kdsm synth --config "$cfg.bare"
+        kdsm split --config "$cfg.bare"
+        kdsm fit-tree --config "$cfg.bare"
+        for method in kdsm kdss plain tm mom; do
+            kdsm train --config "$cfg.bare" --out "$out/bare/$method" --method "$method"
+            kdsm evaluate --config "$cfg.bare" --out "$out/bare/$method" "$out/bare/$method/model_$method.json"
+        done
     } | sed "s#$out#OUT#g" >"$out/stdout.txt"
     local model_dir data_dir
     while read -r model_dir data_dir; do
