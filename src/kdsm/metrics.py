@@ -63,8 +63,9 @@ def _check_eval_inputs(predictions, treatment, outcome):
     treatment, outcome = treatment.astype(np.int64), outcome.astype(np.int64)
     if n < 2:
         raise MetricError(f"need at least 2 subjects to rank, got {n}")
-    if not np.isfinite(predictions).all():
-        raise MetricError("non-finite prediction")
+    bad = np.flatnonzero(~np.isfinite(predictions))
+    if bad.size:
+        raise MetricError(f"prediction at position {bad[0]} is {float(predictions[bad[0]])!r}, not finite")
     if not (treatment == 1).any() or not (treatment == 0).any():
         raise MetricError("both treatment arms must be present")
     return predictions, treatment, outcome

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -134,6 +135,15 @@ class StudentModel:
 
     def __post_init__(self):
         self.embeddings, self.weights, self.biases = param_views(self.config, self.schema, self.params)
+
+    # not a field, so no document holds it; views, so it follows in-place writes to `params`
+    @cached_property
+    def _row_pass(self):
+        """What the one-row pass reads of the model: the schema's width, each categorical
+        (column, cardinality), and the first layer's covariate weights, treatment weights and biases."""
+        s = self.schema
+        cells = list(zip(s.categorical_indices.tolist(), s.cardinalities.tolist()))
+        return len(s.columns), cells, self.weights[0][:-1], self.weights[0][-1], self.biases[0]
 
     def predict_uplift(self, X: np.ndarray) -> np.ndarray:
         """Uplift per row: p(x, 1) - p(x, 0) for a binary head, the raw
@@ -367,14 +377,26 @@ def predict_uplift_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
 def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
     """forward(x, 1) - forward(x, 0) of one row, shape (d,) or (1, d): the
     block pass of `_score_logits` for a single row, without its block
-    bookkeeping, so it equals `predict_uplift_batch(model, x[None])[0]` bit for bit."""
+    bookkeeping, so it equals `predict_uplift_batch(model, x[None])[0]` bit for bit.
+    The row is checked as Python floats; a row that fails that check goes
+    through `checked_features`, which raises the batch's error."""
     _require_binary(model, "predict_uplift_student")
-    X, codes = checked_features(model.schema, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    base = _assemble_input(model, X[0], codes[0]) @ model.weights[0][:-1]
+    x = np.asarray(x, dtype=np.float64).ravel()
+    row = x.tolist()
+    width, cells, w_cov, w_t, b0 = model._row_pass
+    if len(row) == width and all(map(math.isfinite, row)) and all(
+        row[i].is_integer() and 0 <= row[i] < card for i, card in cells
+    ):
+        num = (x[model.schema.numeric_indices] - model.num_mean) / model.num_std
+        h0 = np.concatenate([num, *(e[int(row[i])] for e, (i, _) in zip(model.embeddings, cells))])
+    else:
+        X, codes = checked_features(model.schema, x[None])
+        h0 = _assemble_input(model, X[0], codes[0])
+    base = h0 @ w_cov
     h = np.empty((2, base.size))
-    np.add(base, model.weights[0][-1], out=h[0])
+    np.add(base, w_t, out=h[0])
     h[1] = base
-    h += model.biases[0]
+    h += b0
     p = _probability(_remaining_layers(model, h))
     return float(p[0, 0] - p[1, 0])
 

@@ -219,9 +219,7 @@ def _best_split(X, t, y, rows, stats: NodeStats, params: TreeParams, schema: Fea
             counts = np.bincount(combo, minlength=(thresholds.size + 1) * 4).reshape(-1, 4)
             # left counts for threshold j are rows with bins <= j
             left = np.cumsum(counts, axis=0)[: thresholds.size]
-            cand_rules = [
-                SplitRule(feature=f, kind=NUMERIC, threshold=float(thr)) for thr in thresholds
-            ]
+            candidates = thresholds
         else:
             codes = vals.astype(np.int64)
             combo = codes * 4 + tyc
@@ -230,16 +228,18 @@ def _best_split(X, t, y, rows, stats: NodeStats, params: TreeParams, schema: Fea
             if observed.size < 2:
                 continue
             left = counts[observed]
-            cand_rules = [
-                SplitRule(feature=f, kind=CATEGORICAL, code=int(c)) for c in observed
-            ]
+            candidates = observed
         scores = _candidate_scores(params, left, stats)
         if not np.isfinite(scores).any():
             continue
         j = int(np.argmax(scores))  # first maximum = lowest candidate index
         if scores[j] > best_score:
             best_score = scores[j]
-            best_rule = cand_rules[j]
+            # a rule for this feature's winner only, not one per candidate
+            if col.kind == NUMERIC:
+                best_rule = SplitRule(feature=f, kind=NUMERIC, threshold=float(candidates[j]))
+            else:
+                best_rule = SplitRule(feature=f, kind=CATEGORICAL, code=int(candidates[j]))
     if best_rule is None:
         return None
     gain = best_score - stats.tau_hat**2 if params.criterion == "ed" else best_score

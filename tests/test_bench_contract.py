@@ -11,6 +11,7 @@ import inspect
 import os
 
 import numpy as np
+import pytest
 
 from kdsm import cli, distill
 from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, split_dataset
@@ -69,3 +70,18 @@ def test_load_predictor_returns_kind_scorer_and_schema(tmp_path):
     kind, predict, schema = cli.load_predictor(path)
     assert kind == "student" and schema == ds.schema
     assert np.array_equal(predict(ds.features), model.predict_uplift(ds.features))
+
+
+def test_bench_pairs_stops_at_a_run_whose_result_is_not_correct(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(
+        'print(\'{"correct": false, "attempted": 3, "failed": 1, "metrics": {}}\')\n', encoding="utf-8"
+    )
+    args = [str(checkout), str(checkout), "--workload", "score", "--pairs", "1", "--seeds", "4", "--tag", "t"]
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(args)
+    assert stop.value.code == f'{checkout}: workload score seed 4: the result line says "correct": false'

@@ -320,6 +320,16 @@ def test_rank_eval_names_the_first_value_that_is_not_0_or_1(column, values, mess
             evaluate(np.arange(6.0), np.array(args["treatment"]), np.array(args["outcome"]))
 
 
+@pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+def test_rank_eval_names_the_first_prediction_that_is_not_finite(value, shown):
+    predictions = np.arange(6.0)
+    predictions[[3, 5]] = value
+    t, y = np.array([1, 0, 1, 0, 1, 0]), np.array([1, 0, 0, 1, 1, 0])
+    for evaluate in (rank_eval, evaluate_predictions):
+        with pytest.raises(MetricError, match=f"^prediction at position 3 is {re.escape(shown)}, not finite$"):
+            evaluate(predictions, t, y)
+
+
 def test_rank_eval_takes_0_and_1_as_integers_floats_and_bools():
     t, y = np.array([1, 0, 1, 0, 1, 0]), np.array([1, 0, 0, 1, 1, 0])
     want = evaluate_predictions(np.arange(6.0), t, y)

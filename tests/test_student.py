@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -851,3 +852,84 @@ def test_student_document_with_a_bad_value_is_rejected(tmp_path_factory, case, d
         assert str(e).startswith(f"{path}: ")
     else:
         assert not must_fail
+
+
+@functools.cache
+def single_row_model(activation, hidden, d_categorical, embedding_dim):
+    """A student with wide weights, so that relu stacks push some logits
+    past the clamp, and the features of its trial."""
+    ds = tiny_dataset(n=30, d_categorical=d_categorical, seed=28)
+    cfg = StudentConfig(hidden_sizes=hidden, embedding_dim=embedding_dim, activation=activation)
+    model = init_student(cfg, ds)
+    model.params[...] = np.random.default_rng(29).normal(0.0, 1.5, model.params.size)
+    return model, ds.features
+
+
+@st.composite
+def single_row_inputs(draw):
+    """A student of drawn shape and a trial row with up to three drawn cells,
+    passed in a drawn form: a row, a (1, d) array, a list, an int row, a row
+    one cell short or long, a (2, d) array or a scalar."""
+    model, X = single_row_model(
+        draw(st.sampled_from(["relu", "tanh"])),
+        draw(st.sampled_from([(), (16, 8)])),
+        draw(st.sampled_from([0, 2])),
+        draw(st.sampled_from([1, 3])),
+    )
+    x = X[draw(st.integers(0, X.shape[0] - 1))].copy()
+    for j in draw(st.lists(st.integers(0, x.size - 1), max_size=3, unique=True)):
+        card = model.schema.columns[j].cardinality
+        if j in model.schema.categorical_indices:
+            x[j] = draw(st.sampled_from([0, card - 1, card, -1, 1.5, -0.0, 1e300, 2.0**53]))
+        else:
+            x[j] = draw(st.sampled_from([0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan]))
+    form = draw(st.sampled_from(["row", "(1, d)", "list", "int", "short", "long", "(2, d)", "scalar"]))
+    if form == "int":
+        x = np.clip(np.nan_to_num(x), -(2.0**62), 2.0**62).astype(np.int64)
+    forms = {
+        "(1, d)": lambda: x[None],
+        "list": x.tolist,
+        "short": lambda: x[:-1],
+        "long": lambda: np.append(x, 0.5),
+        "(2, d)": lambda: np.stack([x, x]),
+        "scalar": lambda: x[0],
+    }
+    return model, forms.get(form, lambda: x)()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(single_row_inputs())
+def test_single_row_pass_gives_the_batch_of_one_bits_or_its_error(case):
+    model, x = case
+    # the one row that predict_uplift_student reads x as
+    one = np.reshape(np.asarray(x, dtype=np.float64), (1, -1))
+    try:
+        want = predict_uplift_batch(model, one)
+    except KdsmError as e:
+        with pytest.raises(KdsmError) as got:
+            predict_uplift_student(model, x)
+        assert type(got.value) is type(e) and str(got.value) == str(e)
+    else:
+        got = predict_uplift_student(model, x)
+        assert type(got) is float and np.float64(got).tobytes() == want[0].tobytes()
+
+
+def test_single_row_pass_follows_in_place_parameter_writes(tmp_path):
+    model, X = single_row_model("relu", (16, 8), 2, 3)
+    x = X[0]
+
+    def check():
+        got = predict_uplift_student(model, x)
+        assert got == predict_uplift_batch(model, x[None])[0]
+        return got
+
+    first = check()
+    snap = model.params.copy()
+    grads = np.random.default_rng(30).normal(0.0, 1.0, model.params.size)
+    apply_update(model, grads, init_optimizer(model))
+    assert check() != first
+    model.params[...] = snap
+    assert check() == first
+    save_student(model, str(tmp_path / "model.json"))
+    model = load_student(str(tmp_path / "model.json"))
+    assert check() == first

@@ -18,7 +18,8 @@ parent's and the change's quartiles and median, the change's median
 relative to the parent's, and in how many pairs the change was better, by
 the direction BENCHMARK.json gives. `raw_wall_s` is summarised the same
 way from each run's median raw repeat wall, which no speed scaling touches.
-Exits 1 if a run fails.
+Exits 1 if a run fails or its result line says "correct": false, naming
+the checkout, workload and seed.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         sys.exit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        sys.exit(f'{checkout}: workload {workload} seed {seed}: the result line says "correct": false')
     path = os.path.join(checkout, "perfbench", "results", f"{workload}_seed{seed}_trace0.json")
     with open(path, encoding="utf-8") as fh:
         record = json.load(fh)

@@ -40,8 +40,9 @@
 #     each of the five methods, so the students without embeddings and
 #     without hidden layers are compared too;
 #   - predict_uplift_student, one call per row of test.csv, with the kdsm
-#     model of the default chain and with that of the tuned chain (tanh,
-#     hidden 12,6, embedding 3): each call's repr, one per line, goes to
+#     model of the default chain, with that of the tuned chain (tanh,
+#     hidden 12,6, embedding 3) and with that of the bare chain (no
+#     embedding, no hidden layer): each call's repr, one per line, goes to
 #     single_row_uplift.txt beside the model, so the one-row scoring path is
 #     compared to the last bit;
 #   - predict_uplift_batch on 20,000 fresh synthetic rows (the default
@@ -185,6 +186,7 @@ SCORE
     done <<'CHAINS'
 kdsm data
 tuned tuned
+bare/kdsm bare
 CHAINS
     PYTHONPATH="$src" python3 - "$out/kdsm/model_kdsm.json" >"$out/kdsm/batch_uplift.txt" <<'SCORE'
 import sys
