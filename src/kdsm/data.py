@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -38,6 +39,10 @@ CSV_BLOCK_ROWS = 8192
 #: The treatment and outcome columns of every CSV file, written after the
 #: features; no feature column may take either name.
 BITS = ("treatment", "outcome")
+
+#: Suffix of the array sidecar that `save_csv` writes beside a CSV file and
+#: `load_csv` reads in place of parsing it, while its content key matches.
+SIDECAR_SUFFIX = ".arrays"
 
 #: Built-in treatment-effect shapes for the synthetic generator, by name:
 #: the (min, max) effect each attains, and its per-row effect on a synthetic
@@ -95,6 +100,8 @@ class Column:
                 )
             if len(set(self.categories)) != len(self.categories):
                 raise SchemaError(f"column {self.name!r}: duplicate category labels")
+            if "" in self.categories:
+                raise SchemaError(f"column {self.name!r}: empty category label")
 
 
 @dataclass(frozen=True)
@@ -181,9 +188,12 @@ def categorical_codes(schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
     one column each. Raises DomainError naming the column and row of the
     first cell that is not an integer code in [0, cardinality)."""
     vals = X[:, schema.categorical_indices]
-    codes = vals.astype(np.int64)
-    # viewed as unsigned, a negative code exceeds every cardinality
-    bad = (codes != vals) | (codes.view(np.uint64) >= schema.cardinalities)
+    # the range is checked in float, so no cell beyond int64 reaches the
+    # cast, which writes into the codes with no float copy of the block
+    in_range = (vals >= 0) & (vals < schema.cardinalities)
+    codes = np.zeros(vals.shape, np.int64)
+    np.copyto(codes, vals, casting="unsafe", where=in_range)
+    bad = ~in_range | (codes != vals)
     if np.count_nonzero(bad):
         i, j = map(int, np.argwhere(bad)[0])
         col = schema.columns[schema.categorical_indices[j]]
@@ -271,15 +281,15 @@ def config_from_jsonable(cls, obj: dict):
 
 
 @contextmanager
-def atomic_write(path: str):
-    """Open a UTF-8 text file that replaces `path` only when the block
-    completes. Writes go to a temporary file beside `path`, which
-    `os.replace` moves over it on success and which is deleted on any
+def atomic_write(path: str, binary: bool = False):
+    """Open a UTF-8 text file, or a binary one, that replaces `path` only
+    when the block completes. Writes go to a temporary file beside `path`,
+    which `os.replace` moves over it on success and which is deleted on any
     error, so a failed writer leaves the previous file untouched."""
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -471,8 +481,13 @@ def load_csv(path: str, schema: FeatureSchema) -> Dataset:
 
     Rows are read in blocks of CSV_BLOCK_ROWS and converted one column at a
     time; only a block that does not convert is walked row by row for its
-    first bad cell.
+    first bad cell. The file is not parsed at all when the sidecar that
+    `save_csv` wrote beside it still matches it: a sidecar written for the
+    file's exact bytes under an equal schema holds what the parse returns.
     """
+    ds = _load_sidecar(path, schema)
+    if ds is not None:
+        return ds
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -520,6 +535,29 @@ def load_csv(path: str, schema: FeatureSchema) -> Dataset:
     ds = Dataset(FeatureSchema(out_cols), features, treatment, outcome)
     ds.validate()
     return ds
+
+
+def _sidecar_key(path: str, schema: FeatureSchema) -> bytes:
+    """SHA-256 of the sidecar format tag, `schema`'s JSON and the exact
+    bytes of the file at `path`."""
+    key = hashlib.sha256(b"kdsm-csv-arrays/v1\0%s\0" % json.dumps(schema.to_jsonable()).encode())
+    with open(path, "rb") as fh:
+        for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
+            key.update(chunk)
+    return key.digest()
+
+
+def _load_sidecar(path: str, schema: FeatureSchema) -> Dataset | None:
+    """The dataset in the sidecar of the CSV file at `path` (its key, then
+    features, treatment and outcome as `np.save` records), or None unless
+    the key is the file's under `schema` and the arrays a valid dataset's."""
+    with suppress(OSError, EOFError, ValueError, KdsmError), open(path + SIDECAR_SUFFIX, "rb") as fh:
+        if fh.read(32) == _sidecar_key(path, schema):
+            ds = Dataset(schema, np.load(fh), np.load(fh), np.load(fh))
+            if ds.features.dtype == np.float64 and ds.treatment.dtype == ds.outcome.dtype == np.int64:
+                ds.validate()
+                return ds
+    return None
 
 
 def _convert_block(convert, rows: list[list[str]], line: int):
@@ -619,10 +657,13 @@ def save_csv(ds: Dataset, path: str) -> None:
     Categorical cells hold the pinned label of the code when the column has
     one, else the literal code. Rows are formatted in blocks of
     CSV_BLOCK_ROWS, one column at a time, and the file replaces `path` only
-    once it is complete. A categorical cell that is not a code of its
-    column, or whose code has no pinned label, raises DomainError before
-    anything is written.
+    once it is complete. A dataset that does not validate, or a categorical
+    cell whose code has no pinned label, raises before anything is written.
+    When every categorical column pins its labels, the file re-reads to the
+    dataset, so its arrays then go atomically to a sidecar, `path` plus
+    SIDECAR_SUFFIX, keyed by the file's bytes and the schema.
     """
+    ds.validate()
     codes = categorical_codes(ds.schema, ds.features)
     # each label CSV-quoted once, by the csv module itself; keyed by feature
     # column, with the column's position in `codes`
@@ -638,6 +679,7 @@ def save_csv(ds: Dataset, path: str) -> None:
                 f"code {codes[i, k]} in categorical column {ds.schema.columns[j].name!r} at row "
                 f"{i} has no label: the column pins {names.size} categories"
             )
+    pinned = all(names.size for _, names in labels.values())
     with atomic_write(path) as fh:
         csv.writer(fh).writerow(ds.schema.names + list(BITS))
         for a in range(0, ds.n, CSV_BLOCK_ROWS):
@@ -653,6 +695,17 @@ def save_csv(ds: Dataset, path: str) -> None:
             for bits in (ds.treatment, ds.outcome):
                 cols.append(map(str, bits[a : a + CSV_BLOCK_ROWS].astype(np.int64).tolist()))
             fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
+        if pinned:
+            fh.flush()
+            key = _sidecar_key(fh.name, ds.schema)
+    if pinned:
+        # the arrays as the parse returns them: float64, each category its code
+        features = np.array(ds.features, dtype=np.float64, order="C")
+        features[:, ds.schema.categorical_indices] = codes
+        with atomic_write(path + SIDECAR_SUFFIX, binary=True) as fh:
+            fh.write(key)
+            for arr in (features, ds.treatment.astype(np.int64), ds.outcome.astype(np.int64)):
+                np.save(fh, arr)
 
 
 def _csv_field(value: str) -> str:

@@ -23,7 +23,15 @@ from kdsm.cli import (
     parse_config_file,
     run_comparison,
 )
-from kdsm.data import SplitRatios, SyntheticConfig, gen_synthetic, load_csv, save_csv, split_dataset
+from kdsm.data import (
+    SIDECAR_SUFFIX,
+    SplitRatios,
+    SyntheticConfig,
+    gen_synthetic,
+    load_csv,
+    save_csv,
+    split_dataset,
+)
 from kdsm.distill import KdsmHyper, TrainReport, write_train_report
 from kdsm.errors import ConfigError, DomainError, FitError, KdsmError, SchemaError
 from kdsm.metrics import Curve, write_curve_csv
@@ -94,6 +102,7 @@ def test_pipeline_writes_all_artifacts(pipeline):
         "tree.json",
         "leaf_summary.txt",
     ]
+    expected += [f"{name}.csv{SIDECAR_SUFFIX}" for name in ("dataset", "train", "valid", "test")]
     expected += [f"model_{m}.json" for m in ("plain", "kdss", "kdsm", "tm", "mom")]
     expected += [f"train_report_{m}.txt" for m in ("plain", "kdss", "kdsm", "tm", "mom")]
     for m in ("model_plain", "model_kdsm", "tree"):
@@ -116,6 +125,8 @@ def test_pipeline_rerun_is_byte_identical(pipeline):
     assert main(["evaluate", "--config", cfg, os.path.join(out, "model_kdsm.json")]) == 0
     after = file_hashes(out)
     assert before == after
+    # the array sidecars beside the CSV files included
+    assert {f"{name}.csv{SIDECAR_SUFFIX}" for name in ("dataset", "train", "valid", "test")} <= set(after)
 
 
 def test_summary_auuc_matches_reintegrated_curve(pipeline):

@@ -1,10 +1,12 @@
 import contextlib
 import csv
 import errno
+import io
 import json
 import math
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from kdsm import data as data_module
 from kdsm.data import (
     CSV_BLOCK_ROWS,
     EFFECTS,
+    SIDECAR_SUFFIX,
     Column,
     Dataset,
     FeatureSchema,
@@ -153,6 +156,24 @@ def test_validate_catches_nonfinite_feature():
     ds.features[5, 0] = np.nan
     with pytest.raises(DomainError):
         ds.validate()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("code", [1e300, -1e300, 2.0**70])
+def test_code_beyond_int64_is_rejected_without_a_cast_warning(code):
+    # the range is checked in float, so numpy never casts such a cell to int64
+    schema = make_schema(n_numeric=1, n_categorical=1)
+    X = np.array([[0.5, 0.0], [0.5, 2.0], [0.5, 1e301], [0.5, 1.0]])
+    X[2, 1] = code
+    want = f"code {code!r} in categorical column 'c0' at row 2 is not an integer in [0, 3)"
+    with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+        categorical_codes(schema, X)
+
+
+def test_schema_rejects_an_empty_category_label():
+    # an empty CSV cell is a missing value, so no file could hold the label
+    with pytest.raises(SchemaError, match="^column 'c': empty category label$"):
+        Column("c", "categorical", 3, ("a", ""))
 
 
 # --- synthetic generator ---
@@ -551,6 +572,11 @@ def test_csv_save_and_load_match_the_row_oracle(tmp_path_factory, ds):
     oracles.save_csv(ds, expected)
     with open(path, "rb") as a, open(expected, "rb") as b:
         assert a.read() == b.read()
+    # a pinned load reads the sidecar, not the file, and gets what the parse gets
+    with mock.patch.object(data_module, "_convert_columns", side_effect=AssertionError("parsed")):
+        stored = load_csv(path, ds.schema)
+    os.remove(path + SIDECAR_SUFFIX)
+    assert_bitwise_equal(stored, load_csv(path, ds.schema))
     # pinned columns round-trip exactly
     assert_bitwise_equal(read_like_oracle(path, ds.schema), ds)
     # unpinned columns are coded by first appearance, as the oracle codes them
@@ -727,6 +753,123 @@ def test_failed_csv_write_keeps_the_previous_file(tmp_path, monkeypatch):
     assert disks[0].held.count("\r\n") == 1 + B  # the writer failed after its first block
     assert path.read_text(encoding="utf-8") == "previous\n"
     assert os.listdir(tmp_path) == ["ds.csv"]
+
+
+def test_failed_sidecar_write_leaves_no_sidecar(tmp_path, monkeypatch):
+    path = tmp_path / "ds.csv"
+
+    def fail(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(np, "save", fail)
+    with pytest.raises(OSError):
+        save_csv(make_dataset(10, n_categorical=1), str(path))
+    assert os.listdir(tmp_path) == ["ds.csv"]
+
+
+@pytest.mark.parametrize("defect", ["nan", "treatment"])
+def test_save_csv_validates_before_writing(tmp_path, defect):
+    path = tmp_path / "ds.csv"
+    path.write_text("previous\n", encoding="utf-8")
+    ds = make_dataset(10, n_categorical=1)
+    if defect == "nan":
+        ds.features[4, 0] = np.nan
+    else:
+        ds.treatment[4] = 2
+    with pytest.raises(DomainError) as validated:
+        ds.validate()
+    with pytest.raises(DomainError, match=f"^{re.escape(str(validated.value))}$"):
+        save_csv(ds, str(path))
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert os.listdir(tmp_path) == ["ds.csv"]
+
+
+# --- array sidecar ---
+
+
+def saved(tmp_path, ds):
+    path = str(tmp_path / "ds.csv")
+    save_csv(ds, path)
+    return path
+
+
+def parses(path, schema):
+    """load_csv of the file at `path` and whether it parsed the file."""
+    with mock.patch.object(data_module, "_convert_columns", wraps=data_module._convert_columns) as spy:
+        ds = load_csv(path, schema)
+    return ds, spy.called
+
+
+def test_sidecar_is_written_only_when_every_categorical_column_pins_its_labels(tmp_path):
+    ds = make_dataset(20, n_categorical=1)
+    path = saved(tmp_path, ds)
+    assert sorted(os.listdir(tmp_path)) == ["ds.csv", "ds.csv" + SIDECAR_SUFFIX]
+    loaded, parsed = parses(path, ds.schema)
+    assert not parsed
+    assert_bitwise_equal(loaded, ds)
+    os.remove(path + SIDECAR_SUFFIX)
+    ds.schema = unpinned(ds.schema)
+    saved(tmp_path, ds)
+    assert os.listdir(tmp_path) == ["ds.csv"]
+
+
+def test_csv_edited_beside_its_sidecar_loads_the_edited_value(tmp_path):
+    ds = make_dataset(20)
+    path = saved(tmp_path, ds)
+    with open(path, "rb") as fh:
+        text = fh.read().decode()
+    cell = text.split("\r\n")[1].split(",")[0]
+    edited = cell[:-1] + str((int(cell[-1]) + 1) % 10)  # one digit, same length
+    with open(path, "wb") as fh:
+        fh.write(text.replace(cell, edited, 1).encode())
+    loaded, parsed = parses(path, ds.schema)
+    assert parsed and loaded.features[0, 0] == float(edited) != ds.features[0, 0]
+
+
+def test_unpinned_schema_codes_labels_by_first_appearance_beside_a_sidecar(tmp_path):
+    schema = FeatureSchema((Column("c0", "categorical", 3, ("x", "y", "z")),))
+    codes = np.array([[2.0], [0.0], [2.0], [1.0]])
+    ds = Dataset(schema, codes, np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0]))
+    path = saved(tmp_path, ds)
+    loaded, parsed = parses(path, unpinned(schema))
+    assert parsed
+    assert loaded.features[:, 0].tolist() == [0.0, 1.0, 0.0, 2.0]
+    assert loaded.schema.columns[0].categories == ("z", "x", "y")
+
+
+def _npy(*arrays):
+    buf = io.BytesIO()
+    for a in arrays:
+        np.save(buf, a)
+    return buf.getvalue()
+
+
+SPOILED_SIDECARS = {
+    "garbage": lambda key, ds: b"not an array sidecar",
+    "empty": lambda key, ds: b"",
+    "key only": lambda key, ds: key,
+    "truncated": lambda key, ds: (key + _npy(ds.features, ds.treatment, ds.outcome))[:-8],
+    "other key": lambda key, ds: bytes(32) + _npy(ds.features, ds.treatment, ds.outcome),
+    "a column short": lambda key, ds: key + _npy(ds.features[:, 1:], ds.treatment, ds.outcome),
+    "a row short": lambda key, ds: key + _npy(ds.features, ds.treatment[1:], ds.outcome),
+    "float32 features": lambda key, ds: key + _npy(ds.features.astype(np.float32), ds.treatment, ds.outcome),
+    "int32 bits": lambda key, ds: key + _npy(ds.features, ds.treatment.astype(np.int32), ds.outcome),
+    "a bit of 2": lambda key, ds: key + _npy(ds.features, ds.treatment + 2 * (ds.treatment == 1), ds.outcome),
+    "pickled": lambda key, ds: key + _npy(ds.features.astype(object), ds.treatment, ds.outcome),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(SPOILED_SIDECARS))
+def test_spoiled_sidecar_falls_back_to_the_parse(tmp_path, spoil):
+    ds = make_dataset(20, n_categorical=1)
+    path = saved(tmp_path, ds)
+    with open(path + SIDECAR_SUFFIX, "rb") as fh:
+        key = fh.read(32)
+    with open(path + SIDECAR_SUFFIX, "wb") as fh:
+        fh.write(SPOILED_SIDECARS[spoil](key, ds))
+    loaded, parsed = parses(path, ds.schema)
+    assert parsed
+    assert_bitwise_equal(loaded, ds)
 
 
 @pytest.mark.parametrize("code", [-1.0, 1.7, 7.0, 2.0])

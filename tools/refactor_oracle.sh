@@ -13,9 +13,11 @@
 #     true_cate.csv of a second effect shape are compared;
 #   - split on a copy of the synthesized dataset.csv with two bad cells in
 #     its first block: an unparsable num_0 on line 3001 and an outcome of 2
-#     on the earlier line 1001, which the error names. Its exit code and
-#     its stderr, with the run directory replaced by OUT, are compared as
-#     files;
+#     on the earlier line 1001, which the error names. The array sidecar
+#     of the synthesized dataset.csv, where the checkout writes one, is
+#     copied beside the edited copy, so a stale sidecar must be ignored.
+#     Its exit code and its stderr, with the run directory replaced by OUT,
+#     are compared as files;
 #   - train for all five methods, plus kdsm --lambda 0, kdsm
 #     --drop-leftovers and kdss --lambda 0, each to its own --out;
 #   - evaluate on every model and on the tree;
@@ -132,6 +134,9 @@ TUNED
             NR == 1001 { $col["outcome"] = 2 }
             NR == 3001 { $col["num_0"] = "not_a_number" }
             { print }' "$out/data/dataset.csv" >"$out/bad_csv/dataset.csv"
+        if [ -e "$out/data/dataset.csv.arrays" ]; then
+            cp "$out/data/dataset.csv.arrays" "$out/bad_csv/"
+        fi
         local status=0
         kdsm split --config "$cfg.bad_csv" 2>"$work/$2.bad_csv.stderr" || status=$?
         echo "$status" >"$out/bad_csv/split_exit_code.txt"
