@@ -238,10 +238,9 @@ def cmd_split(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out = _dataset_paths(cfg.out_dir)
-    lines = ["# split indices v1"]
-    for name in ("train", "valid", "test"):
-        data_mod.save_csv(getattr(split, name), out[name])
-        lines.append(f"{name}: " + " ".join(map(str, split.indices[name].tolist())))
+    names = ("train", "valid", "test")
+    data_mod.save_csv_rows(ds, paths["dataset"], [(split.indices[n], out[n]) for n in names])
+    lines = ["# split indices v1"] + [f"{n}: " + " ".join(map(str, split.indices[n].tolist())) for n in names]
     _write_text(out["split_indices"], "\n".join(lines) + "\n")
     # re-emit the schema with any first-appearance dictionaries pinned, so
     # every later stage codes the three files identically

@@ -15,7 +15,7 @@ import io
 import itertools
 import json
 import os
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -537,10 +537,15 @@ def load_csv(path: str, schema: FeatureSchema) -> Dataset:
     return ds
 
 
+def _sidecar_hash(schema: FeatureSchema):
+    """A SHA-256 hash of the sidecar format tag and `schema`'s JSON; the
+    exact bytes of a CSV file, added to it, make its sidecar's key."""
+    return hashlib.sha256(b"kdsm-csv-arrays/v1\0%s\0" % json.dumps(schema.to_jsonable()).encode())
+
+
 def _sidecar_key(path: str, schema: FeatureSchema) -> bytes:
-    """SHA-256 of the sidecar format tag, `schema`'s JSON and the exact
-    bytes of the file at `path`."""
-    key = hashlib.sha256(b"kdsm-csv-arrays/v1\0%s\0" % json.dumps(schema.to_jsonable()).encode())
+    """The sidecar key of the file at `path` under `schema`."""
+    key = _sidecar_hash(schema)
     with open(path, "rb") as fh:
         for chunk in iter(functools.partial(fh.read, 1 << 20), b""):
             key.update(chunk)
@@ -652,8 +657,9 @@ def _convert_columns(path, header, schema, code_maps, rows: list[list[str]], lin
 def save_csv(ds: Dataset, path: str) -> None:
     """Write a dataset as CSV (features, then the BITS columns).
 
-    Numeric cells use shortest exact float representation, so a written file
-    re-reads to bit-identical values; reruns produce byte-identical files.
+    Numeric cells use shortest exact float representation of the value as
+    float64, whatever the matrix's dtype, so a written file re-reads to
+    bit-identical values; reruns produce byte-identical files.
     Categorical cells hold the pinned label of the code when the column has
     one, else the literal code. Rows are formatted in blocks of
     CSV_BLOCK_ROWS, one column at a time, and the file replaces `path` only
@@ -664,7 +670,10 @@ def save_csv(ds: Dataset, path: str) -> None:
     SIDECAR_SUFFIX, keyed by the file's bytes and the schema.
     """
     ds.validate()
-    codes = categorical_codes(ds.schema, ds.features)
+    # the arrays as the parse returns them: float64, each category its code
+    features = np.array(ds.features, dtype=np.float64, order="C")
+    codes = categorical_codes(ds.schema, features)
+    features[:, ds.schema.categorical_indices] = codes
     # each label CSV-quoted once, by the csv module itself; keyed by feature
     # column, with the column's position in `codes`
     labels = {
@@ -683,7 +692,7 @@ def save_csv(ds: Dataset, path: str) -> None:
     with atomic_write(path) as fh:
         csv.writer(fh).writerow(ds.schema.names + list(BITS))
         for a in range(0, ds.n, CSV_BLOCK_ROWS):
-            block = ds.features[a : a + CSV_BLOCK_ROWS]
+            block = features[a : a + CSV_BLOCK_ROWS]
             cols = []
             for j in range(block.shape[1]):
                 if j not in labels:
@@ -699,13 +708,62 @@ def save_csv(ds: Dataset, path: str) -> None:
             fh.flush()
             key = _sidecar_key(fh.name, ds.schema)
     if pinned:
-        # the arrays as the parse returns them: float64, each category its code
-        features = np.array(ds.features, dtype=np.float64, order="C")
-        features[:, ds.schema.categorical_indices] = codes
-        with atomic_write(path + SIDECAR_SUFFIX, binary=True) as fh:
-            fh.write(key)
-            for arr in (features, ds.treatment.astype(np.int64), ds.outcome.astype(np.int64)):
-                np.save(fh, arr)
+        _save_sidecar(path, key, features, ds.treatment, ds.outcome)
+
+
+def _save_sidecar(path: str, key: bytes, features, treatment, outcome) -> None:
+    """Atomically write the sidecar of the CSV file at `path`: `key`, then
+    C-order `np.save` records of the float64 features and int64 bits."""
+    with atomic_write(path + SIDECAR_SUFFIX, binary=True) as fh:
+        fh.write(key)
+        for arr, dtype in ((features, np.float64), (treatment, np.int64), (outcome, np.int64)):
+            np.save(fh, np.ascontiguousarray(arr, dtype))
+
+
+def save_csv_rows(ds: Dataset, source: str, parts: list[tuple[np.ndarray, str]]) -> None:
+    """Write what `save_csv(ds.subset(rows), path)` writes for each (rows,
+    path) of `parts`. When each part's rows are ascending and in no other
+    part, no column name or label holds a line break, and the sidecar of the
+    CSV file `source` matches it and holds `ds`'s arrays, `source` holds
+    those rows' text one line each: the lines are then copied in one pass of
+    CSV_BLOCK_ROWS lines, each sidecar key hashed from the bytes written."""
+    # the part of each line of `source`: -1 for none, -2 for the header, which every part gets
+    owner = np.r_[-2, np.full(ds.n, -1)]
+    for k, (rows, _) in enumerate(parts):
+        owner[1:][rows] = k
+    ordered = all(np.array_equal(np.flatnonzero(owner[1:] == k), rows) for k, (rows, _) in enumerate(parts))
+    breaks = any("\r" in s or "\n" in s for c in ds.schema.columns for s in (c.name, *c.categories))
+    if not ordered or breaks or not _sidecar_holds(ds, source):
+        for rows, path in parts:
+            save_csv(ds.subset(rows), path)
+        return
+    keys = [_sidecar_hash(ds.schema) for _ in parts]
+    with ExitStack() as stack, open(source, "rb") as src:
+        outs = [stack.enter_context(atomic_write(path, binary=True)) for _, path in parts]
+        seen = 0
+        while lines := list(itertools.islice(src, CSV_BLOCK_ROWS)):
+            mine, seen = owner[seen : seen + len(lines)], seen + len(lines)
+            for k, (fh, key) in enumerate(zip(outs, keys)):
+                text = b"".join([lines[i] for i in np.flatnonzero(np.isin(mine, (k, -2))).tolist()])
+                fh.write(text)
+                key.update(text)
+        if seen != 1 + ds.n:
+            raise ParseError(f"{source}: {seen - 1} rows, where its sidecar holds {ds.n}")
+    for (rows, path), key in zip(parts, keys):
+        _save_sidecar(path, key.digest(), ds.features[rows], ds.treatment[rows], ds.outcome[rows])
+
+
+def _sidecar_holds(ds: Dataset, path: str) -> bool:
+    """Whether the sidecar of the CSV file at `path` matches it under
+    `ds.schema` and holds `ds`'s arrays, features bit for bit: -0.0 is
+    written apart from 0.0."""
+    stored = _load_sidecar(path, ds.schema)
+    X = np.asarray(ds.features, dtype=np.float64)
+    return stored is not None and X.shape == stored.features.shape and bool(
+        np.all(X.view(np.int64) == stored.features.view(np.int64))
+        and np.array_equal(ds.treatment, stored.treatment)
+        and np.array_equal(ds.outcome, stored.outcome)
+    )
 
 
 def _csv_field(value: str) -> str:

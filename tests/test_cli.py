@@ -13,6 +13,7 @@ import pytest
 
 import kdsm
 from kdsm import cli, distill
+from kdsm import data as data_module
 from kdsm.cli import (
     KEYS,
     RunConfig,
@@ -209,6 +210,25 @@ def test_true_cate_and_split_indices_keep_their_bytes(tmp_path):
     for name in ("train", "valid", "test"):
         lines.append(f"{name}: " + " ".join(str(int(i)) for i in split.indices[name]))
     assert read_bytes(os.path.join(out, "split_indices.txt")) == ("\n".join(lines) + "\n").encode()
+
+
+def test_split_writes_the_same_files_with_and_without_the_dataset_sidecar(tmp_path, monkeypatch):
+    cfg, out = write_cfg(str(tmp_path), extra="synth.n = 20000\n")
+    assert main(["synth", "--config", cfg]) == 0
+    names = [f"{name}.csv{suffix}" for name in ("train", "valid", "test") for suffix in ("", SIDECAR_SUFFIX)]
+    with monkeypatch.context() as m:
+        # beside its sidecar, dataset.csv holds every row's text: no row is formatted again
+        m.setattr(data_module, "save_csv", refuse_to_format)
+        assert main(["split", "--config", cfg]) == 0
+    copied = {name: read_bytes(os.path.join(out, name)) for name in names}
+    for name in names + ["dataset.csv" + SIDECAR_SUFFIX]:
+        os.remove(os.path.join(out, name))
+    assert main(["split", "--config", cfg]) == 0
+    assert {name: read_bytes(os.path.join(out, name)) for name in names} == copied
+
+
+def refuse_to_format(*args, **kwargs):
+    raise AssertionError("save_csv was called")
 
 
 def test_unknown_config_key_is_rejected(tmp_path, capsys):

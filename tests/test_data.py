@@ -30,6 +30,7 @@ from kdsm.data import (
     load_csv,
     load_document,
     save_csv,
+    save_csv_rows,
     split_dataset,
 )
 from kdsm.errors import DomainError, KdsmError, ParseError, SchemaError
@@ -898,3 +899,158 @@ def test_atomic_write_replaces_only_on_success(tmp_path):
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "one\n"
     assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_save_csv_formats_an_integer_matrix_as_its_float64_values(tmp_path):
+    floats = whole_numbers(make_dataset(30, n_categorical=1))
+    ints = Dataset(floats.schema, floats.features.astype(np.int64), floats.treatment, floats.outcome)
+    a, b = str(tmp_path / "int.csv"), str(tmp_path / "float.csv")
+    save_csv(ints, a)
+    save_csv(floats, b)
+    assert read(a) == read(b)
+    assert read(a + SIDECAR_SUFFIX) == read(b + SIDECAR_SUFFIX)
+    assert read(a).split(b"\r\n")[1].split(b",")[0] == repr(float(floats.features[0, 0])).encode()
+
+
+def whole_numbers(ds):
+    """`ds` with its numeric columns rounded to whole numbers."""
+    ds.features[:, :2] = np.rint(ds.features[:, :2] * 9)
+    return ds
+
+
+# --- split files copied from the source CSV ---
+
+
+def read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def three_parts(tmp_path, n):
+    """Three disjoint ascending parts of n rows; about a quarter of the rows
+    are in none."""
+    owner = np.random.default_rng(7).integers(0, 4, n)
+    return [(np.flatnonzero(owner == k), str(tmp_path / f"part{k}.csv")) for k in range(3)]
+
+
+def assert_saved_as_each_subset(tmp_path, ds, parts):
+    """Each part's file holds the row oracle's CSV of its subset, and its
+    sidecar is the one save_csv writes beside that subset, or is absent
+    alike."""
+    expected = str(tmp_path / "expected.csv")
+    for rows, path in parts:
+        oracles.save_csv(ds.subset(rows), expected)
+        assert read(path) == read(expected)
+        save_csv(ds.subset(rows), expected)
+        assert os.path.exists(path + SIDECAR_SUFFIX) == os.path.exists(expected + SIDECAR_SUFFIX)
+        if os.path.exists(expected + SIDECAR_SUFFIX):
+            assert read(path + SIDECAR_SUFFIX) == read(expected + SIDECAR_SUFFIX)
+            os.remove(expected + SIDECAR_SUFFIX)
+
+
+def saves_rows(ds, source, parts):
+    """save_csv_rows, and whether it went through save_csv."""
+    with mock.patch.object(data_module, "save_csv", wraps=save_csv) as spy:
+        save_csv_rows(ds, source, parts)
+    return spy.called
+
+
+LABELLED = {
+    "csv-special": ("a,b", 'say "hi"', "é語"),
+    "line-breaks": ("a\r\nb", "c\nd", "e\rf"),
+}
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2 * B + 3])
+def test_save_csv_rows_copies_the_lines_of_a_source_its_sidecar_matches(tmp_path, n, loaded):
+    ds = make_dataset(n, n_categorical=2)
+    source = saved(tmp_path, ds)
+    if loaded:  # as `kdsm split` has it: the dataset the sidecar holds
+        ds = load_csv(source, ds.schema)
+    parts = three_parts(tmp_path, n) + [(np.array([], dtype=np.int64), str(tmp_path / "empty.csv"))]
+    assert not saves_rows(ds, source, parts)
+    assert_saved_as_each_subset(tmp_path, ds, parts)
+
+
+def test_save_csv_rows_copies_csv_quoted_labels_and_an_integer_matrix(tmp_path):
+    ds = make_dataset(2 * B + 3, n_categorical=1)
+    ds.schema = FeatureSchema((*ds.schema.columns[:2], Column("c0", "categorical", 3, LABELLED["csv-special"])))
+    source = saved(tmp_path, ds)
+    parts = three_parts(tmp_path, ds.n)
+    assert not saves_rows(ds, source, parts)
+    assert_saved_as_each_subset(tmp_path, ds, parts)
+    # whole values in an int64 matrix are written as their float64 values
+    source = saved(tmp_path, whole_numbers(ds))
+    ints = Dataset(ds.schema, ds.features.astype(np.int64), ds.treatment, ds.outcome)
+    assert not saves_rows(ints, source, parts)
+    assert_saved_as_each_subset(tmp_path, ds, parts)
+
+
+def _other_arrays(ds, source):
+    ds.outcome[B + 1] ^= 1
+
+
+def _negative_zero(ds, source):
+    ds.features[B + 1, 0] = -0.0  # equal to the 0.0 the source holds, but written apart
+
+
+def _stale(ds, source):
+    text = read(source)
+    with open(source, "wb") as fh:  # one digit edited, the sidecar left as it was
+        fh.write(text.replace(b"0.", b"1.", 1))
+
+
+def _no_sidecar(ds, source):
+    os.remove(source + SIDECAR_SUFFIX)
+
+
+def _labelled(ds, source):
+    ds.schema = FeatureSchema((*ds.schema.columns[:2], Column("c0", "categorical", 3, LABELLED["line-breaks"])))
+    save_csv(ds, source)
+
+
+def _column_name_with_a_line_break(ds, source):
+    ds.schema = FeatureSchema((Column("x\n0", "numeric"), *ds.schema.columns[1:]))
+    save_csv(ds, source)
+
+
+@pytest.mark.parametrize(
+    "spoil", [_no_sidecar, _stale, _other_arrays, _negative_zero, _labelled, _column_name_with_a_line_break]
+)
+def test_save_csv_rows_formats_each_part_unless_the_source_holds_its_lines(tmp_path, spoil):
+    ds = make_dataset(2 * B + 3, n_categorical=1)
+    ds.features[B + 1, 0] = 0.0
+    source = saved(tmp_path, ds)
+    spoil(ds, source)
+    parts = three_parts(tmp_path, ds.n)
+    assert saves_rows(ds, source, parts)
+    assert_saved_as_each_subset(tmp_path, ds, parts)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[5, 3, 9], [1]], [[1, 2, 3], [3, 4]], [[2, 2], [4]], [[-1], [0]]],
+    ids=["unsorted", "overlapping", "repeated", "negative"],
+)
+def test_save_csv_rows_formats_rows_out_of_order_as_each_subset(tmp_path, rows):
+    ds = make_dataset(12, n_categorical=1)
+    source = saved(tmp_path, ds)
+    parts = [(np.array(r), str(tmp_path / f"part{k}.csv")) for k, r in enumerate(rows)]
+    assert saves_rows(ds, source, parts)
+    assert_saved_as_each_subset(tmp_path, ds, parts)
+
+
+def test_save_csv_rows_rejects_a_source_whose_row_count_is_not_its_sidecars(tmp_path):
+    ds = make_dataset(20, n_categorical=1)
+    source = saved(tmp_path, ds)
+    text = read(source)
+    with open(source, "wb") as fh:  # a row twice, and a sidecar keyed to match
+        fh.write(text + text[text.rindex(b"\r\n", 0, -2) + 2 :])
+    sidecar = read(source + SIDECAR_SUFFIX)
+    with open(source + SIDECAR_SUFFIX, "wb") as fh:
+        fh.write(data_module._sidecar_key(source, ds.schema) + sidecar[32:])
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(ParseError, match="21 rows, where its sidecar holds 20"):
+        save_csv_rows(ds, source, three_parts(tmp_path, ds.n))
+    assert sorted(os.listdir(tmp_path)) == before

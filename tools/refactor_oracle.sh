@@ -18,6 +18,11 @@
 #     copied beside the edited copy, so a stale sidecar must be ignored.
 #     Its exit code and its stderr, with the run directory replaced by OUT,
 #     are compared as files;
+#   - split on a copy of the synthesized dataset.csv and schema.json
+#     without the dataset's array sidecar, into its own directory. The
+#     default chain's split reads dataset.csv beside its sidecar, which a
+#     checkout may use to copy each row's text, so both ways of writing
+#     train/valid/test.csv and their sidecars are compared;
 #   - train for all five methods, plus kdsm --lambda 0, kdsm
 #     --drop-leftovers and kdss --lambda 0, each to its own --out;
 #   - evaluate on every model and on the tree;
@@ -84,6 +89,7 @@ run_side() {
         printf '%s\n' 'synth.n = 5000' 'synth.effect_function = linear-clipped' 'synth.base_rate = 0.2'
     } >"$cfg.linear_clipped"
     printf 'out.dir = %s\ndata.dir = %s\n' "$out/bad_csv" "$out/bad_csv" >"$cfg.bad_csv"
+    printf 'out.dir = %s\ndata.dir = %s\n' "$out/no_sidecar" "$out/no_sidecar" >"$cfg.no_sidecar"
     {
         printf 'out.dir = %s\n' "$out/compare_failing"
         printf '%s\n' 'synth.n = 3000' 'synth.effect_function = zero' \
@@ -141,6 +147,9 @@ TUNED
         kdsm split --config "$cfg.bad_csv" 2>"$work/$2.bad_csv.stderr" || status=$?
         echo "$status" >"$out/bad_csv/split_exit_code.txt"
         sed "s#$out#OUT#g" "$work/$2.bad_csv.stderr" >"$out/bad_csv/split_stderr.txt"
+        mkdir "$out/no_sidecar"
+        cp "$out/data/schema.json" "$out/data/dataset.csv" "$out/no_sidecar/"
+        kdsm split --config "$cfg.no_sidecar"
         kdsm split --config "$cfg"
         kdsm fit-tree --config "$cfg"
         local variant method flags
