@@ -721,12 +721,14 @@ def _save_sidecar(path: str, key: bytes, features, treatment, outcome) -> None:
 
 
 def save_csv_rows(ds: Dataset, source: str, parts: list[tuple[np.ndarray, str]]) -> None:
-    """Write what `save_csv(ds.subset(rows), path)` writes for each (rows,
-    path) of `parts`. When each part's rows are ascending and in no other
-    part, no column name or label holds a line break, and the sidecar of the
-    CSV file `source` matches it and holds `ds`'s arrays, `source` holds
-    those rows' text one line each: the lines are then copied in one pass of
-    CSV_BLOCK_ROWS lines, each sidecar key hashed from the bytes written."""
+    """Write to each (rows, path) of `parts` what `save_csv(ds.subset(rows),
+    path)` writes. While the sidecar of the CSV file `source` matches it and
+    holds `ds`'s arrays, and no column name or label holds a line break,
+    `source` is `save_csv`'s text of `ds`, one line per row. If each part's
+    rows are also ascending and in no other part, their lines are copied in
+    one pass over `source` of CSV_BLOCK_ROWS lines at a time, each sidecar
+    key hashed from the bytes as written; a `source` that turns out to hold
+    another number of rows raises ParseError and leaves every path as it was."""
     # the part of each line of `source`: -1 for none, -2 for the header, which every part gets
     owner = np.r_[-2, np.full(ds.n, -1)]
     for k, (rows, _) in enumerate(parts):

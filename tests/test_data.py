@@ -901,6 +901,20 @@ def test_atomic_write_replaces_only_on_success(tmp_path):
     assert os.listdir(tmp_path) == ["a.txt"]
 
 
+# --- CSV text from values alone, and split files copied from a source CSV ---
+
+
+def read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def whole_numbers(ds):
+    """`ds` with its numeric columns rounded to whole numbers."""
+    ds.features[:, :2] = np.rint(ds.features[:, :2] * 9)
+    return ds
+
+
 def test_save_csv_formats_an_integer_matrix_as_its_float64_values(tmp_path):
     floats = whole_numbers(make_dataset(30, n_categorical=1))
     ints = Dataset(floats.schema, floats.features.astype(np.int64), floats.treatment, floats.outcome)
@@ -910,20 +924,6 @@ def test_save_csv_formats_an_integer_matrix_as_its_float64_values(tmp_path):
     assert read(a) == read(b)
     assert read(a + SIDECAR_SUFFIX) == read(b + SIDECAR_SUFFIX)
     assert read(a).split(b"\r\n")[1].split(b",")[0] == repr(float(floats.features[0, 0])).encode()
-
-
-def whole_numbers(ds):
-    """`ds` with its numeric columns rounded to whole numbers."""
-    ds.features[:, :2] = np.rint(ds.features[:, :2] * 9)
-    return ds
-
-
-# --- split files copied from the source CSV ---
-
-
-def read(path):
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 def three_parts(tmp_path, n):
@@ -955,12 +955,6 @@ def saves_rows(ds, source, parts):
     return spy.called
 
 
-LABELLED = {
-    "csv-special": ("a,b", 'say "hi"', "é語"),
-    "line-breaks": ("a\r\nb", "c\nd", "e\rf"),
-}
-
-
 @pytest.mark.parametrize("loaded", [False, True])
 @pytest.mark.parametrize("n", [0, 1, 2 * B + 3])
 def test_save_csv_rows_copies_the_lines_of_a_source_its_sidecar_matches(tmp_path, n, loaded):
@@ -975,7 +969,7 @@ def test_save_csv_rows_copies_the_lines_of_a_source_its_sidecar_matches(tmp_path
 
 def test_save_csv_rows_copies_csv_quoted_labels_and_an_integer_matrix(tmp_path):
     ds = make_dataset(2 * B + 3, n_categorical=1)
-    ds.schema = FeatureSchema((*ds.schema.columns[:2], Column("c0", "categorical", 3, LABELLED["csv-special"])))
+    ds.schema = FeatureSchema((*ds.schema.columns[:2], Column("c0", "categorical", 3, ("a,b", 'say "hi"', "é語"))))
     source = saved(tmp_path, ds)
     parts = three_parts(tmp_path, ds.n)
     assert not saves_rows(ds, source, parts)
@@ -1006,7 +1000,7 @@ def _no_sidecar(ds, source):
 
 
 def _labelled(ds, source):
-    ds.schema = FeatureSchema((*ds.schema.columns[:2], Column("c0", "categorical", 3, LABELLED["line-breaks"])))
+    ds.schema = FeatureSchema((*ds.schema.columns[:2], Column("c0", "categorical", 3, ("a\r\nb", "c\nd", "e\rf"))))
     save_csv(ds, source)
 
 
