@@ -329,6 +329,8 @@ class Dataset:
     features: np.ndarray
     treatment: np.ndarray
     outcome: np.ndarray
+    #: (path, schema, *arrays) when `load_csv` read these read-only arrays from path's sidecar
+    source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -484,6 +486,7 @@ def load_csv(path: str, schema: FeatureSchema) -> Dataset:
     first bad cell. The file is not parsed at all when the sidecar that
     `save_csv` wrote beside it still matches it: a sidecar written for the
     file's exact bytes under an equal schema holds what the parse returns.
+    The arrays read from a sidecar are read-only.
     """
     ds = _load_sidecar(path, schema)
     if ds is not None:
@@ -561,6 +564,9 @@ def _load_sidecar(path: str, schema: FeatureSchema) -> Dataset | None:
             ds = Dataset(schema, np.load(fh), np.load(fh), np.load(fh))
             if ds.features.dtype == np.float64 and ds.treatment.dtype == ds.outcome.dtype == np.int64:
                 ds.validate()
+                ds.source = (path, schema, ds.features, ds.treatment, ds.outcome)
+                for a in ds.source[2:]:
+                    a.flags.writeable = False
                 return ds
     return None
 
@@ -758,7 +764,10 @@ def save_csv_rows(ds: Dataset, source: str, parts: list[tuple[np.ndarray, str]])
 def _sidecar_holds(ds: Dataset, path: str) -> bool:
     """Whether the sidecar of the CSV file at `path` matches it under
     `ds.schema` and holds `ds`'s arrays, features bit for bit: -0.0 is
-    written apart from 0.0."""
+    written apart from 0.0; known for the arrays `load_csv` read from it."""
+    loaded = (ds.schema, ds.features, ds.treatment, ds.outcome)
+    if ds.source and ds.source[0] == path and all(a is b for a, b in zip(ds.source[1:], loaded)):
+        return True
     stored = _load_sidecar(path, ds.schema)
     X = np.asarray(ds.features, dtype=np.float64)
     return stored is not None and X.shape == stored.features.shape and bool(

@@ -164,10 +164,16 @@ def _kl_gain(nt_l, nc_l, pt_l, pc_l, nt_r, nc_r, pt_r, pc_r, parent: NodeStats):
     return (n_l / n) * kl_l + (n_r / n) * kl_r - kl_p
 
 
-def _numeric_thresholds(values: np.ndarray, q: int) -> np.ndarray:
-    """Up to `q` candidate thresholds: midpoints of q+1 equally spaced
-    quantiles of the node's values, deduplicated ascending."""
-    qs = np.quantile(values, np.linspace(0.0, 1.0, q + 1))
+def _thresholds(values: np.ndarray, q: int) -> np.ndarray:
+    """Up to `q` candidate thresholds of ascending `values`: midpoints of the
+    q+1 equally spaced quantiles, each `np.quantile`'s linear one to the bit,
+    deduplicated ascending."""
+    at = (values.size - 1) * np.linspace(0.0, 1.0, q + 1)
+    # as numpy does: the maximum at index -1, its weight counted from there
+    lo = np.where(at >= values.size - 1, -1, np.floor(at)).astype(np.intp)
+    w = at - lo
+    a, b = values[lo], values[np.where(lo < 0, lo, lo + 1)]
+    qs = np.where(w >= 0.5, b - (b - a) * (1 - w), a + (b - a) * w)
     return np.unique((qs[:-1] + qs[1:]) / 2.0)
 
 
@@ -200,29 +206,24 @@ def _candidate_scores(params: TreeParams, left, parent: NodeStats):
     return scores
 
 
-def _best_split(X, t, y, rows, stats: NodeStats, params: TreeParams, schema: FeatureSchema):
-    """Best candidate rule at a node, or None. Ties go to the lowest
-    (feature index, candidate index)."""
-    t_rows = t[rows]
-    y_rows = y[rows]
-    tyc = t_rows * 2 + y_rows  # 0: control/neg, 1: control/pos, 2: treated/neg, 3: treated/pos
+def _best_split(X, tyc, rows, orders, stats: NodeStats, params: TreeParams, schema: FeatureSchema):
+    """Best candidate rule at a node, or None: `orders[f]` holds its `rows` in
+    ascending order of X[:, f]. Ties go to the lowest (feature index, candidate index)."""
     best_score = -np.inf
     best_rule: SplitRule | None = None
     for f, col in enumerate(schema.columns):
-        vals = X[rows, f]
         if col.kind == NUMERIC:
-            thresholds = _numeric_thresholds(vals, params.numeric_split_candidates)
-            if thresholds.size == 0:
-                continue
-            bins = np.searchsorted(thresholds, vals, side="left")
-            combo = bins * 4 + tyc
-            counts = np.bincount(combo, minlength=(thresholds.size + 1) * 4).reshape(-1, 4)
-            # left counts for threshold j are rows with bins <= j
-            left = np.cumsum(counts, axis=0)[: thresholds.size]
+            order = orders[f]
+            vals = X[order, f]
+            thresholds = _thresholds(vals, params.numeric_split_candidates)
+            # the rows at sorted positions below ends[j] are those <= thresholds[j]
+            ends = np.searchsorted(vals, thresholds, side="right")
+            bins = np.repeat(np.arange(ends.size + 1), np.diff(ends, prepend=0, append=vals.size))
+            counts = np.bincount(bins * 4 + tyc[order], minlength=(thresholds.size + 1) * 4)
+            left = np.cumsum(counts.reshape(-1, 4), axis=0)[: thresholds.size]
             candidates = thresholds
         else:
-            codes = vals.astype(np.int64)
-            combo = codes * 4 + tyc
+            combo = X[rows, f].astype(np.int64) * 4 + tyc[rows]
             counts = np.bincount(combo, minlength=col.cardinality * 4).reshape(-1, 4)
             observed = np.flatnonzero(counts.sum(axis=1) > 0)
             if observed.size < 2:
@@ -253,8 +254,9 @@ def fit_tree(ds: Dataset, params: TreeParams, seed: int = 0) -> UpliftTree:
 
     Recursion stops at max_depth, when no candidate leaves at least
     min_samples_per_arm rows of each arm in both children, or when the best
-    gain does not exceed min_gain. Deterministic given (ds, params); `seed`
-    is accepted for interface stability and currently unused.
+    gain does not exceed min_gain. Each numeric column is sorted once, and
+    every child keeps its parent's order of it. Deterministic given (ds,
+    params); `seed` is accepted for interface stability and currently unused.
     """
     ds.validate()
     X, t, y = ds.features, ds.treatment, ds.outcome
@@ -264,19 +266,25 @@ def fit_tree(ds: Dataset, params: TreeParams, seed: int = 0) -> UpliftTree:
             f"cannot fit: root has {root_stats.n_t} treated and {root_stats.n_c} control rows"
         )
     tree = UpliftTree(schema=ds.schema, params=params)
+    tyc = t * 2 + y  # 0: control/neg, 1: control/pos, 2: treated/neg, 3: treated/pos
 
-    def build(rows: np.ndarray, depth: int) -> None:
+    def build(rows: np.ndarray, orders: dict, depth: int) -> None:
         stats = NodeStats.from_arrays(t[rows], y[rows])
         node = TreeNode(stats=stats)
         tree.nodes.append(node)
         if depth < params.max_depth:
-            node.rule = _best_split(X, t, y, rows, stats, params, ds.schema)
+            node.rule = _best_split(X, tyc, rows, orders, stats, params, ds.schema)
             if node.rule is not None:
-                go_left = node.rule.goes_left(X[rows, node.rule.feature])
-                build(rows[go_left], depth + 1)
-                build(rows[~go_left], depth + 1)
+                left = node.rule.goes_left(X[:, node.rule.feature])
+                # a child's orders are filtered from its parent's just before it is built
+                for side in (left, ~left):
+                    build(rows[side[rows]], {f: r[side[r]] for f, r in orders.items()}, depth + 1)
 
-    build(np.arange(ds.n, dtype=np.int64), 0)
+    # equal values share a side of every threshold, so any order of ties will
+    # do; the narrowest index type keeps the orders small
+    narrow = np.min_scalar_type(ds.n)
+    orders = {f: np.argsort(X[:, f]).astype(narrow) for f in ds.schema.numeric_indices}
+    build(np.arange(ds.n, dtype=np.int64), orders, 0)
     _link_preorder(tree.nodes)
     return tree
 

@@ -1,21 +1,24 @@
 """Reference implementations the tests check the library against.
 
 Each one computes a quantity the simple, slow or single-row way: scalar
-losses and forward passes, the quadratic curve recount, criterion values of
-one candidate split, single-row routing, a curve file reader, and CSV
-reading and writing one row and one cell at a time.
+losses and forward passes, training one step at a time, the quadratic curve
+recount, criterion values of one candidate split, the per-node tree fit,
+single-row routing, a curve file reader, and CSV reading and writing one row
+and one cell at a time.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from kdsm import distill
 from kdsm.data import CATEGORICAL, NUMERIC, Column, Dataset, FeatureSchema
 from kdsm.errors import DomainError, MetricError, ParseError, SchemaError
 from kdsm.metrics import Curve, _check_eval_inputs
+from kdsm.seeds import derive_seed
 from kdsm.student import (
     PROB_EPS,
     LossBatch,
@@ -24,11 +27,28 @@ from kdsm.student import (
     StepBuffers,
     StudentModel,
     _bce_vec,
+    backward,
+    backward_mse,
+    init_optimizer,
+    init_student,
     _forward_cached,
     _probability,
     forward_batch,
+    train_inputs,
 )
-from kdsm.tree import NodeStats, UpliftTree, _ed, _kl_gain, leaf_of_batch, predict_uplift_tree_batch
+from kdsm.tree import (
+    NodeStats,
+    SplitRule,
+    TreeNode,
+    TreeParams,
+    UpliftTree,
+    _candidate_scores,
+    _ed,
+    _kl_gain,
+    _link_preorder,
+    leaf_of_batch,
+    predict_uplift_tree_batch,
+)
 
 # --- student ---
 
@@ -48,7 +68,7 @@ def bce(y: float, y_hat: float) -> float:
 
 def batch_loss(model: StudentModel, batch: LossBatch) -> LossParts:
     """Loss of a batch without gradients; same reduction as `backward`."""
-    z_raw, _, _ = _forward_cached(model, batch.X, batch.T, StepBuffers(model))
+    z_raw, _, _ = _forward_cached(model, train_inputs(model, batch.X), batch.T, StepBuffers(model))
     p = _probability(z_raw)
     hard = float(np.sum(batch.bce_weight * _bce_vec(batch.y, p)))
     if batch.lam != 0.0 and batch.kd_pairs.shape[0]:
@@ -108,6 +128,90 @@ def pair_loss(model: StudentModel, ds: Dataset, pair: SamplePair, kd_weight: flo
     return LossParts(total, hard, soft)
 
 
+def assemble_batch(ds: Dataset, units, start: int, stop: int, kd_weight: float) -> LossBatch:
+    """The LossBatch of units[start:stop] alone, as `distill._batches` lays
+    out each batch: the treated pass of every pair, the control pass of every
+    pair, then every singleton on its own arm; the raw feature rows, with no
+    `inputs`."""
+    a = units.a[start:stop]
+    b = units.b[start:stop]
+    pair = b >= 0
+    k = int(np.count_nonzero(pair))
+    single = a[~pair]
+    rows = np.concatenate([a[pair], b[pair], single])
+    T = np.concatenate([np.ones(k), np.zeros(k), ds.treatment[single].astype(np.float64)])
+    if kd_weight > 0.0 and k:
+        kd_pairs = np.stack([np.arange(k), k + np.arange(k)], axis=1)
+        targets = units.u[start:stop][pair]
+    else:
+        kd_pairs = np.zeros((0, 2), dtype=np.int64)
+        targets = np.zeros(0)
+    return LossBatch(
+        X=ds.features[rows],
+        T=T,
+        y=ds.outcome[rows].astype(np.float64),
+        bce_weight=(ds.treatment[rows] == T).astype(np.float64),
+        kd_pairs=kd_pairs,
+        kd_targets=targets,
+        lam=kd_weight,
+        n_units=stop - start,
+    )
+
+
+def _per_step_track(model: StudentModel, stream, step) -> distill._Track:
+    """A track whose every step is `step(units, start, stop)`."""
+
+    def steps(epoch_seed, batch_size):
+        units = stream(epoch_seed)
+        for start in range(0, len(units), batch_size):
+            stop = min(start + batch_size, len(units))
+            yield step(units, start, stop), stop - start
+
+    return distill._Track(model, init_optimizer(model), steps)
+
+
+def _bce_track(model: StudentModel, ds: Dataset, stream, kd_weight: float) -> distill._Track:
+    return _per_step_track(
+        model, stream, lambda units, start, stop: backward(model, assemble_batch(ds, units, start, stop, kd_weight))
+    )
+
+
+def train(method: str, train: Dataset, valid: Dataset, tree: UpliftTree, cfg, hyper):
+    """`distill.train_<method>` ("kdsm", "kdss", "plain", "tm" or "mom")
+    one step at a time: every step assembles its batch from its units, and
+    `backward` checks, standardizes and indexes the embedding cells of its
+    raw feature rows."""
+    kd = hyper.kd_weight if method in ("kdsm", "kdss") else 0.0
+    report = distill.TrainReport(method, kd)
+    if method == "tm":
+        tracks = []
+        for arm, tag in ((1, "treated"), (0, "control")):
+            ds = train.subset(np.flatnonzero(train.treatment == arm))
+            model = init_student(replace(cfg, init_seed=derive_seed(cfg.init_seed, tag)), ds)
+            tracks.append(_bce_track(model, ds, distill._row_stream(ds.n, tags=(tag,)), 0.0))
+        result = distill.TwoModelResult(tracks[0].model, tracks[1].model)
+        return result, distill._train_loop(tracks, valid, hyper, result, report)
+    if method == "mom":
+        targets = distill.transformed_outcome(train)
+        model = init_student(cfg, train, head="regression", final_bias=float(targets.mean()))
+
+        def step(units, start, stop):
+            rows = units.a[start:stop]
+            return backward_mse(model, train.features[rows], targets[rows], stop - start)
+
+        track = _per_step_track(model, distill._row_stream(train.n), step)
+    else:
+        model = init_student(cfg, train)
+        if method == "kdsm":
+            stream = distill._pair_stream(train, tree, hyper.drop_leftovers)
+        elif method == "kdss":
+            stream = distill._row_stream(train.n, tree.predict_uplift(train.features) if kd > 0.0 else None)
+        else:
+            stream = distill._row_stream(train.n)
+        track = _bce_track(model, train, stream, kd)
+    return model, distill._train_loop([track], valid, hyper, model, report)
+
+
 # --- tree ---
 
 
@@ -136,6 +240,62 @@ def kl_value(left: NodeStats, right: NodeStats, parent: NodeStats) -> float | No
             parent,
         )
     )
+
+
+def numeric_thresholds(values: np.ndarray, q: int) -> np.ndarray:
+    """Up to `q` candidate thresholds of a node's values in any order:
+    midpoints of q+1 equally spaced `np.quantile`s, deduplicated ascending."""
+    qs = np.quantile(values, np.linspace(0.0, 1.0, q + 1))
+    return np.unique((qs[:-1] + qs[1:]) / 2.0)
+
+
+def best_split(X, t, y, rows, stats: NodeStats, params: TreeParams, schema: FeatureSchema):
+    """`tree._best_split` the per-node way: every numeric column's node
+    values go through `np.quantile`, and every row is binned against the
+    thresholds."""
+    tyc = t[rows] * 2 + y[rows]
+    best_score = -np.inf
+    best_rule = None
+    for f, col in enumerate(schema.columns):
+        vals = X[rows, f]
+        if col.kind == NUMERIC:
+            candidates = numeric_thresholds(vals, params.numeric_split_candidates)
+            bins = np.searchsorted(candidates, vals, side="left")
+            counts = np.bincount(bins * 4 + tyc, minlength=(candidates.size + 1) * 4).reshape(-1, 4)
+            left = np.cumsum(counts, axis=0)[: candidates.size]  # rows with bins <= j
+        else:
+            counts = np.bincount(vals.astype(np.int64) * 4 + tyc, minlength=col.cardinality * 4).reshape(-1, 4)
+            candidates = np.flatnonzero(counts.sum(axis=1) > 0)
+            if candidates.size < 2:
+                continue
+            left = counts[candidates]
+        scores = _candidate_scores(params, left, stats)
+        j = int(np.argmax(scores))
+        if np.isfinite(scores[j]) and scores[j] > best_score:
+            best_score = scores[j]
+            value = {"threshold": float(candidates[j])} if col.kind == NUMERIC else {"code": int(candidates[j])}
+            best_rule = SplitRule(feature=f, kind=col.kind, **value)
+    gain = best_score - stats.tau_hat**2 if params.criterion == "ed" else best_score
+    return best_rule if best_rule is not None and gain > params.min_gain else None
+
+
+def fit_tree(ds: Dataset, params: TreeParams) -> UpliftTree:
+    """`tree.fit_tree` the per-node way, through `best_split`."""
+    tree = UpliftTree(schema=ds.schema, params=params)
+
+    def build(rows: np.ndarray, depth: int) -> None:
+        node = TreeNode(NodeStats.from_arrays(ds.treatment[rows], ds.outcome[rows]))
+        tree.nodes.append(node)
+        if depth < params.max_depth:
+            node.rule = best_split(ds.features, ds.treatment, ds.outcome, rows, node.stats, params, ds.schema)
+            if node.rule is not None:
+                go_left = node.rule.goes_left(ds.features[rows, node.rule.feature])
+                build(rows[go_left], depth + 1)
+                build(rows[~go_left], depth + 1)
+
+    build(np.arange(ds.n, dtype=np.int64), 0)
+    _link_preorder(tree.nodes)
+    return tree
 
 
 def leaf_of(tree: UpliftTree, x: np.ndarray) -> int:

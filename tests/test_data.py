@@ -1048,3 +1048,28 @@ def test_save_csv_rows_rejects_a_source_whose_row_count_is_not_its_sidecars(tmp_
     with pytest.raises(ParseError, match="21 rows, where its sidecar holds 20"):
         save_csv_rows(ds, source, three_parts(tmp_path, ds.n))
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_a_split_of_the_dataset_its_source_loaded_proves_the_sidecar_once(tmp_path):
+    ds = make_dataset(2 * B + 3, n_categorical=2)
+    source = saved(tmp_path, ds)
+    parts = three_parts(tmp_path, ds.n)
+    with mock.patch.object(data_module, "_sidecar_key", wraps=data_module._sidecar_key) as key:
+        loaded = load_csv(source, ds.schema)
+        assert not saves_rows(loaded, source, parts)
+    assert key.call_count == 1  # load_csv's, which save_csv_rows does not repeat
+    assert_saved_as_each_subset(tmp_path, loaded, parts)
+
+
+def test_arrays_loaded_from_a_sidecar_are_read_only_and_others_are_checked_again(tmp_path):
+    ds = make_dataset(2 * B + 3, n_categorical=1)
+    source = saved(tmp_path, ds)
+    loaded = load_csv(source, ds.schema)
+    for arr in (loaded.features, loaded.treatment, loaded.outcome):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    parts = three_parts(tmp_path, ds.n)
+    loaded.outcome = loaded.outcome ^ (np.arange(ds.n) == B + 1)  # another array, which the sidecar does not hold
+    assert saves_rows(loaded, source, parts)
+    assert_saved_as_each_subset(tmp_path, loaded, parts)
+    assert load_csv(source, ds.schema).subset(np.arange(ds.n)).source is None

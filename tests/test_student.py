@@ -36,7 +36,7 @@ from kdsm.student import (
     student_from_jsonable,
     student_to_jsonable,
 )
-from kdsm.student import StepBuffers, _forward_cached
+from kdsm.student import StepBuffers, _forward_cached, train_inputs
 from kdsm.tree import TreeParams, fit_tree
 import oracles
 from oracles import batch_loss, bce, forward
@@ -368,7 +368,7 @@ B = SCORE_BLOCK_ROWS
 
 def oracle_logits(model, X, T):
     """Unblocked logits: the training forward over the whole input."""
-    return _forward_cached(model, X, T, StepBuffers(model))[0]
+    return _forward_cached(model, train_inputs(model, X), T, StepBuffers(model))[0]
 
 
 def oracle_prob(model, X, T):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -11,6 +12,7 @@ from kdsm.data import Column, Dataset, FeatureSchema, SyntheticConfig, gen_synth
 from kdsm.errors import DomainError, FitError, KdsmError, ParseError, SchemaError
 from kdsm.tree import (
     TreeParams,
+    _thresholds,
     fit_tree,
     leaf_of_batch,
     leaf_summary,
@@ -20,6 +22,7 @@ from kdsm.tree import (
     tree_from_jsonable,
     tree_to_jsonable,
 )
+import oracles
 from oracles import ed_value, kl_value, leaf_of, predict_uplift_tree, stats_from_counts
 
 
@@ -567,3 +570,87 @@ def test_tree_params_validation():
             TreeParams(min_gain=gain)
     with pytest.raises(DomainError):
         TreeParams(numeric_split_candidates=1)
+
+
+# --- presorted fit against the per-node fit ---
+
+TINY = 5e-324  # the smallest subnormal
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.7],
+        [0.7, -2.0],
+        [3.0, -1.0, 0.5],
+        [1.0, 1.0, 1.0, 1.0],
+        [2.0, 1.0, 2.0, 1.0, 2.0, 3.0, 3.0],
+        [-0.0, -0.0, 1.0],
+        [-0.0, -1.0, -0.0],
+        [0.0, 0.0, -1.0, 2.0],
+        [-0.0],
+        [TINY, -TINY, 0.0, 2.2250738585072014e-308, 1e-310],
+        [TINY, TINY, TINY],
+    ],
+)
+def test_sorted_thresholds_are_np_quantiles_midpoints_bit_for_bit(values):
+    v = np.array(values)
+    for q in range(1, 65):
+        assert bits(_thresholds(np.sort(v), q)) == bits(oracles.numeric_thresholds(v, q))
+
+
+def test_a_zero_threshold_may_take_either_sign_where_a_column_holds_both_zeros():
+    # np.quantile's own sign of such a zero follows the order of the rows,
+    # so the presorted fit matches it as a value, which routes alike
+    v = np.array([-1.0, -0.0, -0.0, -1.0, 0.0, -0.0])
+    orders = {bits(oracles.numeric_thresholds(v[list(p)], 4)) for p in itertools.permutations(range(v.size))}
+    assert len(orders) == 2
+    for q in range(1, 65):
+        assert np.array_equal(_thresholds(np.sort(v), q), oracles.numeric_thresholds(v, q))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([-3.0, -TINY, 0.0, TINY, 1e-310, 0.5, 2.0]), min_size=1, max_size=40), st.integers(1, 64))
+def test_sorted_thresholds_equal_the_per_node_ones(values, q):
+    v = np.array(values)
+    assert bits(_thresholds(np.sort(v), q)) == bits(oracles.numeric_thresholds(v, q))
+
+
+@st.composite
+def tied_trials(draw):
+    """A small trial whose numeric columns draw from a few values, so ties
+    are many, one of them maybe constant, and maybe a categorical column
+    with codes it never uses, under drawn params."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 400))
+    cols, feats = [], []
+    for j in range(draw(st.integers(1, 3))):
+        pool = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 0.5, 1.0, 3.0, 7.0]), min_size=1, max_size=5))
+        cols.append(Column(f"x{j}", "numeric"))
+        feats.append(rng.choice(pool, n))
+    if draw(st.booleans()):
+        card = draw(st.integers(2, 6))
+        cols.append(Column("c0", "categorical", card))
+        feats.append(rng.choice(draw(st.lists(st.integers(0, card - 1), min_size=1, max_size=card)), n).astype(np.float64))
+    X = np.column_stack(feats)
+    t = rng.permutation(np.arange(n) % 2)  # both arms at the root
+    y = (rng.random(n) < 0.2 + 0.5 * t * (X[:, 0] > X[:, 0].mean())).astype(np.int64)
+    params = TreeParams(
+        criterion=draw(st.sampled_from(["ed", "kl"])),
+        max_depth=draw(st.integers(1, 6)),
+        min_samples_per_arm=draw(st.integers(1, 50)),
+        min_gain=draw(st.sampled_from([0.0, 1e-4])),
+        numeric_split_candidates=draw(st.integers(2, 64)),  # TreeParams rejects 1
+    )
+    return dataset_from(X, t, y, FeatureSchema(tuple(cols))), params
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tied_trials())
+def test_presorted_fit_equals_the_per_node_fit(case):
+    ds, params = case
+    assert tree_to_jsonable(fit_tree(ds, params)) == tree_to_jsonable(oracles.fit_tree(ds, params))

@@ -23,6 +23,11 @@
 #     default chain's split reads dataset.csv beside its sidecar, which a
 #     checkout may use to copy each row's text, so both ways of writing
 #     train/valid/test.csv and their sidecars are compared;
+#   - fit-tree twice more on the same train.csv, with --criterion ed and
+#     with --criterion kl, at tree.max_depth = 8, tree.min_samples_per_arm
+#     = 5 and tree.numeric_split_candidates = 64, each to its own --out: a
+#     deep tree byte-checks nodes of a few rows, thresholds that quantiles
+#     of tied values deduplicate, and nodes with no threshold to split at;
 #   - train for all five methods, plus kdsm --lambda 0, kdsm
 #     --drop-leftovers and kdss --lambda 0, each to its own --out;
 #   - evaluate on every model and on the tree;
@@ -89,6 +94,8 @@ run_side() {
         printf '%s\n' 'synth.n = 5000' 'synth.effect_function = linear-clipped' 'synth.base_rate = 0.2'
     } >"$cfg.linear_clipped"
     printf 'out.dir = %s\ndata.dir = %s\n' "$out/bad_csv" "$out/bad_csv" >"$cfg.bad_csv"
+    printf '%s\n' 'tree.max_depth = 8' 'tree.min_samples_per_arm = 5' 'tree.numeric_split_candidates = 64' |
+        cat "$cfg" - >"$cfg.deep"
     printf 'out.dir = %s\ndata.dir = %s\n' "$out/no_sidecar" "$out/no_sidecar" >"$cfg.no_sidecar"
     {
         printf 'out.dir = %s\n' "$out/compare_failing"
@@ -152,6 +159,8 @@ TUNED
         kdsm split --config "$cfg.no_sidecar"
         kdsm split --config "$cfg"
         kdsm fit-tree --config "$cfg"
+        kdsm fit-tree --config "$cfg.deep" --out "$out/deep_ed" --criterion ed
+        kdsm fit-tree --config "$cfg.deep" --out "$out/deep_kl" --criterion kl
         local variant method flags
         while read -r variant method flags; do
             # shellcheck disable=SC2086  # flags is a word list
