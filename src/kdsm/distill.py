@@ -43,7 +43,6 @@ from .student import (
     forward_batch,
     init_optimizer,
     init_student,
-    train_inputs,
 )
 from .tree import UpliftTree, leaf_of_batch
 
@@ -206,77 +205,73 @@ def _row_stream(n: int, teacher_uplift: np.ndarray | None = None, tags: tuple[st
     return lambda epoch_seed: units.shuffled(derive_seed(epoch_seed, "stream", *tags))
 
 
-def _batches(ds: Dataset, units: _Units, batch_size: int, kd_weight: float, rows_of):
-    """The LossBatch of each batch_size units of `units` in turn, sliced from
-    the passes of four batches at a time, laid out together. X holds the
-    passes' rows of `rows_of` (ds's features, or their `train_inputs`), which
-    four batches gather faster together than apart, in less memory than an epoch.
+def _assemble_batch(ds: Dataset, units: _Units, start: int, stop: int, kd_weight: float) -> LossBatch:
+    """Stack the forward passes of units[start:stop] into one LossBatch.
 
-    Pass layout of a batch: the treated pass of every pair, the control pass
-    of every pair, then every singleton on its own arm. A pass trains BCE
-    only where its treatment input is the row's own arm, so the
-    counterfactual pass of a single-sample unit feeds the soft term alone.
-    The soft term is materialized only when kd_weight > 0.
+    Pass layout: the treated pass of every pair, the control pass of every
+    pair, then every singleton on its own arm. A pass trains BCE only where
+    its treatment input is the row's own arm, so the counterfactual pass of
+    a single-sample unit feeds the soft term alone. The soft term is
+    materialized only when kd_weight > 0.
     """
-    for lo in range(0, len(units), 4 * batch_size):
-        a, b, u = (x[lo : lo + 4 * batch_size] for x in (units.a, units.b, units.u))
-        pair, i = b >= 0, np.arange(a.size)
-        batch = i // batch_size
-        pairs = np.bincount(batch[pair], minlength=-(-a.size // batch_size))  # per batch
-        ends = np.cumsum(pairs)  # pairs up to the end of each batch
-        before = np.cumsum(pair) - pair  # pairs before each unit
-        # a batch's passes follow the units and pairs before it; in it, a pair's two passes
-        # follow its earlier pairs', k apart, and a singleton all 2k and its earlier singletons
-        first = np.where(pair, batch * batch_size + before, 2 * ends[batch] + i - before)
-        second = first[pair] + pairs[batch[pair]]
-        rows, T = np.empty(a.size + second.size, np.int64), np.empty(a.size + second.size)
-        rows[first], rows[second] = a, b[pair]
-        T[first], T[second] = np.where(pair, 1.0, ds.treatment[a]), 0.0
-        y = ds.outcome[rows].astype(np.float64)
-        weight = (ds.treatment[rows] == T).astype(np.float64)
-        X, targets = rows_of[rows], u[pair]
-        for j, start in enumerate(range(0, a.size, batch_size)):
-            stop, k, end = min(start + batch_size, a.size), int(pairs[j]), int(ends[j])
-            at = slice(start + end - k, stop + end)
-            soft = kd_weight > 0.0 and k > 0
-            yield LossBatch(
-                X[at], T[at], y[at], weight[at],
-                kd_pairs=np.arange(k)[:, None] + [0, k] if soft else np.zeros((0, 2), np.int64),
-                kd_targets=targets[end - k : end] if soft else np.zeros(0),
-                lam=kd_weight, n_units=stop - start,
-            )
+    a = units.a[start:stop]
+    b = units.b[start:stop]
+    pair = b >= 0
+    k = int(np.count_nonzero(pair))
+    single = a[~pair]
+    rows = np.concatenate([a[pair], b[pair], single])
+    T = np.concatenate([np.ones(k), np.zeros(k), ds.treatment[single].astype(np.float64)])
+    if kd_weight > 0.0 and k:
+        kd_pairs = np.stack([np.arange(k), k + np.arange(k)], axis=1)
+        targets = units.u[start:stop][pair]
+    else:
+        kd_pairs = np.zeros((0, 2), dtype=np.int64)
+        targets = np.zeros(0)
+    return LossBatch(
+        X=ds.features[rows],
+        T=T,
+        y=ds.outcome[rows].astype(np.float64),
+        bce_weight=(ds.treatment[rows] == T).astype(np.float64),
+        kd_pairs=kd_pairs,
+        kd_targets=targets,
+        lam=kd_weight,
+        n_units=stop - start,
+    )
 
 
 @dataclass
 class _Track:
-    """One (model, optimizer) trained inside the shared loop: `steps(epoch_seed,
-    batch_size)` yields each step's (grads, LossParts) and unit count in turn."""
+    """One (model, optimizer, stream, loss step) trained inside the shared
+    loop: `build_units(epoch_seed)` gives an epoch's _Units, and
+    `step(units, start, stop)` the (grads, LossParts) of units[start:stop]."""
 
     model: StudentModel
     opt: OptimizerState
-    steps: object
+    build_units: object
+    step: object
 
 
 def _bce_track(model: StudentModel, ds: Dataset, stream, kd_weight: float) -> _Track:
-    """A track of `model` on the units `stream(epoch_seed)` of `ds` with the BCE and
-    soft terms of `_batches`; ds is checked once, so an error names its row."""
+    """A track of `model` on `ds` with the BCE and soft terms of `_assemble_batch`."""
+    checked_features(ds.schema, ds.features)  # so an error names its row of ds, not of a batch
     bufs = StepBuffers(model)
-    X = train_inputs(model, ds.features)
 
-    def steps(epoch_seed, batch_size):  # `backward` by module name, which a tracer rebinds
-        for batch in _batches(ds, stream(epoch_seed), batch_size, kd_weight, X):
-            yield backward(model, batch, bufs), batch.n_units
+    def step(units, start, stop):  # `backward` by module name, which a tracer rebinds
+        return backward(model, _assemble_batch(ds, units, start, stop, kd_weight), bufs)
 
-    return _Track(model, init_optimizer(model), steps)
+    return _Track(model, init_optimizer(model), stream, step)
 
 
 def _run_epoch(track: _Track, epoch_seed: int, batch_size: int) -> tuple[float, float, int]:
-    hard_sum, soft_sum, n_units = 0.0, 0.0, 0
-    for (grads, parts), n in track.steps(epoch_seed, batch_size):
+    units = track.build_units(epoch_seed)
+    hard_sum = soft_sum = 0.0
+    n_units = len(units)
+    for start in range(0, n_units, batch_size):
+        stop = min(start + batch_size, n_units)
+        grads, parts = track.step(units, start, stop)
         apply_update(track.model, grads, track.opt)
-        hard_sum += parts.hard * n
-        soft_sum += parts.soft * n
-        n_units += n
+        hard_sum += parts.hard * (stop - start)
+        soft_sum += parts.soft * (stop - start)
     return hard_sum, soft_sum, n_units
 
 
@@ -497,16 +492,15 @@ def train_mom(
     regressor of Y*; its raw output is the uplift prediction. The final bias
     starts at the mean transformed outcome (the pooled effect estimate)."""
     targets = transformed_outcome(train)
+    checked_features(train.schema, train.features)  # so an error names its row of train
     model = init_student(student_cfg, train, head="regression", final_bias=float(targets.mean()))
     bufs = StepBuffers(model)
-    X = train_inputs(model, train.features)
-    stream = _row_stream(train.n)
 
-    def steps(epoch_seed, batch_size):  # `backward_mse` by module name, which a tracer rebinds
-        for rows in np.split(stream(epoch_seed).a, range(batch_size, train.n, batch_size)):
-            yield backward_mse(model, X[rows], targets[rows], rows.size, bufs), rows.size
+    def step(units, start, stop):  # `backward_mse` by module name, which a tracer rebinds
+        rows = units.a[start:stop]
+        return backward_mse(model, train.features[rows], targets[rows], stop - start, bufs)
 
-    track = _Track(model, init_optimizer(model), steps)
+    track = _Track(model, init_optimizer(model), _row_stream(train.n), step)
     report = _train_loop([track], valid, hyper, model, TrainReport("mom", kd_weight=0.0))
     return model, report
 

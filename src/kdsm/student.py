@@ -170,8 +170,7 @@ class LossBatch:
     `kd_pairs` holds (treated-pass, control-pass) index pairs whose predicted
     difference is pulled toward `kd_targets` with weight `lam`; no pass
     appears in two pairs, and it must be empty when lam == 0. `n_units` is
-    the mean-reduction denominator. X holds the passes' feature rows, raw or
-    as `train_inputs` makes them.
+    the mean-reduction denominator.
     """
 
     X: np.ndarray
@@ -182,22 +181,6 @@ class LossBatch:
     kd_targets: np.ndarray
     lam: float
     n_units: int
-
-
-class TrainRows(np.ndarray):
-    """Feature rows as training reads them, made by `train_inputs`: numeric
-    cells standardized, each categorical cell the first cell of its code's
-    embedding row in `model.params`, which is also the row of its gradient."""
-
-
-def train_inputs(model: StudentModel, X: np.ndarray) -> TrainRows:
-    """The rows of X, which `checked_features` checks, as `TrainRows`."""
-    X, codes = checked_features(model.schema, X)
-    s, dim = model.schema, model.config.embedding_dim
-    rows = np.empty(X.shape)
-    rows[:, s.numeric_indices] = (X[:, s.numeric_indices] - model.num_mean) / model.num_std
-    rows[:, s.categorical_indices] = (np.cumsum(s.cardinalities) - s.cardinalities + codes) * dim
-    return rows.view(TrainRows)
 
 
 def init_student(
@@ -290,21 +273,18 @@ class StepBuffers:
         return [a[:n] for a in self.arrays]
 
 
-def _forward_cached(model: StudentModel, X: TrainRows, T: np.ndarray, bufs: StepBuffers):
+def _forward_cached(model: StudentModel, X: np.ndarray, T: np.ndarray, bufs: StepBuffers):
     """Raw output logits plus the input of each layer, which backprop needs
     (the training path; scoring goes through `_score_logits` or the one-row
-    pass), and the cells of the passes' embedding rows, each row's from its
-    first; every layer is written into `bufs`."""
-    s, dim = model.schema, model.config.embedding_dim
-    cells = X[:, s.categorical_indices].astype(np.intp)[:, :, None] + np.arange(dim)
+    pass), and the categorical codes; every layer is written into `bufs`."""
+    X, codes = checked_features(model.schema, X)
     hs = bufs.rows(X.shape[0])[: len(model.weights) + 1]
-    emb = model.params[cells].reshape(len(X), -1)
-    np.concatenate([X[:, s.numeric_indices], emb, np.reshape(T, (-1, 1))], axis=1, out=hs[0])
+    _assemble_input(model, X, codes, np.asarray(T, dtype=np.float64).ravel(), out=hs[0])
     h = np.matmul(hs[0], model.weights[0], out=hs[1])
     h += model.biases[0]
     z_raw = _remaining_layers(model, h, hs[2:]).ravel()
     # the activations ran in place, so each array but the output holds its layer's input
-    return z_raw, hs[:-1], cells
+    return z_raw, hs[:-1], codes
 
 
 def _score_logits(model: StudentModel, X: np.ndarray, codes: np.ndarray, arms: tuple) -> np.ndarray:
@@ -437,8 +417,7 @@ def backward(model: StudentModel, batch: LossBatch, bufs: StepBuffers | None = N
     when None, same bits) and returns `bufs.grads`, which the next step overwrites.
     """
     bufs = StepBuffers(model) if bufs is None else bufs
-    X = batch.X if isinstance(batch.X, TrainRows) else train_inputs(model, batch.X)
-    z_raw, hs, cells = _forward_cached(model, X, batch.T, bufs)
+    z_raw, hs, codes = _forward_cached(model, batch.X, batch.T, bufs)
     p = _probability(z_raw)
 
     in_band = (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
@@ -461,7 +440,7 @@ def backward(model: StudentModel, batch: LossBatch, bufs: StepBuffers | None = N
     dz = dz * (np.abs(z_raw) < LOGIT_CLAMP)
     dz /= batch.n_units
 
-    grads = _backprop(model, hs, cells, dz, bufs)
+    grads = _backprop(model, hs, codes, dz, bufs)
     n = batch.n_units
     return grads, LossParts(total / n, hard / n, soft / n)
 
@@ -474,23 +453,20 @@ def backward_mse(
     bufs: StepBuffers | None = None,
 ) -> tuple[np.ndarray, LossParts]:
     """Gradient of mean squared error of the raw output against `targets`
-    (regression head), and that loss; reduction divides by n_units; `bufs`
-    and X as in `backward`."""
+    (regression head), and that loss; reduction divides by n_units; `bufs` as in `backward`."""
     bufs = StepBuffers(model) if bufs is None else bufs
-    X = X if isinstance(X, TrainRows) else train_inputs(model, X)
-    z_raw, hs, cells = _forward_cached(model, X, np.zeros(X.shape[0]), bufs)
+    z_raw, hs, codes = _forward_cached(model, X, np.zeros(X.shape[0]), bufs)
     resid = z_raw - targets
     dz = 2.0 * resid / n_units
-    grads = _backprop(model, hs, cells, dz, bufs)
+    grads = _backprop(model, hs, codes, dz, bufs)
     loss = float(np.sum(resid**2)) / n_units
     return grads, LossParts(loss, loss, 0.0)
 
 
-def _backprop(model: StudentModel, hs, cells, dz: np.ndarray, bufs: StepBuffers) -> np.ndarray:
+def _backprop(model: StudentModel, hs, codes, dz: np.ndarray, bufs: StepBuffers) -> np.ndarray:
     """Propagate per-pass output gradients dz through the stack into
-    `bufs.grads`, laid out like `model.params`, the embeddings' into the
-    passes' `cells`, overwriting each input in `hs` once read by its
-    activation mask, or at layer 0 by its gradient.
+    `bufs.grads`, laid out like `model.params`, overwriting each input in
+    `hs` once read by its activation mask, or at layer 0 by its gradient.
     Raises TrainingError naming the parameter if any entry is non-finite."""
     g_emb, g_w, g_b = bufs.grad_views
     backs = bufs.rows(dz.shape[0])[len(model.weights) + 1 :]
@@ -511,12 +487,16 @@ def _backprop(model: StudentModel, hs, cells, dz: np.ndarray, bufs: StepBuffers)
             # all columns, though only the embeddings' are read: OpenBLAS picks its
             # kernel by shape, so fewer columns round otherwise at some batch sizes
             g = np.matmul(g, model.weights[0].T, out=hs[0])
-    # g now holds the gradient at the input layer, whose embedding columns go
-    # to the passes' `cells`: bincount sums each cell's contributions in row
-    # order from 0, exactly as an unbuffered scatter-add would
-    flat = bufs.grads[: sum(e.size for e in model.embeddings)]
-    block = g[:, model.schema.numeric_indices.size :][:, : cells.shape[1] * cells.shape[2]]
-    flat[...] = np.bincount(cells.ravel(), weights=block.ravel(), minlength=flat.size)
+    # g now holds the gradient at the input layer; route embedding blocks.
+    # bincount sums each cell's contributions in row order from 0, exactly
+    # as an unbuffered scatter-add would.
+    num_n = model.schema.numeric_indices.size
+    emb_dim = model.config.embedding_dim
+    cols = np.arange(emb_dim)
+    for j, emb in enumerate(model.embeddings):
+        block = g[:, num_n + j * emb_dim : num_n + (j + 1) * emb_dim]
+        cells = (codes[:, j, None] * emb_dim + cols).ravel()
+        g_emb[j][...] = np.bincount(cells, weights=block.ravel(), minlength=emb.size).reshape(emb.shape)
     if not np.isfinite(bufs.grads).all():
         for name, views in (("embedding", g_emb), ("weights", g_w), ("biases", g_b)):
             for i, view in enumerate(views):

@@ -167,14 +167,14 @@ def _kl_gain(nt_l, nc_l, pt_l, pc_l, nt_r, nc_r, pt_r, pc_r, parent: NodeStats):
 def _thresholds(values: np.ndarray, q: int) -> np.ndarray:
     """Up to `q` candidate thresholds of ascending `values`: midpoints of the
     q+1 equally spaced quantiles, each `np.quantile`'s linear one to the bit,
-    deduplicated ascending."""
+    deduplicated ascending, a zero always +0.0 whatever the order of tied zeros."""
     at = (values.size - 1) * np.linspace(0.0, 1.0, q + 1)
     # as numpy does: the maximum at index -1, its weight counted from there
     lo = np.where(at >= values.size - 1, -1, np.floor(at)).astype(np.intp)
     w = at - lo
     a, b = values[lo], values[np.where(lo < 0, lo, lo + 1)]
     qs = np.where(w >= 0.5, b - (b - a) * (1 - w), a + (b - a) * w)
-    return np.unique((qs[:-1] + qs[1:]) / 2.0)
+    return np.unique((qs[:-1] + qs[1:]) / 2.0) + 0.0
 
 
 def _candidate_scores(params: TreeParams, left, parent: NodeStats):

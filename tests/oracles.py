@@ -1,24 +1,21 @@
 """Reference implementations the tests check the library against.
 
 Each one computes a quantity the simple, slow or single-row way: scalar
-losses and forward passes, training one step at a time, the quadratic curve
-recount, criterion values of one candidate split, the per-node tree fit,
-single-row routing, a curve file reader, and CSV reading and writing one row
-and one cell at a time.
+losses and forward passes, the quadratic curve recount, criterion values of
+one candidate split, the per-node tree fit, single-row routing, a curve file
+reader, and CSV reading and writing one row and one cell at a time.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from kdsm import distill
 from kdsm.data import CATEGORICAL, NUMERIC, Column, Dataset, FeatureSchema
 from kdsm.errors import DomainError, MetricError, ParseError, SchemaError
 from kdsm.metrics import Curve, _check_eval_inputs
-from kdsm.seeds import derive_seed
 from kdsm.student import (
     PROB_EPS,
     LossBatch,
@@ -27,14 +24,9 @@ from kdsm.student import (
     StepBuffers,
     StudentModel,
     _bce_vec,
-    backward,
-    backward_mse,
-    init_optimizer,
-    init_student,
     _forward_cached,
     _probability,
     forward_batch,
-    train_inputs,
 )
 from kdsm.tree import (
     NodeStats,
@@ -68,7 +60,7 @@ def bce(y: float, y_hat: float) -> float:
 
 def batch_loss(model: StudentModel, batch: LossBatch) -> LossParts:
     """Loss of a batch without gradients; same reduction as `backward`."""
-    z_raw, _, _ = _forward_cached(model, train_inputs(model, batch.X), batch.T, StepBuffers(model))
+    z_raw, _, _ = _forward_cached(model, batch.X, batch.T, StepBuffers(model))
     p = _probability(z_raw)
     hard = float(np.sum(batch.bce_weight * _bce_vec(batch.y, p)))
     if batch.lam != 0.0 and batch.kd_pairs.shape[0]:
@@ -128,90 +120,6 @@ def pair_loss(model: StudentModel, ds: Dataset, pair: SamplePair, kd_weight: flo
     return LossParts(total, hard, soft)
 
 
-def assemble_batch(ds: Dataset, units, start: int, stop: int, kd_weight: float) -> LossBatch:
-    """The LossBatch of units[start:stop] alone, as `distill._batches` lays
-    out each batch: the treated pass of every pair, the control pass of every
-    pair, then every singleton on its own arm; the raw feature rows, with no
-    `inputs`."""
-    a = units.a[start:stop]
-    b = units.b[start:stop]
-    pair = b >= 0
-    k = int(np.count_nonzero(pair))
-    single = a[~pair]
-    rows = np.concatenate([a[pair], b[pair], single])
-    T = np.concatenate([np.ones(k), np.zeros(k), ds.treatment[single].astype(np.float64)])
-    if kd_weight > 0.0 and k:
-        kd_pairs = np.stack([np.arange(k), k + np.arange(k)], axis=1)
-        targets = units.u[start:stop][pair]
-    else:
-        kd_pairs = np.zeros((0, 2), dtype=np.int64)
-        targets = np.zeros(0)
-    return LossBatch(
-        X=ds.features[rows],
-        T=T,
-        y=ds.outcome[rows].astype(np.float64),
-        bce_weight=(ds.treatment[rows] == T).astype(np.float64),
-        kd_pairs=kd_pairs,
-        kd_targets=targets,
-        lam=kd_weight,
-        n_units=stop - start,
-    )
-
-
-def _per_step_track(model: StudentModel, stream, step) -> distill._Track:
-    """A track whose every step is `step(units, start, stop)`."""
-
-    def steps(epoch_seed, batch_size):
-        units = stream(epoch_seed)
-        for start in range(0, len(units), batch_size):
-            stop = min(start + batch_size, len(units))
-            yield step(units, start, stop), stop - start
-
-    return distill._Track(model, init_optimizer(model), steps)
-
-
-def _bce_track(model: StudentModel, ds: Dataset, stream, kd_weight: float) -> distill._Track:
-    return _per_step_track(
-        model, stream, lambda units, start, stop: backward(model, assemble_batch(ds, units, start, stop, kd_weight))
-    )
-
-
-def train(method: str, train: Dataset, valid: Dataset, tree: UpliftTree, cfg, hyper):
-    """`distill.train_<method>` ("kdsm", "kdss", "plain", "tm" or "mom")
-    one step at a time: every step assembles its batch from its units, and
-    `backward` checks, standardizes and indexes the embedding cells of its
-    raw feature rows."""
-    kd = hyper.kd_weight if method in ("kdsm", "kdss") else 0.0
-    report = distill.TrainReport(method, kd)
-    if method == "tm":
-        tracks = []
-        for arm, tag in ((1, "treated"), (0, "control")):
-            ds = train.subset(np.flatnonzero(train.treatment == arm))
-            model = init_student(replace(cfg, init_seed=derive_seed(cfg.init_seed, tag)), ds)
-            tracks.append(_bce_track(model, ds, distill._row_stream(ds.n, tags=(tag,)), 0.0))
-        result = distill.TwoModelResult(tracks[0].model, tracks[1].model)
-        return result, distill._train_loop(tracks, valid, hyper, result, report)
-    if method == "mom":
-        targets = distill.transformed_outcome(train)
-        model = init_student(cfg, train, head="regression", final_bias=float(targets.mean()))
-
-        def step(units, start, stop):
-            rows = units.a[start:stop]
-            return backward_mse(model, train.features[rows], targets[rows], stop - start)
-
-        track = _per_step_track(model, distill._row_stream(train.n), step)
-    else:
-        model = init_student(cfg, train)
-        if method == "kdsm":
-            stream = distill._pair_stream(train, tree, hyper.drop_leftovers)
-        elif method == "kdss":
-            stream = distill._row_stream(train.n, tree.predict_uplift(train.features) if kd > 0.0 else None)
-        else:
-            stream = distill._row_stream(train.n)
-        track = _bce_track(model, train, stream, kd)
-    return model, distill._train_loop([track], valid, hyper, model, report)
-
-
 # --- tree ---
 
 
@@ -244,9 +152,11 @@ def kl_value(left: NodeStats, right: NodeStats, parent: NodeStats) -> float | No
 
 def numeric_thresholds(values: np.ndarray, q: int) -> np.ndarray:
     """Up to `q` candidate thresholds of a node's values in any order:
-    midpoints of q+1 equally spaced `np.quantile`s, deduplicated ascending."""
+    midpoints of q+1 equally spaced `np.quantile`s, deduplicated ascending.
+    Adding 0.0 turns a -0.0 into 0.0, whose sign `np.quantile` takes from the
+    order of the rows where they hold both zeros; it routes the same way."""
     qs = np.quantile(values, np.linspace(0.0, 1.0, q + 1))
-    return np.unique((qs[:-1] + qs[1:]) / 2.0)
+    return np.unique((qs[:-1] + qs[1:]) / 2.0) + 0.0
 
 
 def best_split(X, t, y, rows, stats: NodeStats, params: TreeParams, schema: FeatureSchema):

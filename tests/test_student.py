@@ -36,7 +36,7 @@ from kdsm.student import (
     student_from_jsonable,
     student_to_jsonable,
 )
-from kdsm.student import StepBuffers, _forward_cached, train_inputs
+from kdsm.student import StepBuffers, _forward_cached
 from kdsm.tree import TreeParams, fit_tree
 import oracles
 from oracles import batch_loss, bce, forward
@@ -283,6 +283,24 @@ def test_backward_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "col, value, message",
+    [(0, np.nan, "non-finite value in column 'num_0' at row 5"), (2, 4.0, "code 4.0 in categorical column 'cat_0' at row 5")],
+    ids=["nan", "code"],
+)
+def test_a_bad_row_passed_to_a_training_step_names_its_column(col, value, message):
+    ds = tiny_dataset(n=12, d_categorical=1, seed=4)
+    X = ds.features.copy()
+    X[5, col] = value
+    cfg = StudentConfig(hidden_sizes=(4,), init_seed=2)
+    batch = singles_batch(ds)
+    batch.X = X
+    with pytest.raises(DomainError, match=re.escape(message)):
+        backward(init_student(cfg, ds), batch)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        backward_mse(init_student(cfg, ds, head="regression", final_bias=0.0), X, np.zeros(12), n_units=12)
+
+
 # --- optimizer ---
 
 
@@ -368,7 +386,7 @@ B = SCORE_BLOCK_ROWS
 
 def oracle_logits(model, X, T):
     """Unblocked logits: the training forward over the whole input."""
-    return _forward_cached(model, train_inputs(model, X), T, StepBuffers(model))[0]
+    return _forward_cached(model, X, T, StepBuffers(model))[0]
 
 
 def oracle_prob(model, X, T):

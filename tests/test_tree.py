@@ -603,14 +603,21 @@ def test_sorted_thresholds_are_np_quantiles_midpoints_bit_for_bit(values):
         assert bits(_thresholds(np.sort(v), q)) == bits(oracles.numeric_thresholds(v, q))
 
 
-def test_a_zero_threshold_may_take_either_sign_where_a_column_holds_both_zeros():
-    # np.quantile's own sign of such a zero follows the order of the rows,
-    # so the presorted fit matches it as a value, which routes alike
-    v = np.array([-1.0, -0.0, -0.0, -1.0, 0.0, -0.0])
-    orders = {bits(oracles.numeric_thresholds(v[list(p)], 4)) for p in itertools.permutations(range(v.size))}
-    assert len(orders) == 2
-    for q in range(1, 65):
-        assert np.array_equal(_thresholds(np.sort(v), q), oracles.numeric_thresholds(v, q))
+def test_every_row_order_of_a_column_with_both_zeros_gives_one_tree_document():
+    # np.quantile takes the sign of a zero quantile from the order of the
+    # rows where a column holds -0.0 and 0.0, and the sorted fit from the
+    # order of the tied zeros; the threshold is written as +0.0 either way
+    col = np.array([-1.0, -0.0, -0.0, -0.0, 0.0, 1.0, 1.0])
+    t = np.array([0, 0, 0, 0, 1, 0, 1])
+    y = np.array([0, 0, 0, 0, 0, 0, 1])
+    params = TreeParams(max_depth=1, min_samples_per_arm=1, numeric_split_candidates=7)
+    docs = set()
+    for p in map(list, itertools.permutations(range(col.size))):
+        tree = fit_tree(dataset_from(col[p, None], t[p], y[p]), params)
+        docs.add(json.dumps(tree_to_jsonable(tree), indent=1))
+    [doc] = docs
+    assert json.loads(doc)["nodes"][0]["rule"] == {"feature": 0, "kind": "numeric", "threshold": 0.0}
+    assert '"threshold": 0.0' in doc
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
