@@ -232,19 +232,18 @@ def cmd_split(args) -> int:
     schema = _load_schema(paths["schema"])
     if not os.path.exists(paths["dataset"]):
         raise ConfigError(f"{paths['dataset']} not found; run `kdsm synth` or place a dataset there")
-    ds = data_mod.load_csv(paths["dataset"], schema)
-    split = data_mod.split_dataset(ds, cfg.split_ratios(), derive_seed(cfg.seed, "split"))
-    for w in split.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     out = _dataset_paths(cfg.out_dir)
     names = ("train", "valid", "test")
-    data_mod.save_csv_rows(ds, paths["dataset"], [(split.indices[n], out[n]) for n in names])
+    split = data_mod.split_csv(
+        paths["dataset"], schema, cfg.split_ratios(), derive_seed(cfg.seed, "split"), [out[n] for n in names]
+    )
+    for w in split.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     lines = ["# split indices v1"] + [f"{n}: " + " ".join(map(str, split.indices[n].tolist())) for n in names]
     _write_text(out["split_indices"], "\n".join(lines) + "\n")
     # re-emit the schema with any first-appearance dictionaries pinned, so
     # every later stage codes the three files identically
-    _write_text(out["schema"], json.dumps(ds.schema.to_jsonable(), indent=1) + "\n")
+    _write_text(out["schema"], json.dumps(split.train.schema.to_jsonable(), indent=1) + "\n")
     print(
         f"wrote {out['train']} ({split.train.n}), {out['valid']} ({split.valid.n}), "
         f"{out['test']} ({split.test.n})"

@@ -40,7 +40,7 @@ CSV_BLOCK_ROWS = 8192
 #: features; no feature column may take either name.
 BITS = ("treatment", "outcome")
 
-#: Suffix of the array sidecar that `save_csv` writes beside a CSV file and
+#: Suffix of the array sidecar that `save_csv` and `split_csv` write beside a CSV file and
 #: `load_csv` reads in place of parsing it, while its content key matches.
 SIDECAR_SUFFIX = ".arrays"
 
@@ -329,8 +329,6 @@ class Dataset:
     features: np.ndarray
     treatment: np.ndarray
     outcome: np.ndarray
-    #: (path, schema, *arrays) when `load_csv` read these read-only arrays from path's sidecar
-    source: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -486,7 +484,6 @@ def load_csv(path: str, schema: FeatureSchema) -> Dataset:
     first bad cell. The file is not parsed at all when the sidecar that
     `save_csv` wrote beside it still matches it: a sidecar written for the
     file's exact bytes under an equal schema holds what the parse returns.
-    The arrays read from a sidecar are read-only.
     """
     ds = _load_sidecar(path, schema)
     if ds is not None:
@@ -564,9 +561,6 @@ def _load_sidecar(path: str, schema: FeatureSchema) -> Dataset | None:
             ds = Dataset(schema, np.load(fh), np.load(fh), np.load(fh))
             if ds.features.dtype == np.float64 and ds.treatment.dtype == ds.outcome.dtype == np.int64:
                 ds.validate()
-                ds.source = (path, schema, ds.features, ds.treatment, ds.outcome)
-                for a in ds.source[2:]:
-                    a.flags.writeable = False
                 return ds
     return None
 
@@ -695,8 +689,8 @@ def save_csv(ds: Dataset, path: str) -> None:
                 f"{i} has no label: the column pins {names.size} categories"
             )
     pinned = all(names.size for _, names in labels.values())
-    with atomic_write(path) as fh:
-        csv.writer(fh).writerow(ds.schema.names + list(BITS))
+    with _csv_file(path, ds.schema, (features, ds.treatment, ds.outcome) if pinned else None) as write:
+        write((",".join(map(_csv_field, ds.schema.names + list(BITS))) + "\r\n").encode())
         for a in range(0, ds.n, CSV_BLOCK_ROWS):
             block = features[a : a + CSV_BLOCK_ROWS]
             cols = []
@@ -709,72 +703,68 @@ def save_csv(ds: Dataset, path: str) -> None:
                 cols.append(names[c].tolist() if names.size else map(str, c.tolist()))
             for bits in (ds.treatment, ds.outcome):
                 cols.append(map(str, bits[a : a + CSV_BLOCK_ROWS].astype(np.int64).tolist()))
-            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
-        if pinned:
-            fh.flush()
-            key = _sidecar_key(fh.name, ds.schema)
-    if pinned:
-        _save_sidecar(path, key, features, ds.treatment, ds.outcome)
+            write(("\r\n".join(map(",".join, zip(*cols))) + "\r\n").encode())
 
 
-def _save_sidecar(path: str, key: bytes, features, treatment, outcome) -> None:
-    """Atomically write the sidecar of the CSV file at `path`: `key`, then
-    C-order `np.save` records of the float64 features and int64 bits."""
-    with atomic_write(path + SIDECAR_SUFFIX, binary=True) as fh:
-        fh.write(key)
-        for arr, dtype in ((features, np.float64), (treatment, np.int64), (outcome, np.int64)):
-            np.save(fh, np.ascontiguousarray(arr, dtype))
+@contextmanager
+def _csv_file(path: str, schema: FeatureSchema, arrays: tuple | None):
+    """A function that writes bytes to the CSV file that replaces `path`
+    when the block completes (`atomic_write`). After it, when `arrays`
+    (features, treatment, outcome) are given, their sidecar replaces `path`
+    plus SIDECAR_SUFFIX: the key hashed from `schema` and the bytes as they
+    were written, then C-order `np.save` records of the float64 features
+    and int64 bits."""
+    key = _sidecar_hash(schema)
+    with atomic_write(path, binary=True) as fh:
+
+        def write(text: bytes) -> None:
+            fh.write(text)
+            key.update(text)
+
+        yield write
+    if arrays is not None:
+        with atomic_write(path + SIDECAR_SUFFIX, binary=True) as fh:
+            fh.write(key.digest())
+            for arr, dtype in zip(arrays, (np.float64, np.int64, np.int64)):
+                np.save(fh, np.ascontiguousarray(arr, dtype))
 
 
-def save_csv_rows(ds: Dataset, source: str, parts: list[tuple[np.ndarray, str]]) -> None:
-    """Write to each (rows, path) of `parts` what `save_csv(ds.subset(rows),
-    path)` writes. While the sidecar of the CSV file `source` matches it and
-    holds `ds`'s arrays, and no column name or label holds a line break,
-    `source` is `save_csv`'s text of `ds`, one line per row. If each part's
-    rows are also ascending and in no other part, their lines are copied in
-    one pass over `source` of CSV_BLOCK_ROWS lines at a time, each sidecar
-    key hashed from the bytes as written; a `source` that turns out to hold
+def split_csv(source: str, schema: FeatureSchema, ratios: SplitRatios, seed: int, paths) -> DatasetSplit:
+    """`split_dataset` of the CSV file `source` read under `schema`, with its
+    train, valid and test splits written to the three `paths` as `save_csv`
+    writes them; their directories are made once the split has succeeded.
+    When the rows come from `source`'s sidecar and no column name or label
+    holds a line break, `source` is `save_csv`'s text of them, one line per
+    row, so each split's lines are copied from it in one pass of
+    CSV_BLOCK_ROWS lines at a time; a `source` that turns out to hold
     another number of rows raises ParseError and leaves every path as it was."""
-    # the part of each line of `source`: -1 for none, -2 for the header, which every part gets
+    ds = _load_sidecar(source, schema)
+    breaks = any("\r" in s or "\n" in s for c in schema.columns for s in (c.name, *c.categories))
+    split = split_dataset(load_csv(source, schema) if ds is None else ds, ratios, seed)
+    for path in paths:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    parts = (split.train, split.valid, split.test)
+    if ds is None or breaks:
+        for part, path in zip(parts, paths):
+            save_csv(part, path)
+        return split
+    # the split of each line of `source`: -1 for none, -2 for the header, which every split gets
     owner = np.r_[-2, np.full(ds.n, -1)]
-    for k, (rows, _) in enumerate(parts):
-        owner[1:][rows] = k
-    ordered = all(np.array_equal(np.flatnonzero(owner[1:] == k), rows) for k, (rows, _) in enumerate(parts))
-    breaks = any("\r" in s or "\n" in s for c in ds.schema.columns for s in (c.name, *c.categories))
-    if not ordered or breaks or not _sidecar_holds(ds, source):
-        for rows, path in parts:
-            save_csv(ds.subset(rows), path)
-        return
-    keys = [_sidecar_hash(ds.schema) for _ in parts]
+    for k, name in enumerate(("train", "valid", "test")):
+        owner[1:][split.indices[name]] = k
     with ExitStack() as stack, open(source, "rb") as src:
-        outs = [stack.enter_context(atomic_write(path, binary=True)) for _, path in parts]
+        writes = [
+            stack.enter_context(_csv_file(path, schema, (p.features, p.treatment, p.outcome)))
+            for p, path in zip(parts, paths)
+        ]
         seen = 0
         while lines := list(itertools.islice(src, CSV_BLOCK_ROWS)):
             mine, seen = owner[seen : seen + len(lines)], seen + len(lines)
-            for k, (fh, key) in enumerate(zip(outs, keys)):
-                text = b"".join([lines[i] for i in np.flatnonzero(np.isin(mine, (k, -2))).tolist()])
-                fh.write(text)
-                key.update(text)
+            for k, write in enumerate(writes):
+                write(b"".join([lines[i] for i in np.flatnonzero(np.isin(mine, (k, -2))).tolist()]))
         if seen != 1 + ds.n:
             raise ParseError(f"{source}: {seen - 1} rows, where its sidecar holds {ds.n}")
-    for (rows, path), key in zip(parts, keys):
-        _save_sidecar(path, key.digest(), ds.features[rows], ds.treatment[rows], ds.outcome[rows])
-
-
-def _sidecar_holds(ds: Dataset, path: str) -> bool:
-    """Whether the sidecar of the CSV file at `path` matches it under
-    `ds.schema` and holds `ds`'s arrays, features bit for bit: -0.0 is
-    written apart from 0.0; known for the arrays `load_csv` read from it."""
-    loaded = (ds.schema, ds.features, ds.treatment, ds.outcome)
-    if ds.source and ds.source[0] == path and all(a is b for a, b in zip(ds.source[1:], loaded)):
-        return True
-    stored = _load_sidecar(path, ds.schema)
-    X = np.asarray(ds.features, dtype=np.float64)
-    return stored is not None and X.shape == stored.features.shape and bool(
-        np.all(X.view(np.int64) == stored.features.view(np.int64))
-        and np.array_equal(ds.treatment, stored.treatment)
-        and np.array_equal(ds.outcome, stored.outcome)
-    )
+    return split
 
 
 def _csv_field(value: str) -> str:

@@ -235,22 +235,20 @@ def init_student(
 
 
 def _assemble_input(model: StudentModel, X: np.ndarray, codes: np.ndarray, T: np.ndarray | None = None, out=None):
-    """Build the input layer of a matrix X, or of one row, from it and its
-    categorical codes: standardized numerics, one embedding block per
-    categorical column, then the treatment bit unless T is None."""
+    """Build the input layer of a matrix X from it and its categorical
+    codes: standardized numerics, one embedding block per categorical
+    column, then the treatment bit unless T is None."""
     num_idx = model.schema.numeric_indices
     num_n = num_idx.size
     emb_dim = model.config.embedding_dim
-    d_cov = num_n + codes.shape[-1] * emb_dim
-    h0 = np.empty(X.shape[:-1] + (d_cov + (T is not None),)) if out is None else out
-    # X.T[idx].T gathers columns of a matrix and entries of a row alike, at
-    # the cost of a plain index in both cases
-    h0[..., :num_n] = (X.T[num_idx].T - model.num_mean) / model.num_std
+    d_cov = num_n + codes.shape[1] * emb_dim
+    h0 = np.empty((X.shape[0], d_cov + (T is not None))) if out is None else out
+    h0[:, :num_n] = (X[:, num_idx] - model.num_mean) / model.num_std
     for j, e in enumerate(model.embeddings):
         off = num_n + j * emb_dim
-        h0[..., off : off + emb_dim] = e.take(codes[..., j], 0)
+        h0[:, off : off + emb_dim] = e.take(codes[:, j], 0)
     if T is not None:
-        h0[..., d_cov] = T
+        h0[:, d_cov] = T
     return h0
 
 
@@ -384,14 +382,12 @@ def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64).ravel()
     row = x.tolist()
     width, cells, w_cov, w_t, b0 = model._row_pass
-    if len(row) == width and all(map(math.isfinite, row)) and all(
+    if not (len(row) == width and all(map(math.isfinite, row)) and all(
         row[i].is_integer() and 0 <= row[i] < card for i, card in cells
-    ):
-        num = (x[model.schema.numeric_indices] - model.num_mean) / model.num_std
-        h0 = np.concatenate([num, *(e[int(row[i])] for e, (i, _) in zip(model.embeddings, cells))])
-    else:
-        X, codes = checked_features(model.schema, x[None])
-        h0 = _assemble_input(model, X[0], codes[0])
+    )):
+        checked_features(model.schema, x[None])  # makes the same three checks, and raises
+    num = (x[model.schema.numeric_indices] - model.num_mean) / model.num_std
+    h0 = np.concatenate([num, *(e[int(row[i])] for e, (i, _) in zip(model.embeddings, cells))])
     base = h0 @ w_cov
     h = np.empty((2, base.size))
     np.add(base, w_t, out=h[0])

@@ -8,6 +8,7 @@ renames or deletes a name the benchmark depends on.
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 
 import numpy as np
@@ -72,10 +73,18 @@ def test_load_predictor_returns_kind_scorer_and_schema(tmp_path):
     assert np.array_equal(predict(ds.features), model.predict_uplift(ds.features))
 
 
-def test_bench_pairs_stops_at_a_run_whose_result_is_not_correct(tmp_path):
+def load_bench_pairs(monkeypatch):
+    """tools/bench_pairs.py, with every checkout labelled abc1234, since the
+    fake checkouts of these tests are no git repositories."""
     spec = importlib.util.spec_from_file_location("bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    monkeypatch.setattr(bench_pairs, "short_sha", lambda checkout: "abc1234")
+    return bench_pairs
+
+
+def test_bench_pairs_stops_at_a_run_whose_result_is_not_correct(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs(monkeypatch)
     checkout = tmp_path / "checkout"
     (checkout / "perfbench").mkdir(parents=True)
     (checkout / "perfbench" / "run.py").write_text(
@@ -85,3 +94,37 @@ def test_bench_pairs_stops_at_a_run_whose_result_is_not_correct(tmp_path):
     with pytest.raises(SystemExit) as stop:
         bench_pairs.main(args)
     assert stop.value.code == f'{checkout}: workload score seed 4: the result line says "correct": false'
+
+
+# a run that writes its result file and prints its result line, with a wall_s of 1 + seed / 10
+FAKE_RUN = """\
+import json, os, sys
+workload, seed = (sys.argv[sys.argv.index(flag) + 1] for flag in ("--workload", "--seed"))
+os.makedirs(os.path.join("perfbench", "results"), exist_ok=True)
+with open(os.path.join("perfbench", "results", f"{workload}_seed{seed}_trace0.json"), "w") as fh:
+    json.dump({"repeat_wall_s_raw": [1.0, 2.0, 3.0], "environment": {"seed": seed}}, fh)
+print(json.dumps({"correct": True, "metrics": {"wall_s": {"value": 1 + int(seed) / 10}}}))
+"""
+
+
+def test_bench_pairs_adds_a_second_run_to_the_pairs_of_the_first(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs(monkeypatch)
+    root, checkout = tmp_path / "root", tmp_path / "checkout"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text('{"end_to_end": [{"name": "wall_s", "better": "lower"}]}')
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "ROOT", str(root))
+    args = [str(checkout), str(checkout), "--workload", "pipeline", "--pairs", "1", "--tag", "t", "--seconds", "1"]
+    assert bench_pairs.main(args + ["--seeds", "4"]) == 0
+    assert bench_pairs.main(args + ["--seeds", "6"]) == 0
+    path = root / "BENCH_t_abc1234.json"
+    run = json.loads(path.read_text())["workloads"]["pipeline"]
+    assert [p["seed"] for p in run["pairs"]] == [4, 6] and run["seeds"] == [4, 6]
+    wall = run["summary"]["wall_s"]
+    assert wall["pairs"] == 2 and wall["parent"]["median"] == wall["change"]["median"] == 1.5
+    before = path.read_text()
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(args[:-1] + ["2", "--seeds", "4"])
+    assert stop.value.code == f"{path}: pipeline was run with --seconds 1.0, not 2.0"
+    assert path.read_text() == before

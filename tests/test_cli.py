@@ -427,6 +427,15 @@ def test_config_that_is_not_utf8_names_the_line_of_its_first_bad_byte(tmp_path, 
     assert not os.path.exists(out)
 
 
+def test_a_split_that_fails_on_its_data_leaves_no_out_dir(tmp_path, capsys):
+    cfg, out = write_cfg(str(tmp_path), extra=f"synth.n = 9\ndata.dir = {tmp_path / 'out'}\n")
+    assert main(["synth", "--config", cfg]) == 0
+    fresh = str(tmp_path / "fresh")
+    assert main(["split", "--config", cfg, "--out", fresh]) == 1
+    assert capsys.readouterr().err.endswith("error: dataset has 9 rows; need at least 10 to split\n")
+    assert not os.path.exists(fresh)
+
+
 def test_split_rejects_a_cardinality_above_2_53(tmp_path, capsys):
     cfg, out = write_cfg(str(tmp_path))
     os.makedirs(out)

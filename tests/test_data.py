@@ -30,7 +30,7 @@ from kdsm.data import (
     load_csv,
     load_document,
     save_csv,
-    save_csv_rows,
+    split_csv,
     split_dataset,
 )
 from kdsm.errors import DomainError, KdsmError, ParseError, SchemaError
@@ -926,67 +926,49 @@ def test_save_csv_formats_an_integer_matrix_as_its_float64_values(tmp_path):
     assert read(a).split(b"\r\n")[1].split(b",")[0] == repr(float(floats.features[0, 0])).encode()
 
 
-def three_parts(tmp_path, n):
-    """Three disjoint ascending parts of n rows; about a quarter of the rows
-    are in none."""
-    owner = np.random.default_rng(7).integers(0, 4, n)
-    return [(np.flatnonzero(owner == k), str(tmp_path / f"part{k}.csv")) for k in range(3)]
+SPLITS = ("train", "valid", "test")
 
 
-def assert_saved_as_each_subset(tmp_path, ds, parts):
-    """Each part's file holds the row oracle's CSV of its subset, and its
-    sidecar is the one save_csv writes beside that subset, or is absent
-    alike."""
-    expected = str(tmp_path / "expected.csv")
-    for rows, path in parts:
-        oracles.save_csv(ds.subset(rows), expected)
-        assert read(path) == read(expected)
-        save_csv(ds.subset(rows), expected)
-        assert os.path.exists(path + SIDECAR_SUFFIX) == os.path.exists(expected + SIDECAR_SUFFIX)
-        if os.path.exists(expected + SIDECAR_SUFFIX):
-            assert read(path + SIDECAR_SUFFIX) == read(expected + SIDECAR_SUFFIX)
-            os.remove(expected + SIDECAR_SUFFIX)
+def split_paths(tmp_path):
+    return [str(tmp_path / "out" / f"{name}.csv") for name in SPLITS]
 
 
-def saves_rows(ds, source, parts):
-    """save_csv_rows, and whether it went through save_csv."""
+def splits_csv(tmp_path, source, schema):
+    """split_csv of `source` into tmp_path/out, and whether it went through
+    save_csv."""
     with mock.patch.object(data_module, "save_csv", wraps=save_csv) as spy:
-        save_csv_rows(ds, source, parts)
-    return spy.called
+        split = split_csv(source, schema, SplitRatios(0.6, 0.2, 0.2), 7, split_paths(tmp_path))
+    return split, spy.called
 
 
-@pytest.mark.parametrize("loaded", [False, True])
-@pytest.mark.parametrize("n", [0, 1, 2 * B + 3])
-def test_save_csv_rows_copies_the_lines_of_a_source_its_sidecar_matches(tmp_path, n, loaded):
+def assert_saved_as_each_split(tmp_path, ds, split):
+    """`split` is split_dataset's of `ds`; each split's file holds the row
+    oracle's CSV of its rows, and its sidecar is the one save_csv writes
+    beside them."""
+    want = split_dataset(ds, SplitRatios(0.6, 0.2, 0.2), 7)
+    expected = str(tmp_path / "expected.csv")
+    for name, path in zip(SPLITS, split_paths(tmp_path)):
+        assert_bitwise_equal(getattr(split, name), getattr(want, name))
+        oracles.save_csv(getattr(want, name), expected)
+        assert read(path) == read(expected)
+        save_csv(getattr(want, name), expected)
+        assert read(path + SIDECAR_SUFFIX) == read(expected + SIDECAR_SUFFIX)
+
+
+@pytest.mark.parametrize("n", [10, 2 * B + 3])
+def test_split_csv_copies_the_lines_of_a_source_its_sidecar_matches(tmp_path, n):
     ds = make_dataset(n, n_categorical=2)
-    source = saved(tmp_path, ds)
-    if loaded:  # as `kdsm split` has it: the dataset the sidecar holds
-        ds = load_csv(source, ds.schema)
-    parts = three_parts(tmp_path, n) + [(np.array([], dtype=np.int64), str(tmp_path / "empty.csv"))]
-    assert not saves_rows(ds, source, parts)
-    assert_saved_as_each_subset(tmp_path, ds, parts)
+    split, formatted = splits_csv(tmp_path, saved(tmp_path, ds), ds.schema)
+    assert not formatted
+    assert_saved_as_each_split(tmp_path, ds, split)
 
 
-def test_save_csv_rows_copies_csv_quoted_labels_and_an_integer_matrix(tmp_path):
+def test_split_csv_copies_csv_quoted_labels(tmp_path):
     ds = make_dataset(2 * B + 3, n_categorical=1)
     ds.schema = FeatureSchema((*ds.schema.columns[:2], Column("c0", "categorical", 3, ("a,b", 'say "hi"', "é語"))))
-    source = saved(tmp_path, ds)
-    parts = three_parts(tmp_path, ds.n)
-    assert not saves_rows(ds, source, parts)
-    assert_saved_as_each_subset(tmp_path, ds, parts)
-    # whole values in an int64 matrix are written as their float64 values
-    source = saved(tmp_path, whole_numbers(ds))
-    ints = Dataset(ds.schema, ds.features.astype(np.int64), ds.treatment, ds.outcome)
-    assert not saves_rows(ints, source, parts)
-    assert_saved_as_each_subset(tmp_path, ds, parts)
-
-
-def _other_arrays(ds, source):
-    ds.outcome[B + 1] ^= 1
-
-
-def _negative_zero(ds, source):
-    ds.features[B + 1, 0] = -0.0  # equal to the 0.0 the source holds, but written apart
+    split, formatted = splits_csv(tmp_path, saved(tmp_path, ds), ds.schema)
+    assert not formatted
+    assert_saved_as_each_split(tmp_path, ds, split)
 
 
 def _stale(ds, source):
@@ -1009,33 +991,17 @@ def _column_name_with_a_line_break(ds, source):
     save_csv(ds, source)
 
 
-@pytest.mark.parametrize(
-    "spoil", [_no_sidecar, _stale, _other_arrays, _negative_zero, _labelled, _column_name_with_a_line_break]
-)
-def test_save_csv_rows_formats_each_part_unless_the_source_holds_its_lines(tmp_path, spoil):
+@pytest.mark.parametrize("spoil", [_no_sidecar, _stale, _labelled, _column_name_with_a_line_break])
+def test_split_csv_formats_each_split_unless_the_source_holds_its_lines(tmp_path, spoil):
     ds = make_dataset(2 * B + 3, n_categorical=1)
-    ds.features[B + 1, 0] = 0.0
     source = saved(tmp_path, ds)
     spoil(ds, source)
-    parts = three_parts(tmp_path, ds.n)
-    assert saves_rows(ds, source, parts)
-    assert_saved_as_each_subset(tmp_path, ds, parts)
+    split, formatted = splits_csv(tmp_path, source, ds.schema)
+    assert formatted
+    assert_saved_as_each_split(tmp_path, load_csv(source, ds.schema), split)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [[[5, 3, 9], [1]], [[1, 2, 3], [3, 4]], [[2, 2], [4]], [[-1], [0]]],
-    ids=["unsorted", "overlapping", "repeated", "negative"],
-)
-def test_save_csv_rows_formats_rows_out_of_order_as_each_subset(tmp_path, rows):
-    ds = make_dataset(12, n_categorical=1)
-    source = saved(tmp_path, ds)
-    parts = [(np.array(r), str(tmp_path / f"part{k}.csv")) for k, r in enumerate(rows)]
-    assert saves_rows(ds, source, parts)
-    assert_saved_as_each_subset(tmp_path, ds, parts)
-
-
-def test_save_csv_rows_rejects_a_source_whose_row_count_is_not_its_sidecars(tmp_path):
+def test_split_csv_rejects_a_source_whose_row_count_is_not_its_sidecars(tmp_path):
     ds = make_dataset(20, n_categorical=1)
     source = saved(tmp_path, ds)
     text = read(source)
@@ -1044,32 +1010,15 @@ def test_save_csv_rows_rejects_a_source_whose_row_count_is_not_its_sidecars(tmp_
     sidecar = read(source + SIDECAR_SUFFIX)
     with open(source + SIDECAR_SUFFIX, "wb") as fh:
         fh.write(data_module._sidecar_key(source, ds.schema) + sidecar[32:])
-    before = sorted(os.listdir(tmp_path))
     with pytest.raises(ParseError, match="21 rows, where its sidecar holds 20"):
-        save_csv_rows(ds, source, three_parts(tmp_path, ds.n))
-    assert sorted(os.listdir(tmp_path)) == before
+        splits_csv(tmp_path, source, ds.schema)
+    assert os.listdir(tmp_path / "out") == []
 
 
-def test_a_split_of_the_dataset_its_source_loaded_proves_the_sidecar_once(tmp_path):
+def test_split_csv_reads_the_source_for_its_key_once(tmp_path):
     ds = make_dataset(2 * B + 3, n_categorical=2)
     source = saved(tmp_path, ds)
-    parts = three_parts(tmp_path, ds.n)
     with mock.patch.object(data_module, "_sidecar_key", wraps=data_module._sidecar_key) as key:
-        loaded = load_csv(source, ds.schema)
-        assert not saves_rows(loaded, source, parts)
-    assert key.call_count == 1  # load_csv's, which save_csv_rows does not repeat
-    assert_saved_as_each_subset(tmp_path, loaded, parts)
-
-
-def test_arrays_loaded_from_a_sidecar_are_read_only_and_others_are_checked_again(tmp_path):
-    ds = make_dataset(2 * B + 3, n_categorical=1)
-    source = saved(tmp_path, ds)
-    loaded = load_csv(source, ds.schema)
-    for arr in (loaded.features, loaded.treatment, loaded.outcome):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1
-    parts = three_parts(tmp_path, ds.n)
-    loaded.outcome = loaded.outcome ^ (np.arange(ds.n) == B + 1)  # another array, which the sidecar does not hold
-    assert saves_rows(loaded, source, parts)
-    assert_saved_as_each_subset(tmp_path, loaded, parts)
-    assert load_csv(source, ds.schema).subset(np.arange(ds.n)).source is None
+        split, formatted = splits_csv(tmp_path, source, ds.schema)
+    assert key.call_count == 1 and not formatted
+    assert_saved_as_each_split(tmp_path, ds, split)

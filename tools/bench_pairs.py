@@ -13,7 +13,10 @@ under perfbench/results/ of its checkout.
 The pairs and their summary go to BENCH_<tag>_<sha>.json at the root of
 this repository, <sha> being the change's short commit id, with "-dirty"
 appended when a tracked file of that checkout differs from it; runs of other
-workloads are merged into the same file. Per metric the summary gives the
+workloads are merged into the same file. A workload run again for the same
+tag and change adds its pairs to those already there, and the summary is
+taken over all of them; runs of another --seconds are refused before any
+run starts. Per metric the summary gives the
 parent's and the change's quartiles and median, the change's median
 relative to the parent's, and in how many pairs the change was better, by
 the direction BENCHMARK.json gives. `raw_wall_s` is summarised the same
@@ -113,6 +116,15 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    sha = short_sha(checkouts["change"])
+    path = os.path.join(ROOT, f"BENCH_{args.tag}_{sha}.json")
+    doc = {"change": sha, "parent": short_sha(checkouts["parent"]), "workloads": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    earlier = doc["workloads"].get(args.workload, {"seconds": args.seconds, "seeds": [], "pairs": []})
+    if earlier["seconds"] != args.seconds:
+        sys.exit(f"{path}: {args.workload} was run with --seconds {earlier['seconds']}, not {args.seconds}")
     pairs = []
     environment = {}
     for i in range(args.pairs):
@@ -127,15 +139,10 @@ def main(argv=None) -> int:
         walls = {side: round(pair[side]["wall_s"], 3) for side in SIDES}
         print(f"pair {i + 1}/{args.pairs} seed {seed}: wall_s {walls}", file=sys.stderr)
 
-    sha = short_sha(checkouts["change"])
-    path = os.path.join(ROOT, f"BENCH_{args.tag}_{sha}.json")
-    doc = {"change": sha, "parent": short_sha(checkouts["parent"]), "workloads": {}}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    pairs = earlier["pairs"] + pairs
     doc["workloads"][args.workload] = {
         "seconds": args.seconds,
-        "seeds": args.seeds,
+        "seeds": list(dict.fromkeys(earlier["seeds"] + args.seeds)),
         "environment": environment,
         "summary": summarise(pairs, {**better, "raw_wall_s": "lower"}),
         "pairs": pairs,
