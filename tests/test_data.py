@@ -955,10 +955,17 @@ def assert_saved_as_each_split(tmp_path, ds, split):
         assert read(path + SIDECAR_SUFFIX) == read(expected + SIDECAR_SUFFIX)
 
 
-@pytest.mark.parametrize("n", [10, 2 * B + 3])
-def test_split_csv_copies_the_lines_of_a_source_its_sidecar_matches(tmp_path, n):
-    ds = make_dataset(n, n_categorical=2)
-    split, formatted = splits_csv(tmp_path, saved(tmp_path, ds), ds.schema)
+@pytest.mark.parametrize("again", [False, True])
+@pytest.mark.parametrize("extra", [0, 1, 2 * B + 3])
+def test_save_csv_rows_copies_the_lines_of_a_source_its_sidecar_matches(tmp_path, extra, again):
+    """The line copy save_csv_rows made, now split_csv's, of 10 + `extra`
+    rows: the fewest split_dataset takes, one more, and three blocks. With
+    `again`, the paths already hold another split's files and sidecars."""
+    ds = make_dataset(10 + extra, n_categorical=2)
+    source = saved(tmp_path, ds)
+    if again:
+        split_csv(source, ds.schema, SplitRatios(0.6, 0.2, 0.2), 8, split_paths(tmp_path))
+    split, formatted = splits_csv(tmp_path, source, ds.schema)
     assert not formatted
     assert_saved_as_each_split(tmp_path, ds, split)
 
