@@ -485,9 +485,11 @@ def load_csv(path: str, schema: FeatureSchema) -> Dataset:
     `save_csv` wrote beside it still matches it: a sidecar written for the
     file's exact bytes under an equal schema holds what the parse returns.
     """
-    ds = _load_sidecar(path, schema)
-    if ds is not None:
-        return ds
+    return _load_sidecar(path, schema) or _parse_csv(path, schema)
+
+
+def _parse_csv(path: str, schema: FeatureSchema) -> Dataset:
+    """`load_csv` of the file at `path` by parsing it, its sidecar unread."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -740,7 +742,7 @@ def split_csv(source: str, schema: FeatureSchema, ratios: SplitRatios, seed: int
     another number of rows raises ParseError and leaves every path as it was."""
     ds = _load_sidecar(source, schema)
     breaks = any("\r" in s or "\n" in s for c in schema.columns for s in (c.name, *c.categories))
-    split = split_dataset(load_csv(source, schema) if ds is None else ds, ratios, seed)
+    split = split_dataset(_parse_csv(source, schema) if ds is None else ds, ratios, seed)
     for path in paths:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     parts = (split.train, split.valid, split.test)

@@ -16,8 +16,8 @@ propensity-transformed outcome.
 All trainers share one loop: per-epoch unit streams, mini-batch gradient
 steps, per-epoch validation ranking, early stopping with best-epoch
 parameter restore, and learning-rate decay on validation stagnation. A soft
-weight of exactly 0 short-circuits every distillation code path, so such
-runs are bit-identical to plain BCE training on the same stream.
+weight of exactly 0 skips every soft term, so such runs are bit-identical to
+plain BCE training on the same stream.
 """
 
 from __future__ import annotations
@@ -211,8 +211,8 @@ def _assemble_batch(ds: Dataset, units: _Units, start: int, stop: int, kd_weight
     Pass layout: the treated pass of every pair, the control pass of every
     pair, then every singleton on its own arm. A pass trains BCE only where
     its treatment input is the row's own arm, so the counterfactual pass of
-    a single-sample unit feeds the soft term alone. The soft term is
-    materialized only when kd_weight > 0.
+    a single-sample unit feeds the soft term alone; `backward` skips the
+    soft term when kd_weight == 0.
     """
     a = units.a[start:stop]
     b = units.b[start:stop]
@@ -221,19 +221,13 @@ def _assemble_batch(ds: Dataset, units: _Units, start: int, stop: int, kd_weight
     single = a[~pair]
     rows = np.concatenate([a[pair], b[pair], single])
     T = np.concatenate([np.ones(k), np.zeros(k), ds.treatment[single].astype(np.float64)])
-    if kd_weight > 0.0 and k:
-        kd_pairs = np.stack([np.arange(k), k + np.arange(k)], axis=1)
-        targets = units.u[start:stop][pair]
-    else:
-        kd_pairs = np.zeros((0, 2), dtype=np.int64)
-        targets = np.zeros(0)
     return LossBatch(
         X=ds.features[rows],
         T=T,
         y=ds.outcome[rows].astype(np.float64),
         bce_weight=(ds.treatment[rows] == T).astype(np.float64),
-        kd_pairs=kd_pairs,
-        kd_targets=targets,
+        kd_pairs=np.stack([np.arange(k), k + np.arange(k)], axis=1),
+        kd_targets=units.u[start:stop][pair],
         lam=kd_weight,
         n_units=stop - start,
     )
@@ -287,8 +281,7 @@ def _train_loop(
     decay on stagnation. Fills in and returns `report`."""
     tie_seed = derive_seed(hyper.master_seed, "valid-ties")
     best_snapshots = None
-    since_improve = 0
-    since_decay = 0
+    last_change = -1  # the last epoch that improved or decayed the lr
     for epoch in range(hyper.max_epochs):
         epoch_seed = derive_seed(hyper.master_seed, "epoch", epoch)
         hard_sum = soft_sum = 0.0
@@ -323,16 +316,12 @@ def _train_loop(
             report.best_val_auuc = val
             report.best_epoch = epoch
             best_snapshots = [clone_params(t.model) for t in tracks]
-            since_improve = 0
-            since_decay = 0
-        else:
-            since_improve += 1
-            since_decay += 1
-            if since_decay >= tracks[0].model.config.lr_decay_patience:
-                for t in tracks:
-                    t.opt.lr *= t.model.config.lr_decay_factor
-                since_decay = 0
-        if since_improve >= hyper.early_stop_patience:
+            last_change = epoch
+        elif epoch - last_change >= tracks[0].model.config.lr_decay_patience:
+            for t in tracks:
+                t.opt.lr *= t.model.config.lr_decay_factor
+            last_change = epoch
+        if epoch - report.best_epoch >= hyper.early_stop_patience:
             break
     if best_snapshots is not None:
         for t, snap in zip(tracks, best_snapshots):

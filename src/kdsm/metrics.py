@@ -41,14 +41,6 @@ class RankingEval:
         return self.order.shape[0]
 
 
-@dataclass
-class Curve:
-    """A metric value per prefix size k = 1..n."""
-
-    k: np.ndarray
-    values: np.ndarray
-
-
 def _check_eval_inputs(predictions, treatment, outcome):
     predictions = np.asarray(predictions, dtype=np.float64)
     treatment = np.asarray(treatment, dtype=np.float64)
@@ -95,33 +87,32 @@ def rank_eval(predictions, treatment, outcome, tie_seed: int = 0) -> RankingEval
     )
 
 
-def uplift_curve(ev: RankingEval) -> Curve:
-    """Estimated incremental positives if the top-k were all treated:
-    (r_t/n_t - r_c/n_c) * (n_t + n_c); prefixes missing an arm score 0."""
+def uplift_curve(ev: RankingEval) -> np.ndarray:
+    """Estimated incremental positives if the top-k were all treated, at index
+    k-1: (r_t/n_t - r_c/n_c) * (n_t + n_c); prefixes missing an arm score 0."""
     both = (ev.n_t > 0) & (ev.n_c > 0)
     values = np.zeros(ev.n, dtype=np.float64)
     nt = ev.n_t[both].astype(np.float64)
     nc = ev.n_c[both].astype(np.float64)
     values[both] = (ev.r_t[both] / nt - ev.r_c[both] / nc) * (nt + nc)
-    return Curve(k=np.arange(1, ev.n + 1, dtype=np.int64), values=values)
+    return values
 
 
-def qini_curve(ev: RankingEval) -> Curve:
-    """Incremental positives among the treated of the top-k:
+def qini_curve(ev: RankingEval) -> np.ndarray:
+    """Incremental positives among the treated of the top-k, at index k-1:
     r_t - r_c * n_t/n_c; prefixes with no control subjects score r_t."""
-    values = np.where(
+    return np.where(
         ev.n_c > 0,
         ev.r_t - ev.r_c * (ev.n_t / np.maximum(ev.n_c, 1)),
         ev.r_t.astype(np.float64),
     )
-    return Curve(k=np.arange(1, ev.n + 1, dtype=np.int64), values=values)
 
 
 def auuc(ev: RankingEval) -> float:
     """Area under the uplift curve, normalized so a random ranking scores
     about 0.5: mean over k of uplift(k)/uplift(n). Undefined when
     uplift(n) <= 0."""
-    values = uplift_curve(ev).values
+    values = uplift_curve(ev)
     final = values[-1]
     if not final > 0:
         raise UndefinedMetricError(
@@ -133,7 +124,7 @@ def auuc(ev: RankingEval) -> float:
 def qini_coefficient(ev: RankingEval) -> float:
     """Mean signed area between the Qini curve and the random-ranking
     diagonal, in per-subject^2 units: (1/n^2) * sum_k (Q(k) - (k/n) Q(n))."""
-    values = qini_curve(ev).values
+    values = qini_curve(ev)
     n = ev.n
     ks = np.arange(1, n + 1, dtype=np.float64)
     return float(np.sum(values - (ks / n) * values[-1]) / (n * n))
@@ -156,9 +147,9 @@ def evaluate_predictions(predictions, treatment, outcome, tie_seed: int = 0) -> 
     return summary(rank_eval(predictions, treatment, outcome, tie_seed))
 
 
-def write_curve_csv(curve: Curve, path: str) -> None:
-    """Write a curve as `k,value` CSV with exact float representation."""
-    values = curve.values.astype(np.float64).tolist()
-    rows = "".join([f"{k},{v!r}\n" for k, v in zip(curve.k.tolist(), values)])
+def write_curve_csv(values: np.ndarray, path: str) -> None:
+    """Write curve values as `k,value` CSV, k from 1, with exact float representation."""
+    values = np.asarray(values, dtype=np.float64).tolist()
+    rows = "".join([f"{k},{v!r}\n" for k, v in enumerate(values, 1)])
     with atomic_write(path) as fh:
         fh.write("k,value\n" + rows)

@@ -169,8 +169,8 @@ class LossBatch:
     a BCE weight (0 for counterfactual passes that only feed a soft term).
     `kd_pairs` holds (treated-pass, control-pass) index pairs whose predicted
     difference is pulled toward `kd_targets` with weight `lam`; no pass
-    appears in two pairs, and it must be empty when lam == 0. `n_units` is
-    the mean-reduction denominator.
+    appears in two pairs, and it is ignored when lam == 0. `n_units` is the
+    mean-reduction denominator.
     """
 
     X: np.ndarray
@@ -195,26 +195,21 @@ def init_student(
     (zero-variance columns standardize to 0). Dense layers draw from
     U(-sqrt(6/(fan_in+fan_out)), +...), embeddings from U(-0.05, 0.05), in a
     fixed order given init_seed. The final bias defaults to the logit of the
-    training positive rate for binary heads and must be supplied for
-    regression heads by the caller that knows the target scale.
+    training positive rate for binary heads and to 0.0 for regression heads,
+    whose caller knows the target scale and may supply it.
     """
     if head not in ("binary", "regression"):
         raise DomainError(f"head must be 'binary' or 'regression', got {head!r}")
     schema = train.schema
-    num_idx = schema.numeric_indices
-    if num_idx.size:
-        num_mean = train.features[:, num_idx].mean(axis=0)
-        num_std = train.features[:, num_idx].std(axis=0)
-        num_std = np.where(num_std == 0.0, 1.0, num_std)
-    else:
-        num_mean = np.zeros(0)
-        num_std = np.ones(0)
+    num = train.features[:, schema.numeric_indices]
+    num_std = num.std(axis=0)
+    num_std = np.where(num_std == 0.0, 1.0, num_std)
 
     model = StudentModel(
         config=cfg,
         schema=schema,
         head=head,
-        num_mean=num_mean,
+        num_mean=num.mean(axis=0),
         num_std=num_std,
         params=np.zeros(_n_params(cfg, schema)),
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from kdsm.data import CATEGORICAL, NUMERIC, Column, Dataset, FeatureSchema
 from kdsm.errors import DomainError, MetricError, ParseError, SchemaError
-from kdsm.metrics import Curve, _check_eval_inputs
+from kdsm.metrics import _check_eval_inputs
 from kdsm.student import (
     PROB_EPS,
     LossBatch,
@@ -220,9 +220,9 @@ def predict_uplift_tree(tree: UpliftTree, x: np.ndarray) -> float:
 # --- metrics ---
 
 
-def brute_force_curves(predictions, treatment, outcome, tie_seed: int = 0) -> tuple[Curve, Curve]:
-    """Recompute both curves at every k by re-scanning the full prefix from
-    scratch (O(n^2)). Same tie-break rule and seed as `rank_eval`; used to
+def brute_force_curves(predictions, treatment, outcome, tie_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Recompute both curves' values at every k, at index k-1, by re-scanning
+    the full prefix from scratch (O(n^2)). Same tie-break rule and seed as `rank_eval`; used to
     cross-check the streaming path."""
     predictions, treatment, outcome = _check_eval_inputs(predictions, treatment, outcome)
     perm = np.random.default_rng(tie_seed).permutation(predictions.shape[0])
@@ -246,12 +246,12 @@ def brute_force_curves(predictions, treatment, outcome, tie_seed: int = 0) -> tu
             qini_vals[k - 1] = r_t - r_c * (n_t / n_c)
         else:
             qini_vals[k - 1] = float(r_t)
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    return Curve(k=ks, values=uplift_vals), Curve(k=ks, values=qini_vals)
+    return uplift_vals, qini_vals
 
 
-def read_curve_csv(path: str) -> Curve:
-    """Read a `k,value` curve file written by `write_curve_csv`."""
+def read_curve_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a `k,value` curve file written by `write_curve_csv` as its
+    (k, values) columns."""
     ks: list[int] = []
     vals: list[float] = []
     with open(path, encoding="utf-8") as fh:
@@ -262,7 +262,7 @@ def read_curve_csv(path: str) -> Curve:
             k_str, v_str = line.strip().split(",")
             ks.append(int(k_str))
             vals.append(float(v_str))
-    return Curve(k=np.array(ks, dtype=np.int64), values=np.array(vals, dtype=np.float64))
+    return np.array(ks, dtype=np.int64), np.array(vals, dtype=np.float64)
 
 
 # --- data ---

@@ -266,8 +266,8 @@ def test_curves_equal_quadratic_brute_force_recount():
         y = (rng.random(n) < np.where(t == 1, 0.4, 0.25)).astype(np.int64)
         tie = derive_seed(33, "ties", i)
         ev = rank_eval(preds, t, y, tie)
-        u_vals = uplift_curve(ev).values
-        q_vals = qini_curve(ev).values
+        u_vals = uplift_curve(ev)
+        q_vals = qini_curve(ev)
         for k in range(1, n + 1):
             pre = ev.order[:k]
             nt = int(t[pre].sum())

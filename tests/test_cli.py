@@ -35,7 +35,7 @@ from kdsm.data import (
 )
 from kdsm.distill import KdsmHyper, TrainReport, write_train_report
 from kdsm.errors import ConfigError, DomainError, FitError, KdsmError, SchemaError
-from kdsm.metrics import Curve, write_curve_csv
+from kdsm.metrics import write_curve_csv
 from kdsm.seeds import derive_seed
 from kdsm.student import StudentConfig, save_student
 from kdsm.tree import TreeParams, fit_tree, load_tree, predict_uplift_tree_batch, save_tree
@@ -134,8 +134,8 @@ def test_summary_auuc_matches_reintegrated_curve(pipeline):
     _, out = pipeline
     with open(os.path.join(out, "eval_model_kdsm", "summary.json"), encoding="utf-8") as fh:
         summary = json.load(fh)
-    curve = read_curve_csv(os.path.join(out, "eval_model_kdsm", "uplift_curve.csv"))
-    recomputed = float(np.mean(curve.values / curve.values[-1]))
+    _, values = read_curve_csv(os.path.join(out, "eval_model_kdsm", "uplift_curve.csv"))
+    recomputed = float(np.mean(values / values[-1]))
     assert abs(recomputed - summary["auuc"]) < 1e-12
 
 
@@ -748,7 +748,7 @@ ARTIFACT_WRITERS = {
     "two-model": lambda p, models: _save_predictor(models["tm"], p),
     "student": lambda p, models: save_student(models["kdsm"], p),
     "tree": lambda p, models: save_tree(models["tree"], p),
-    "curve": lambda p, models: write_curve_csv(Curve(np.arange(1, 4), np.array([0.5, 1.0, 1.5])), p),
+    "curve": lambda p, models: write_curve_csv(np.array([0.5, 1.0, 1.5]), p),
     "report": lambda p, models: write_train_report(TrainReport("kdsm", 0.5), p),
 }
 

@@ -1022,10 +1022,13 @@ def test_split_csv_rejects_a_source_whose_row_count_is_not_its_sidecars(tmp_path
     assert os.listdir(tmp_path / "out") == []
 
 
-def test_split_csv_reads_the_source_for_its_key_once(tmp_path):
+@pytest.mark.parametrize("spoil", [None, _stale])
+def test_split_csv_reads_the_source_for_its_key_once(tmp_path, spoil):
     ds = make_dataset(2 * B + 3, n_categorical=2)
     source = saved(tmp_path, ds)
+    if spoil:
+        spoil(ds, source)
     with mock.patch.object(data_module, "_sidecar_key", wraps=data_module._sidecar_key) as key:
         split, formatted = splits_csv(tmp_path, source, ds.schema)
-    assert key.call_count == 1 and not formatted
-    assert_saved_as_each_split(tmp_path, ds, split)
+    assert key.call_count == 1 and formatted == bool(spoil)
+    assert_saved_as_each_split(tmp_path, load_csv(source, ds.schema), split)

@@ -33,7 +33,7 @@ from kdsm.distill import (
     train_two_model,
     transformed_outcome,
 )
-from kdsm.errors import DomainError, FitError, SchemaError
+from kdsm.errors import DomainError, FitError, SchemaError, UndefinedMetricError
 from kdsm.metrics import auuc, rank_eval
 from kdsm.seeds import derive_seed
 from kdsm.student import (
@@ -395,6 +395,32 @@ def test_returned_model_carries_best_epoch():
     tie_seed = derive_seed(hyper.master_seed, "valid-ties")
     val = auuc(rank_eval(predict_uplift_batch(model, valid.features), valid.treatment, valid.outcome, tie_seed))
     assert val == report.best_val_auuc
+
+
+def test_lr_decays_and_training_stops_on_the_scripted_validation_schedule(monkeypatch):
+    """Decay after 2 epochs without an improvement or a decay, stop after 5
+    without an improvement; an undefined AUUC and a tie never improve."""
+    script = [0.5, None, 0.4, 0.45, 0.45, 0.7, 0.6, None, 0.6, 0.6, 0.6, 0.9]
+    calls = iter(script)
+
+    def scripted_auuc(ev):
+        val = next(calls)
+        if val is None:
+            raise UndefinedMetricError("scripted")
+        return val
+
+    monkeypatch.setattr(distill, "auuc", scripted_auuc)
+    train, valid = split_for_training(300, seed=27)
+    cfg = dataclasses.replace(FAST, lr_decay_factor=0.5, lr_decay_patience=2)
+    hyper = KdsmHyper(batch_size=256, max_epochs=len(script), early_stop_patience=5, master_seed=27)
+    _, report = train_plain(train, valid, cfg, hyper)
+    # epoch 5 improves after the decays at epochs 2 and 4; decays follow at
+    # 7 and 9, and epoch 10 is the fifth since epoch 5, so training stops
+    decays_before = [0, 0, 0, 1, 1, 2, 2, 2, 3, 3, 4]
+    assert [r.val_auuc for r in report.records] == script[: len(decays_before)]
+    assert [r.lr for r in report.records] == [0.01 * 0.5**d for d in decays_before]
+    assert (len(report.records), report.best_epoch, report.best_val_auuc) == (11, 5, 0.7)
+    assert report.warnings == [f"epoch {e}: validation AUUC undefined" for e in (1, 7)]
 
 
 def test_report_format_lines():

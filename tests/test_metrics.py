@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdsm.metrics import (
-    Curve,
     auuc,
     evaluate_predictions,
     qini_coefficient,
@@ -44,7 +43,7 @@ def test_rank_eval_hand_counts():
 
 def test_qini_hand_value_at_k2():
     _, qini = curves_for([0.4, 0.3, 0.2, 0.1], [1, 0, 1, 0], [1, 0, 0, 0])
-    assert qini.values[1] == 1.0  # 1 - 0 * (1/1)
+    assert qini[1] == 1.0  # 1 - 0 * (1/1)
 
 
 def test_uplift_final_value_from_rates():
@@ -53,14 +52,14 @@ def test_uplift_final_value_from_rates():
     y = np.array([1] * 100 + [0] * 400 + [1] * 50 + [0] * 450)
     preds = np.linspace(1, 0, 1000)
     up, _ = curves_for(preds, t, y)
-    assert up.values[-1] == pytest.approx(100.0)
+    assert up[-1] == pytest.approx(100.0)
 
 
 def test_uplift_zero_effect_final_zero():
     t = np.array([1] * 50 + [0] * 50)
     y = np.array(([1] * 10 + [0] * 40) * 2)
     up, _ = curves_for(np.linspace(1, 0, 100), t, y)
-    assert up.values[-1] == pytest.approx(0.0)
+    assert up[-1] == pytest.approx(0.0)
 
 
 def test_empty_arm_prefix_conventions():
@@ -69,8 +68,8 @@ def test_empty_arm_prefix_conventions():
     t = np.array([1, 1, 0, 0])
     y = np.array([1, 1, 0, 0])
     up, qini = curves_for(preds, t, y)
-    assert up.values[0] == 0.0 and up.values[1] == 0.0
-    assert qini.values[0] == 1.0 and qini.values[1] == 2.0  # R_t with empty control
+    assert up[0] == 0.0 and up[1] == 0.0
+    assert qini[0] == 1.0 and qini[1] == 2.0  # R_t with empty control
 
 
 def test_qini_full_prefix_balanced_identity():
@@ -82,8 +81,8 @@ def test_qini_full_prefix_balanced_identity():
     up, qini = curves_for(preds, t, y)
     r_t = y[t == 1].sum()
     r_c = y[t == 0].sum()
-    assert qini.values[-1] == pytest.approx(r_t - r_c)
-    assert qini.values[-1] == pytest.approx(up.values[-1] * (n // 2) / n)
+    assert qini[-1] == pytest.approx(r_t - r_c)
+    assert qini[-1] == pytest.approx(up[-1] * (n // 2) / n)
 
 
 def test_auuc_equals_normalized_curve_mean():
@@ -93,7 +92,7 @@ def test_auuc_equals_normalized_curve_mean():
     y = ((rng.random(n) < 0.2 + 0.2 * t)).astype(int)  # positive effect
     preds = rng.normal(size=n)
     ev = rank_eval(preds, t, y, tie_seed=4)
-    u = np.array(uplift_curve(ev).values)
+    u = uplift_curve(ev)
     assert u[-1] > 0
     assert auuc(ev) == pytest.approx(np.mean(u / u[-1]), abs=1e-12)
 
@@ -116,7 +115,7 @@ def test_qini_coefficient_matches_direct_formula():
     y = rng.integers(0, 2, n)
     preds = rng.normal(size=n)
     ev = rank_eval(preds, t, y, tie_seed=1)
-    q = np.array(qini_curve(ev).values)
+    q = qini_curve(ev)
     k = np.arange(1, n + 1)
     expected = np.sum(q - (k / n) * q[-1]) / n**2
     assert qini_coefficient(ev) == pytest.approx(expected, abs=1e-12)
@@ -144,8 +143,8 @@ def test_brute_force_equivalence_random_instances():
         ev = rank_eval(preds, t, y, seed)
         up, qini = uplift_curve(ev), qini_curve(ev)
         up_bf, qini_bf = brute_force_curves(preds, t, y, seed)
-        assert np.array_equal(up.values, up_bf.values)
-        assert np.array_equal(qini.values, qini_bf.values)
+        assert np.array_equal(up, up_bf)
+        assert np.array_equal(qini, qini_bf)
 
 
 def test_brute_force_equivalence_all_ties():
@@ -159,8 +158,8 @@ def test_brute_force_equivalence_all_ties():
         seed = int(rng.integers(0, 2**31))
         ev = rank_eval(preds, t, y, seed)
         up_bf, qini_bf = brute_force_curves(preds, t, y, seed)
-        assert np.array_equal(uplift_curve(ev).values, up_bf.values)
-        assert np.array_equal(qini_curve(ev).values, qini_bf.values)
+        assert np.array_equal(uplift_curve(ev), up_bf)
+        assert np.array_equal(qini_curve(ev), qini_bf)
 
 
 # deterministic examples, and no example database written to the working tree
@@ -188,9 +187,8 @@ def test_curves_equal_the_brute_force_recount(case):
     preds, t, y, tie_seed = case
     up, qini = curves_for(preds, t, y, tie_seed)
     up_bf, qini_bf = brute_force_curves(preds, t, y, tie_seed)
-    for curve, expected in ((up, up_bf), (qini, qini_bf)):
-        assert np.array_equal(curve.k, expected.k)
-        assert np.array_equal(curve.values, expected.values)
+    assert np.array_equal(up, up_bf)
+    assert np.array_equal(qini, qini_bf)
 
 
 # --- ranking properties ---
@@ -202,8 +200,8 @@ def test_monotone_transform_invariance():
     base_u, base_q = curves_for(preds, t, y, tie_seed=7)
     for f in (lambda p: 2 * p + 1, np.exp, lambda p: p**3):
         u, q = curves_for(f(preds), t, y, tie_seed=7)
-        assert np.array_equal(u.values, base_u.values)
-        assert np.array_equal(q.values, base_q.values)
+        assert np.array_equal(u, base_u)
+        assert np.array_equal(q, base_q)
 
 
 def test_row_permutation_invariance():
@@ -216,8 +214,8 @@ def test_row_permutation_invariance():
     base_u, base_q = curves_for(preds, t, y)
     perm = rng.permutation(n)
     u, q = curves_for(preds[perm], t[perm], y[perm])
-    assert np.array_equal(u.values, base_u.values)
-    assert np.array_equal(q.values, base_q.values)
+    assert np.array_equal(u, base_u)
+    assert np.array_equal(q, base_q)
 
 
 def test_constant_predictions_equal_seeded_shuffle_ranking():
@@ -234,7 +232,7 @@ def test_constant_predictions_equal_seeded_shuffle_ranking():
     explicit[perm] = np.arange(n, 0, -1)
     ev_explicit = rank_eval(explicit, t, y, tie_seed)
     assert ev_const.order.tolist() == ev_explicit.order.tolist()
-    assert np.array_equal(qini_curve(ev_const).values, qini_curve(ev_explicit).values)
+    assert np.array_equal(qini_curve(ev_const), qini_curve(ev_explicit))
 
 
 def test_random_predictions_baseline():
@@ -353,12 +351,12 @@ def test_curve_csv_round_trip(tmp_path):
     up, _ = curves_for(preds, t, y)
     path = tmp_path / "curve.csv"
     write_curve_csv(up, str(path))
-    back = read_curve_csv(str(path))
-    assert np.array_equal(back.k, up.k)
-    assert np.array_equal(back.values, up.values)
+    k, values = read_curve_csv(str(path))
+    assert np.array_equal(k, np.arange(1, up.size + 1))
+    assert np.array_equal(values, up)
 
 
 def test_curve_csv_bytes_for_signed_zero_subnormal_and_large_values(tmp_path):
     path = tmp_path / "curve.csv"
-    write_curve_csv(Curve(np.arange(1, 6), np.array([-0.0, 5e-324, 0.1, 1e16, 2.0])), str(path))
+    write_curve_csv(np.array([-0.0, 5e-324, 0.1, 1e16, 2.0]), str(path))
     assert path.read_bytes() == b"k,value\n1,-0.0\n2,5e-324\n3,0.1\n4,1e+16\n5,2.0\n"

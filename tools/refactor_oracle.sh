@@ -30,6 +30,10 @@
 #     of tied values deduplicate, and nodes with no threshold to split at;
 #   - train for all five methods, plus kdsm --lambda 0, kdsm
 #     --drop-leftovers and kdss --lambda 0, each to its own --out;
+#   - train kdsm and tm once more, each to its own --out, at
+#     student.lr_decay_patience = 1, train.early_stop_patience = 3 and
+#     train.max_epochs = 12, so that repeated learning-rate decays and an
+#     early stop are byte-checked;
 #   - evaluate on every model and on the tree;
 #   - compare at synth.n=20000, seeds 1,2, 15 epochs, in worker processes
 #     on a machine with more than one usable CPU;
@@ -97,6 +101,8 @@ run_side() {
     printf '%s\n' 'tree.max_depth = 8' 'tree.min_samples_per_arm = 5' 'tree.numeric_split_candidates = 64' |
         cat "$cfg" - >"$cfg.deep"
     printf 'out.dir = %s\ndata.dir = %s\n' "$out/no_sidecar" "$out/no_sidecar" >"$cfg.no_sidecar"
+    sed 's/^train.max_epochs = .*/train.max_epochs = 12/' "$cfg" >"$cfg.patience"
+    printf '%s\n' 'student.lr_decay_patience = 1' 'train.early_stop_patience = 3' >>"$cfg.patience"
     {
         printf 'out.dir = %s\n' "$out/compare_failing"
         printf '%s\n' 'synth.n = 3000' 'synth.effect_function = zero' \
@@ -176,6 +182,9 @@ kdsm_lambda0 kdsm --lambda 0
 kdsm_drop_leftovers kdsm --drop-leftovers
 kdss_lambda0 kdss --lambda 0
 VARIANTS
+        for method in kdsm tm; do
+            kdsm train --config "$cfg.patience" --out "$out/patience_$method" --method "$method"
+        done
         kdsm evaluate --config "$cfg" "$out/data/tree.json"
         kdsm compare --config "$cfg.compare"
         PYTHONPATH="$src" taskset -c 0 python3 -m kdsm.cli compare --config "$cfg.compare_one_cpu"
