@@ -1031,4 +1031,4 @@ def test_split_csv_reads_the_source_for_its_key_once(tmp_path, spoil):
     with mock.patch.object(data_module, "_sidecar_key", wraps=data_module._sidecar_key) as key:
         split, formatted = splits_csv(tmp_path, source, ds.schema)
     assert key.call_count == 1 and formatted == bool(spoil)
-    assert_saved_as_each_split(tmp_path, load_csv(source, ds.schema), split)
+    assert_saved_as_each_split(tmp_path, load_csv(source, ds.schema) if spoil else ds, split)
