@@ -419,7 +419,9 @@ def run_comparison(cfg: RunConfig, out_dir: str) -> ComparisonReport:
     if one CPU is usable; the artifacts are the same at any count."""
     methods, seeds = cfg.compare_methods(), cfg.compare_seeds()
     cfg.tie_seed(seeds[0])  # a bad eval.tie_seed fails here, not in a cell
-    workers = min(len(os.sched_getaffinity(0)), len(methods) * len(seeds))
+    # macOS and Windows have no CPU affinity to read
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(methods) * len(seeds))
     # the workers start first, so that their imports overlap the teachers' fits
     with _cell_runner(cfg, workers) as run_cells:
         cells = []

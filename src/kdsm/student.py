@@ -136,14 +136,22 @@ class StudentModel:
     def __post_init__(self):
         self.embeddings, self.weights, self.biases = param_views(self.config, self.schema, self.params)
 
-    # not a field, so no document holds it; views, so it follows in-place writes to `params`
+    # not a field, so no document holds it
     @cached_property
     def _row_pass(self):
         """What the one-row pass reads of the model: the schema's width, each categorical
-        (column, cardinality), and the first layer's covariate weights, treatment weights and biases."""
+        (column, cardinality), each embedding table with its column, the first layer's
+        covariate and treatment weights, each later layer's weights after the bias of the
+        layer before it, the output bias, and the activation. These are views and schema
+        facts, no parameter value, so the pass follows in-place writes to `params`."""
         s = self.schema
         cells = list(zip(s.categorical_indices.tolist(), s.cardinalities.tolist()))
-        return len(s.columns), cells, self.weights[0][:-1], self.weights[0][-1], self.biases[0]
+        tables = [(e, i) for e, (i, _) in zip(self.embeddings, cells)]
+        layers = list(zip(self.biases[:-1], self.weights[1:]))
+        relu = self.config.activation == "relu"
+        act = (lambda h: np.maximum(h, 0.0, out=h)) if relu else (lambda h: np.tanh(h, out=h))
+        w0 = self.weights[0]
+        return len(s.columns), cells, tables, w0[:-1], w0[-1], layers, self.biases[-1], act
 
     def predict_uplift(self, X: np.ndarray) -> np.ndarray:
         """Uplift per row: p(x, 1) - p(x, 0) for a binary head, the raw
@@ -318,10 +326,10 @@ def _score_logits(model: StudentModel, X: np.ndarray, codes: np.ndarray, arms: t
     return out
 
 
-def _remaining_layers(model: StudentModel, h: np.ndarray, bufs: list | None = None) -> np.ndarray:
+def _remaining_layers(model: StudentModel, h: np.ndarray, bufs: list) -> np.ndarray:
     """Output logits, shape (rows, 1), of first-layer pre-activations h,
-    which the first activation overwrites. Given `bufs`, one array per
-    later layer with at least as many rows as h, each layer writes into the
+    which the first activation overwrites. `bufs` holds one array per later
+    layer with at least as many rows as h; each layer writes into the
     leading rows of its own."""
     relu = model.config.activation == "relu"
     for i, (w, b) in enumerate(zip(model.weights[1:], model.biases[1:])):
@@ -329,7 +337,7 @@ def _remaining_layers(model: StudentModel, h: np.ndarray, bufs: list | None = No
             np.maximum(h, 0.0, out=h)
         else:
             np.tanh(h, out=h)
-        h = h @ w if bufs is None else np.matmul(h, w, out=bufs[i][: len(h)])
+        h = np.matmul(h, w, out=bufs[i][: len(h)])
         h += b
     return h
 
@@ -340,8 +348,7 @@ def _require_binary(model: StudentModel, fn: str) -> None:
 
 
 def _probability(z_raw: np.ndarray) -> np.ndarray:
-    # the same clamp as np.clip, NaN included, at half its call cost on the
-    # few-element arrays of single-row scoring
+    # the same clamp as np.clip, NaN included
     return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z_raw, -LOGIT_CLAMP), LOGIT_CLAMP)))
 
 
@@ -369,27 +376,30 @@ def predict_uplift_batch(model: StudentModel, X: np.ndarray) -> np.ndarray:
 
 def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
     """forward(x, 1) - forward(x, 0) of one row, shape (d,) or (1, d): the
-    block pass of `_score_logits` for a single row, without its block
-    bookkeeping, so it equals `predict_uplift_batch(model, x[None])[0]` bit for bit.
-    The row is checked as Python floats; a row that fails that check goes
-    through `checked_features`, which raises the batch's error."""
+    block pass of `_score_logits` for a single row, with its layer loop
+    inline and the output bias, clamp and sigmoid taken in Python floats,
+    which round as numpy's do, so it equals `predict_uplift_batch(model,
+    x[None])[0]` bit for bit. The row is checked as Python floats; a row that
+    fails that check goes through `checked_features`, which raises the batch's error."""
     _require_binary(model, "predict_uplift_student")
     x = np.asarray(x, dtype=np.float64).ravel()
     row = x.tolist()
-    width, cells, w_cov, w_t, b0 = model._row_pass
+    width, cells, tables, w_cov, w_t, layers, b_out, act = model._row_pass
     if not (len(row) == width and all(map(math.isfinite, row)) and all(
         row[i].is_integer() and 0 <= row[i] < card for i, card in cells
     )):
         checked_features(model.schema, x[None])  # makes the same three checks, and raises
     num = (x[model.schema.numeric_indices] - model.num_mean) / model.num_std
-    h0 = np.concatenate([num, *(e[int(row[i])] for e, (i, _) in zip(model.embeddings, cells))])
-    base = h0 @ w_cov
-    h = np.empty((2, base.size))
-    np.add(base, w_t, out=h[0])
-    h[1] = base
-    h += b0
-    p = _probability(_remaining_layers(model, h))
-    return float(p[0, 0] - p[1, 0])
+    base = np.concatenate([num, *(e[int(row[i])] for e, i in tables)]) @ w_cov
+    h = np.array([base + w_t, base])
+    for b, w in layers:
+        h += b
+        h = act(h) @ w
+    b = b_out.item()
+    z1, z0 = h.ravel().tolist()
+    # the clamp of `_probability`, NaN included, then one exp for both arms
+    e1, e0 = np.exp([-min(max(z1 + b, -LOGIT_CLAMP), LOGIT_CLAMP), -min(max(z0 + b, -LOGIT_CLAMP), LOGIT_CLAMP)]).tolist()
+    return 1.0 / (1.0 + e1) - 1.0 / (1.0 + e0)
 
 
 def _bce_vec(y: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -456,8 +466,8 @@ def backward_mse(
 
 def _backprop(model: StudentModel, hs, codes, dz: np.ndarray, bufs: StepBuffers) -> np.ndarray:
     """Propagate per-pass output gradients dz through the stack into
-    `bufs.grads`, laid out like `model.params`, overwriting each input in
-    `hs` once read by its activation mask, or at layer 0 by its gradient.
+    `bufs.grads`, laid out like `model.params`, overwriting a tanh layer's
+    input in `hs` once read by its derivative, and layer 0's by its gradient.
     Raises TrainingError naming the parameter if any entry is non-finite."""
     g_emb, g_w, g_b = bufs.grad_views
     backs = bufs.rows(dz.shape[0])[len(model.weights) + 1 :]
@@ -468,12 +478,16 @@ def _backprop(model: StudentModel, hs, codes, dz: np.ndarray, bufs: StepBuffers)
             g_w[l] += hs[l][lo : lo + GRAD_CHUNK_ROWS].T @ g[lo : lo + GRAD_CHUNK_ROWS]
         g_b[l][...] = g.sum(axis=0)
         if l > 0:
-            g = np.matmul(g, model.weights[l].T, out=backs[l - 1])
+            w = model.weights[l]
+            if w.shape[1] > 1:
+                g = np.matmul(g, w.T, out=backs[l - 1])
+            else:  # an outer product, at a GEMM's cost in BLAS; a zero product's sign,
+                # -0.0 here and +0.0 there, is lost in every sum that reads g
+                g = np.multiply(g, w.T, out=backs[l - 1])
             if model.config.activation == "relu":
-                np.greater(hs[l], 0.0, out=hs[l])
+                np.multiply(g, hs[l] > 0.0, out=g)
             else:
-                np.subtract(1.0, np.square(hs[l], out=hs[l]), out=hs[l])
-            g *= hs[l]
+                g *= np.subtract(1.0, np.square(hs[l], out=hs[l]), out=hs[l])
         elif model.embeddings:
             # all columns, though only the embeddings' are read: OpenBLAS picks its
             # kernel by shape, so fewer columns round otherwise at some batch sizes

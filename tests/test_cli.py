@@ -570,6 +570,17 @@ def test_compare_artifacts_do_not_depend_on_the_worker_count(
     assert_no_child_process_left()
 
 
+@pytest.mark.parametrize("cpu_count", [None, 2], ids=["unknown-cpu-count", "two-cpus"])
+def test_compare_runs_where_the_os_reads_no_cpu_affinity(tmp_path, capsys, monkeypatch, cpu_count):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    cfg, out = write_cfg(str(tmp_path), extra="compare.methods = plain,tm\ncompare.seeds = 1\n")
+    assert main(["compare", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    assert os.path.exists(os.path.join(out, "cells", "tm_seed1", "summary.json"))
+    assert_no_child_process_left()
+
+
 def test_compare_bad_setting_fails_alike_in_workers_and_in_process(tmp_path, capsys, monkeypatch):
     # the setting is read only when a cell trains, so in a worker when there are workers
     extra = "train.drop_leftovers = maybe\ncompare.methods = plain,kdsm\ncompare.seeds = 1,2\n"

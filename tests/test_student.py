@@ -283,6 +283,24 @@ def test_backward_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_hidden_bias_gradient_keeps_the_bits_of_the_output_layer_gemm():
+    # the output layer's input gradient is an outer product, not a GEMM, which
+    # writes -0.0 for a zero product where BLAS writes +0.0; the sum that gives a
+    # hidden bias gradient must drop that sign, here in a unit that never fires
+    ds = tiny_dataset(n=40, seed=9)
+    model = init_student(StudentConfig(hidden_sizes=(4,), init_seed=3), ds, head="regression", final_bias=0.0)
+    model.biases[0][0] = -1e3  # unit 0 never fires
+    model.weights[1][0] = -1.0
+    z, hs, _ = _forward_cached(model, ds.features, np.zeros(ds.n), StepBuffers(model))
+    targets = z - np.arange(ds.n) % 3  # a third of the rows have a zero residual
+    dz = 2.0 * (z - targets) / ds.n
+    want = (np.matmul(dz[:, None], model.weights[1].T) * (hs[1] > 0.0)).sum(axis=0)
+    grads, _ = backward_mse(model, ds.features, targets, n_units=ds.n)
+    got = param_views(model.config, model.schema, grads)[2][0]
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == 0.0 and not np.signbit(got[0])
+
+
 @pytest.mark.parametrize(
     "col, value, message",
     [(0, np.nan, "non-finite value in column 'num_0' at row 5"), (2, 4.0, "code 4.0 in categorical column 'cat_0' at row 5")],
@@ -932,9 +950,13 @@ def test_single_row_pass_gives_the_batch_of_one_bits_or_its_error(case):
         assert type(got) is float and np.float64(got).tobytes() == want[0].tobytes()
 
 
-def test_single_row_pass_follows_in_place_parameter_writes(tmp_path):
+# the pass caches its layer list and activation per model, so every kind is checked
+@pytest.mark.parametrize(
+    "activation, hidden", [("relu", (16, 8)), ("tanh", (16, 8)), ("relu", ())], ids=["relu", "tanh", "no-hidden"]
+)
+def test_single_row_pass_follows_in_place_parameter_writes(tmp_path, activation, hidden):
     # a model of its own, not the cached one the property test shares
-    model, X = single_row_model.__wrapped__("relu", (16, 8), 2, 3)
+    model, X = single_row_model.__wrapped__(activation, hidden, 2, 3)
     x = X[0]
 
     def check():
