@@ -140,18 +140,16 @@ class StudentModel:
     @cached_property
     def _row_pass(self):
         """What the one-row pass reads of the model: the schema's width, each categorical
-        (column, cardinality), each embedding table with its column, the first layer's
-        covariate and treatment weights, each later layer's weights after the bias of the
-        layer before it, the output bias, and the activation. These are views and schema
-        facts, no parameter value, so the pass follows in-place writes to `params`."""
+        (column, cardinality, embedding table), the first layer's covariate and treatment
+        weights, each later layer's weights after the bias of the layer before it, the
+        output bias, and the activation. These are views and schema facts, no parameter
+        value, so the pass follows in-place writes to `params`."""
         s = self.schema
-        cells = list(zip(s.categorical_indices.tolist(), s.cardinalities.tolist()))
-        tables = [(e, i) for e, (i, _) in zip(self.embeddings, cells)]
+        cells = list(zip(s.categorical_indices.tolist(), s.cardinalities.tolist(), self.embeddings))
         layers = list(zip(self.biases[:-1], self.weights[1:]))
         relu = self.config.activation == "relu"
         act = (lambda h: np.maximum(h, 0.0, out=h)) if relu else (lambda h: np.tanh(h, out=h))
-        w0 = self.weights[0]
-        return len(s.columns), cells, tables, w0[:-1], w0[-1], layers, self.biases[-1], act
+        return len(s.columns), cells, self.weights[0][:-1], self.weights[0][-1], layers, self.biases[-1], act
 
     def predict_uplift(self, X: np.ndarray) -> np.ndarray:
         """Uplift per row: p(x, 1) - p(x, 0) for a binary head, the raw
@@ -384,13 +382,13 @@ def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
     _require_binary(model, "predict_uplift_student")
     x = np.asarray(x, dtype=np.float64).ravel()
     row = x.tolist()
-    width, cells, tables, w_cov, w_t, layers, b_out, act = model._row_pass
+    width, cells, w_cov, w_t, layers, b_out, act = model._row_pass
     if not (len(row) == width and all(map(math.isfinite, row)) and all(
-        row[i].is_integer() and 0 <= row[i] < card for i, card in cells
+        row[i].is_integer() and 0 <= row[i] < card for i, card, _ in cells
     )):
         checked_features(model.schema, x[None])  # makes the same three checks, and raises
     num = (x[model.schema.numeric_indices] - model.num_mean) / model.num_std
-    base = np.concatenate([num, *(e[int(row[i])] for e, i in tables)]) @ w_cov
+    base = np.concatenate([num, *(e[int(row[i])] for i, _, e in cells)]) @ w_cov
     h = np.array([base + w_t, base])
     for b, w in layers:
         h += b
@@ -398,7 +396,9 @@ def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
     b = b_out.item()
     z1, z0 = h.ravel().tolist()
     # the clamp of `_probability`, NaN included, then one exp for both arms
-    e1, e0 = np.exp([-min(max(z1 + b, -LOGIT_CLAMP), LOGIT_CLAMP), -min(max(z0 + b, -LOGIT_CLAMP), LOGIT_CLAMP)]).tolist()
+    e1, e0 = np.exp(
+        [-min(max(z1 + b, -LOGIT_CLAMP), LOGIT_CLAMP), -min(max(z0 + b, -LOGIT_CLAMP), LOGIT_CLAMP)]
+    ).tolist()
     return 1.0 / (1.0 + e1) - 1.0 / (1.0 + e0)
 
 
@@ -481,8 +481,7 @@ def _backprop(model: StudentModel, hs, codes, dz: np.ndarray, bufs: StepBuffers)
             w = model.weights[l]
             if w.shape[1] > 1:
                 g = np.matmul(g, w.T, out=backs[l - 1])
-            else:  # an outer product, at a GEMM's cost in BLAS; a zero product's sign,
-                # -0.0 here and +0.0 there, is lost in every sum that reads g
+            else:  # an outer product, at a GEMM's cost in BLAS; every sum of g drops its zeros' sign
                 g = np.multiply(g, w.T, out=backs[l - 1])
             if model.config.activation == "relu":
                 np.multiply(g, hs[l] > 0.0, out=g)
