@@ -44,6 +44,14 @@ SCORE_BLOCK_ROWS = 1024
 GRAD_CHUNK_ROWS = 128
 
 
+def _relu(h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.maximum(h, 0.0, out=out)
+
+
+#: Each hidden activation, called as act(h, out=h); no lambda, so a model that caches one still pickles.
+ACTIVATIONS = {"relu": _relu, "tanh": np.tanh}
+
+
 @dataclass(frozen=True)
 class StudentConfig:
     """Architecture and optimization settings for the response model."""
@@ -66,7 +74,7 @@ class StudentConfig:
             raise DomainError(f"hidden sizes must be positive, got {self.hidden_sizes}")
         if self.embedding_dim < 1:
             raise DomainError(f"embedding_dim={self.embedding_dim} must be >= 1")
-        if self.activation not in ("relu", "tanh"):
+        if self.activation not in ACTIVATIONS:
             raise DomainError(f"activation must be 'relu' or 'tanh', got {self.activation!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise DomainError(f"optimizer must be 'sgd' or 'adam', got {self.optimizer!r}")
@@ -141,14 +149,12 @@ class StudentModel:
     def _row_pass(self):
         """What the one-row pass reads of the model: the schema's width, each categorical
         (column, cardinality, embedding table), the first layer's covariate and treatment
-        weights, each later layer's weights after the bias of the layer before it, the
-        output bias, and the activation. These are views and schema facts, no parameter
-        value, so the pass follows in-place writes to `params`."""
+        weights, each later layer's (bias before it, weights), the output bias and the
+        activation: views and schema facts, so the pass follows in-place writes to `params`."""
         s = self.schema
         cells = list(zip(s.categorical_indices.tolist(), s.cardinalities.tolist(), self.embeddings))
         layers = list(zip(self.biases[:-1], self.weights[1:]))
-        relu = self.config.activation == "relu"
-        act = (lambda h: np.maximum(h, 0.0, out=h)) if relu else (lambda h: np.tanh(h, out=h))
+        act = ACTIVATIONS[self.config.activation]
         return len(s.columns), cells, self.weights[0][:-1], self.weights[0][-1], layers, self.biases[-1], act
 
     def predict_uplift(self, X: np.ndarray) -> np.ndarray:
@@ -329,13 +335,9 @@ def _remaining_layers(model: StudentModel, h: np.ndarray, bufs: list) -> np.ndar
     which the first activation overwrites. `bufs` holds one array per later
     layer with at least as many rows as h; each layer writes into the
     leading rows of its own."""
-    relu = model.config.activation == "relu"
-    for i, (w, b) in enumerate(zip(model.weights[1:], model.biases[1:])):
-        if relu:
-            np.maximum(h, 0.0, out=h)
-        else:
-            np.tanh(h, out=h)
-        h = np.matmul(h, w, out=bufs[i][: len(h)])
+    act = ACTIVATIONS[model.config.activation]
+    for w, b, buf in zip(model.weights[1:], model.biases[1:], bufs):
+        h = np.matmul(act(h, out=h), w, out=buf[: len(h)])
         h += b
     return h
 
@@ -392,7 +394,7 @@ def predict_uplift_student(model: StudentModel, x: np.ndarray) -> float:
     h = np.array([base + w_t, base])
     for b, w in layers:
         h += b
-        h = act(h) @ w
+        h = act(h, out=h) @ w
     b = b_out.item()
     z1, z0 = h.ravel().tolist()
     # the clamp of `_probability`, NaN included, then one exp for both arms
@@ -466,8 +468,8 @@ def backward_mse(
 
 def _backprop(model: StudentModel, hs, codes, dz: np.ndarray, bufs: StepBuffers) -> np.ndarray:
     """Propagate per-pass output gradients dz through the stack into
-    `bufs.grads`, laid out like `model.params`, overwriting a tanh layer's
-    input in `hs` once read by its derivative, and layer 0's by its gradient.
+    `bufs.grads`, laid out like `model.params`, overwriting each input in
+    `hs` once read by its activation mask, or at layer 0 by its gradient.
     Raises TrainingError naming the parameter if any entry is non-finite."""
     g_emb, g_w, g_b = bufs.grad_views
     backs = bufs.rows(dz.shape[0])[len(model.weights) + 1 :]
@@ -478,15 +480,12 @@ def _backprop(model: StudentModel, hs, codes, dz: np.ndarray, bufs: StepBuffers)
             g_w[l] += hs[l][lo : lo + GRAD_CHUNK_ROWS].T @ g[lo : lo + GRAD_CHUNK_ROWS]
         g_b[l][...] = g.sum(axis=0)
         if l > 0:
-            w = model.weights[l]
-            if w.shape[1] > 1:
-                g = np.matmul(g, w.T, out=backs[l - 1])
-            else:  # an outer product, at a GEMM's cost in BLAS; every sum of g drops its zeros' sign
-                g = np.multiply(g, w.T, out=backs[l - 1])
+            g = np.matmul(g, model.weights[l].T, out=backs[l - 1])
             if model.config.activation == "relu":
-                np.multiply(g, hs[l] > 0.0, out=g)
+                np.greater(hs[l], 0.0, out=hs[l])
             else:
-                g *= np.subtract(1.0, np.square(hs[l], out=hs[l]), out=hs[l])
+                np.subtract(1.0, np.square(hs[l], out=hs[l]), out=hs[l])
+            g *= hs[l]
         elif model.embeddings:
             # all columns, though only the embeddings' are read: OpenBLAS picks its
             # kernel by shape, so fewer columns round otherwise at some batch sizes
